@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import io as _io
 import json
+import math
 import sys
 import zipfile
 from pathlib import Path
@@ -53,14 +54,44 @@ DEFAULTS = {
 _SCALAR_BLOCKS = {"seed"}
 
 
-def _validate(cfg):
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# (block, key, type check, range check, what the value must be)
+_RULES = [
+    ("grid", "nv", _is_int, lambda v: v >= 8 and v % 2 == 0, "an even integer >= 8"),
+    ("grid", "vmax", _is_number, lambda v: v > 0, "a positive number"),
+    ("grid", "nx", _is_int, lambda v: v >= 1 and v & (v - 1) == 0,
+     "a power of two"),
+    ("grid", "lx", _is_number, lambda v: v > 0, "a positive number"),
+    ("physics", "gamma", _is_number, lambda v: -3.0 <= v <= 1.0,
+     "a number in [-3, 1]"),
+    ("physics", "K", _is_int, lambda v: v >= 0, "a nonnegative integer"),
+    ("physics", "l", _is_number, lambda v: True, "a finite number"),
+    ("scheme", "dt", _is_number, lambda v: v > 0, "a positive number"),
+    ("scheme", "t_end", _is_number, lambda v: v > 0, "a positive number"),
+    ("scheme", "snapshot_every", _is_int, lambda v: v >= 1, "an integer >= 1"),
+    ("decay", "m", _is_int, lambda v: v >= 0, "a nonnegative integer"),
+    ("initial_data", "amplitude", _is_number, lambda v: True, "a finite number"),
+]
+
+
+def _validate(cfg, overrides=()):
+    """Merge a run file over DEFAULTS, apply flag overrides, check the result.
+
+    `overrides` holds (path, value) pairs from command-line flags. Every
+    value is checked after the merge, so a bad flag fails like a bad file.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("run file must hold a JSON object")
     out = json.loads(json.dumps(DEFAULTS))
     for block, val in cfg.items():
         if block in _SCALAR_BLOCKS:
-            if not isinstance(val, int) or val < 0:
-                raise ConfigError(f"config key 'seed' must be a nonnegative integer")
             out[block] = val
             continue
         if block not in DEFAULTS:
@@ -71,10 +102,32 @@ def _validate(cfg):
             if key not in DEFAULTS[block]:
                 raise ConfigError(f"unknown config key '{block}.{key}'")
             out[block][key] = v
+    for dest, val in overrides:
+        node = out
+        for k in dest[:-1]:
+            node = node[k]
+        node[dest[-1]] = val
+    if not _is_int(out["seed"]) or out["seed"] < 0:
+        raise ConfigError("config key 'seed' must be a nonnegative integer")
+    for block, key, is_type, in_range, what in _RULES:
+        v = out[block][key]
+        if not (is_type(v) and in_range(v)):
+            raise ConfigError(f"config key '{block}.{key}' must be {what}, got {v!r}")
+    if out["scheme"]["t_end"] < out["scheme"]["dt"]:
+        raise ConfigError("config key 'scheme.t_end' must be >= scheme.dt")
     if out["physics"]["psi_mode"] not in ("one", "tn"):
         raise ConfigError("config key 'physics.psi_mode' must be 'one' or 'tn'")
     if out["scheme"]["scheme"] not in ("implicit-midpoint", "cn-explicit-transport"):
         raise ConfigError("config key 'scheme.scheme' is not a known scheme")
+    if out["decay"]["data"] not in ("macroscopic", "mixed"):
+        raise ConfigError("config key 'decay.data' must be 'macroscopic' or 'mixed'")
+    if out["initial_data"]["kind"] not in ("macroscopic", "noise", "file"):
+        raise ConfigError(
+            "config key 'initial_data.kind' must be 'macroscopic', 'noise' or 'file'")
+    if out["initial_data"]["kind"] == "file" and not isinstance(
+            out["initial_data"]["path"], str):
+        raise ConfigError("config key 'initial_data.path' must name a file "
+                          "when initial_data.kind is 'file'")
     return out
 
 
@@ -413,16 +466,9 @@ def resolve_config(args):
             raise ConfigError(f"run file not found: {args.config}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"run file is not valid JSON: {e}")
-    cfg = _validate(raw)
-    for flag, dest in _FLAG_MAP.items():
-        val = getattr(args, flag, None)
-        if val is None:
-            continue
-        node = cfg
-        for k in dest[:-1]:
-            node = node[k]
-        node[dest[-1]] = val
-    return cfg
+    overrides = [(dest, getattr(args, flag)) for flag, dest in _FLAG_MAP.items()
+                 if getattr(args, flag, None) is not None]
+    return _validate(raw, overrides)
 
 
 def main(argv=None):

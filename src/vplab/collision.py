@@ -18,6 +18,9 @@ conjugated fourth-difference form (exact zero on sqrt_mu times cubics)
 restores a physical dissipation rate at the grid scale.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.linalg as sla
@@ -203,19 +206,33 @@ class CollisionAssembly:
         self._lambda_cache = {}
 
     def _sigma_cached(self, cache_dir):
+        """sigma from the cache when the stored table is sound, else assembled.
+
+        A cached table is used only when it loads as a finite float64 array
+        of shape (6, n); anything else is recomputed and rewritten. The write
+        goes to a temporary file renamed into place, so a reader never sees
+        a partial table.
+        """
         if cache_dir is None:
             return assemble_sigma(self.grid, self.maxw, self.gamma,
                                   kernel=self.kernel)
-        from pathlib import Path
         key = (f"sigma_g{self.gamma:+.6g}_nv{self.grid.nv}"
                f"_vm{self.grid.vmax:.6g}_eps{self.eps_reg:.6g}.npy")
         path = Path(cache_dir) / key
-        if path.exists():
-            return np.load(path)
+        try:
+            sigma = np.load(path)
+        except (OSError, ValueError, EOFError):
+            sigma = None
+        if (isinstance(sigma, np.ndarray) and sigma.shape == (6, self.grid.n)
+                and sigma.dtype == np.float64 and np.isfinite(sigma).all()):
+            return sigma
         sigma = assemble_sigma(self.grid, self.maxw, self.gamma,
                                kernel=self.kernel)
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.save(path, sigma)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        with open(tmp, "wb") as fh:
+            np.save(fh, sigma)
+        os.replace(tmp, path)
         return sigma
 
     # -- K: integral part ---------------------------------------------------

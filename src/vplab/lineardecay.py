@@ -18,11 +18,19 @@ _SQ2 = np.sqrt(2.0)
 
 
 class ModeOperator:
-    """Dense sector operators for d/dt u = B(y) u at one spatial frequency.
+    """Real sector operators for d/dt u = B(y) u at one spatial frequency.
 
     y is a 3-vector with (by convention) only the first axis nonzero; the
     Poisson coupling uses phi_hat = |y|^{-2} (sqrt_mu, u_+ - u_-) for y != 0
     and vanishes at y = 0, where B reduces to L.
+
+    B = L - i Y, where Y = diag(v.y), plus (2 wv / |y|^2) outer(v.y sqrt_mu,
+    sqrt_mu) in the difference sector. The velocity reversal R: v -> -v
+    (`u[::-1]` on the cell-centred grid) commutes with L and anticommutes
+    with Y, so the unitary map T = (I + R)/2 - i (I - R)/2 makes
+    T B T^{-1} = L - Y R real. `Bs`/`Bd` and every propagator are stored in
+    that real form: L with -v.y on the anti-diagonal, minus the rank-one
+    field term. `to_real`/`from_real` apply T and T^{-1} to a complex field.
     """
 
     def __init__(self, y, assembly, with_field=True):
@@ -36,27 +44,34 @@ class ModeOperator:
         Ls, Ld = assembly.dense_sectors()
         vy = grid.v[0] * y[0] + grid.v[1] * y[1] + grid.v[2] * y[2]
         self.vy = vy
-        self.Bs = Ls.astype(complex) - 1j * np.diag(vy)
-        self.Bd = Ld.astype(complex) - 1j * np.diag(vy)
+        idx = np.arange(grid.n)
+        anti = (idx, idx[::-1])
+        self.Bs = Ls.copy()
+        self.Bs[anti] -= vy
+        self.Bd = Ld.copy()
+        self.Bd[anti] -= vy
         self.with_field = bool(with_field) and self.ynorm > 0
         if self.with_field:
             smu = assembly.maxw.sqrt_mu
-            self.Bd = self.Bd - (2j * grid.wv / self.ynorm ** 2) * np.outer(vy * smu, smu)
+            self.Bd -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(vy * smu, smu)
         self._props = {}
 
     def propagators(self, dt, scheme="implicit-midpoint"):
-        """One-step dense propagators (P_sum, P_diff), cached per (dt, scheme)."""
+        """One-step real propagators (P_sum, P_diff), cached per (dt, scheme).
+
+        Both are n x n float64 (2 n^2 8 bytes per mode) and act on fields
+        mapped by `to_real`; apply them with `real_matvec`.
+        """
         key = (float(dt), scheme)
         if key not in self._props:
             n = self.Bs.shape[0]
             I = np.eye(n)
             out = []
-            for B in (self.Bs, self.Bd):
+            for B, L in zip((self.Bs, self.Bd), self.asm.dense_sectors()):
                 if scheme == "implicit-midpoint":
                     P = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
                 elif scheme == "cn-explicit-transport":
                     # Crank-Nicolson on L, explicit midpoint on transport/field.
-                    L = B.real.copy()
                     T = B - L
                     rhs = I + 0.5 * dt * L + dt * (T @ (I + 0.5 * dt * B))
                     P = np.linalg.solve(I - 0.5 * dt * L, rhs)
@@ -68,10 +83,10 @@ class ModeOperator:
 
     def apply(self, u):
         """B(y) applied to a two-species mode field u (2, n)."""
-        us = (u[0] + u[1]) / _SQ2
-        ud = (u[0] - u[1]) / _SQ2
-        rs = self.Bs @ us
-        rd = self.Bd @ ud
+        us = to_real((u[0] + u[1]) / _SQ2)
+        ud = to_real((u[0] - u[1]) / _SQ2)
+        rs = from_real(real_matvec(self.Bs, us))
+        rd = from_real(real_matvec(self.Bd, ud))
         return np.stack([(rs + rd) / _SQ2, (rs - rd) / _SQ2])
 
     def energy_metric_symmetric_bound(self):
@@ -80,7 +95,8 @@ class ModeOperator:
         The energy metric adds |E_hat|^2 to the plain L2 norm; in that metric
         the symmetric part of B is negative semidefinite (the plain-L2
         symmetric part is not, the Poisson coupling is skew only against the
-        field energy).
+        field energy). The metric commutes with the unitary map to the real
+        form, so the bound is computed there, in real arithmetic.
         """
         grid = self.asm.grid
         n = self.Bs.shape[0]
@@ -91,7 +107,7 @@ class ModeOperator:
             Md = Md + (2.0 * grid.wv ** 2 / self.ynorm ** 2) * np.outer(smu, smu)
         bounds = []
         for B, M in ((self.Bs, Ms), (self.Bd, Md)):
-            H = 0.5 * (M @ B + B.conj().T @ M)
+            H = 0.5 * (M @ B + B.T @ M)
             w = sla.eigh(H, M, eigvals_only=True, subset_by_index=[n - 1, n - 1])
             bounds.append(float(w[-1]))
         return max(bounds)
@@ -103,6 +119,28 @@ class ModeOperator:
             rho = _SQ2 * np.sum(self.asm.maxw.sqrt_mu * ud) * grid.wv
             E += abs(rho) ** 2 / self.ynorm ** 2
         return E
+
+
+_TC = 0.5 - 0.5j      # T = (I + R)/2 - i (I - R)/2 = _TC I + conj(_TC) R
+
+
+def to_real(u):
+    """T u: a complex field (..., n) in the coordinates of the real form."""
+    return _TC * u + np.conj(_TC) * u[..., ::-1]
+
+
+def from_real(w):
+    """T^{-1} w = T^H w: back from the real-form coordinates."""
+    return np.conj(_TC) * w + _TC * w[..., ::-1]
+
+
+def real_matvec(M, w):
+    """Real M times a contiguous complex vector w, without a complex copy of M.
+
+    The (n, 2) float view of w holds its real and imaginary parts as columns,
+    so one real product advances both.
+    """
+    return (M @ w.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
 def build_mode_operator(y, assembly, grid=None, with_field=True):
@@ -134,10 +172,10 @@ def evolve_mode(op, u0, dt, t_end, scheme="implicit-midpoint", l=0.0,
     10x the integrator tolerance between consecutive samples.
     """
     asm = op.asm
-    grid = asm.grid
     u0 = np.asarray(u0, dtype=complex)
-    us = (u0[0] + u0[1]) / _SQ2
-    ud = (u0[0] - u0[1]) / _SQ2
+    # step T u as (n, 2) float arrays; map back to u at every sample
+    ws = to_real((u0[0] + u0[1]) / _SQ2).view(np.float64).reshape(-1, 2)
+    wd = to_real((u0[0] - u0[1]) / _SQ2).view(np.float64).reshape(-1, 2)
     Ps, Pd = op.propagators(dt, scheme)
     w2l = asm.weight.pow(l) ** 2
     steps = int(round(t_end / dt))
@@ -146,13 +184,15 @@ def evolve_mode(op, u0, dt, t_end, scheme="implicit-midpoint", l=0.0,
     t = 0.0
     for k in range(steps + 1):
         if k % samp == 0 or k == steps:
+            us = from_real(ws.view(np.complex128).ravel())
+            ud = from_real(wd.view(np.complex128).ravel())
             ts.append(t)
             Es.append(op.mode_energy(us, ud, w2l))
             d = asm.norms.sigma_sq_batch(np.stack([us, ud]), l, asm.gamma, asm.weight)
             Ds.append(float(d.sum()))
         if k < steps:
-            us = Ps @ us
-            ud = Pd @ ud
+            ws = Ps @ ws
+            wd = Pd @ wd
             t += dt
     Es = np.array(Es)
     ts = np.array(ts)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import GammaOp
-from .lineardecay import ModeOperator
+from .lineardecay import ModeOperator, from_real, real_matvec, to_real
 from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
 
@@ -167,15 +167,17 @@ class Simulation:
         self.gamma_op = GammaOp(assembly)
         self.projector = MacroProjector(self.grid, self.maxw)
         nxr = self.grid.kx_r.size
-        need = nxr * 2 * self.grid.n ** 2 * 16
+        need = nxr * 2 * self.grid.n ** 2 * 8
         if need > store_budget_bytes:
             raise MemoryError(
-                f"per-mode propagator storage {need/1e9:.1f} GB exceeds budget; "
+                f"per-mode propagator storage {need/1e9:.1f} GB "
+                f"({nxr} modes x 2 real {self.grid.n}^2 float64 matrices) "
+                f"exceeds the budget of {store_budget_bytes/1e9:.1f} GB; "
                 "reduce nv or nx"
             )
-        self._mode_ops = [ModeOperator([y, 0.0, 0.0], assembly)
-                          for y in self.grid.kx_r]
-        self._props = [op.propagators(self.dt, scheme) for op in self._mode_ops]
+        # only the propagators are kept; each ModeOperator is freed once built
+        self._props = [ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt, scheme)
+                       for y in self.grid.kx_r]
         smu = self.maxw.sqrt_mu
         self._mass_dir = smu / np.sqrt(np.sum(smu ** 2) * self.grid.wv)
 
@@ -221,13 +223,13 @@ class Simulation:
         f = state.f
         s = (f[0] + f[1]) / _SQ2
         d = (f[0] - f[1]) / _SQ2
-        sh = np.fft.rfft(s, axis=0)
-        dh = np.fft.rfft(d, axis=0)
+        sh = to_real(np.fft.rfft(s, axis=0))
+        dh = to_real(np.fft.rfft(d, axis=0))
         for k, (Ps, Pd) in enumerate(self._props):
-            sh[k] = Ps @ sh[k]
-            dh[k] = Pd @ dh[k]
-        s = np.fft.irfft(sh, n=self.grid.nx, axis=0)
-        d = np.fft.irfft(dh, n=self.grid.nx, axis=0)
+            sh[k] = real_matvec(Ps, sh[k])
+            dh[k] = real_matvec(Pd, dh[k])
+        s = np.fft.irfft(from_real(sh), n=self.grid.nx, axis=0)
+        d = np.fft.irfft(from_real(dh), n=self.grid.nx, axis=0)
         state.f = np.stack([(s + d) / _SQ2, (s - d) / _SQ2])
 
     def step(self, state):

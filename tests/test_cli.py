@@ -128,3 +128,23 @@ def test_sigma_cache_roundtrip(tmp_path):
     a = (tmp_path / "o1" / "collision_report.json").read_bytes()
     b = (tmp_path / "o2" / "collision_report.json").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("args, body, key", [
+    (["collision-check", "--nv", "7"], None, "grid.nv"),
+    (["collision-check", "--gamma", "5"], None, "physics.gamma"),
+    (["collision-check"], '{"grid": {"nv": "8"}}', "grid.nv"),
+    (["simulate", "--dt", "-1"], None, "scheme.dt"),
+    (["simulate", "--nx", "12"], None, "grid.nx"),
+    (["simulate", "--t-end", "0.01"], None, "scheme.t_end"),
+    (["simulate"], '{"initial_data": {"kind": "file"}}', "initial_data.path"),
+    (["decay"], '{"decay": {"data": "rough"}}', "decay.data"),
+])
+def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
+    # flags are checked after the merge, like run-file values
+    if body is not None:
+        (tmp_path / "c.json").write_text(body)
+        args = args + ["--config", str(tmp_path / "c.json")]
+    assert run_cli(args + ["--out", str(tmp_path / "o")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

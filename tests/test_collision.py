@@ -232,3 +232,23 @@ def test_coercivity_stable_under_refinement():
         asm = CollisionAssembly(g, maxwellian(g), 0.0)
         lams[nv], _ = coercivity_probe(asm)
     assert abs(lams[16] - lams[12]) / lams[16] < 0.2
+
+
+def test_sigma_cache_rejects_bad_tables(grid8, maxw8, tmp_path):
+    fresh = CollisionAssembly(grid8, maxw8, -1.0, sigma_cache_dir=tmp_path).sigma
+    (path,) = tmp_path.glob("sigma_*.npy")
+    bad_tables = [
+        b"not an npy file",
+        np.zeros((5, grid8.n)),
+        np.zeros((6, grid8.n), dtype=np.float32),
+        np.full((6, grid8.n), np.nan),
+    ]
+    for bad in bad_tables:
+        if isinstance(bad, bytes):
+            path.write_bytes(bad)
+        else:
+            np.save(path, bad)
+        sigma = CollisionAssembly(grid8, maxw8, -1.0, sigma_cache_dir=tmp_path).sigma
+        assert np.array_equal(sigma, fresh)
+        assert np.array_equal(np.load(path), fresh)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

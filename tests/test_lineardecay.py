@@ -3,6 +3,7 @@ import pytest
 
 from vplab.lineardecay import (ModeOperator, build_mode_operator, evolve_mode,
                                whole_space_decay, default_mode_data)
+from vplab.solver import Simulation
 
 
 def test_B_at_zero_is_L(asm8):
@@ -81,7 +82,8 @@ def test_cn_explicit_transport_scheme(asm8):
     tr_cn = evolve_mode(op, u0, 0.02, 2.0, scheme="cn-explicit-transport", n_samples=1)
     a = np.concatenate(tr_im.final_state)
     b = np.concatenate(tr_cn.final_state)
-    assert np.abs(a - b).max() < 5e-4 * np.abs(a).max()
+    # the split is a different scheme, not implicit midpoint in disguise
+    assert 1e-5 * np.abs(a).max() < np.abs(a - b).max() < 5e-4 * np.abs(a).max()
     with pytest.raises(ValueError):
         op.propagators(0.05, "bogus")
 
@@ -112,3 +114,47 @@ def test_low_frequency_dominance(asm8):
     r1, _ = whole_space_decay(asm8, y_min=0.02, **kw)
     r2, _ = whole_space_decay(asm8, y_min=0.01, **kw)
     assert abs(r1["slope"] - r2["slope"]) < 0.05
+
+
+@pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
+def test_sectors_commute_with_velocity_reversal(asm_name, request):
+    # R: u -> u[::-1] is v -> -v on the cell-centred grid
+    for L in request.getfixturevalue(asm_name).dense_sectors():
+        RLR = L[::-1, ::-1]
+        assert np.linalg.norm(RLR - L) <= 1e-14 * np.linalg.norm(L)
+
+
+@pytest.mark.parametrize("y", [[0.0, 0, 0], [0.8, 0, 0], [0.3, -0.2, 0.7]])
+def test_real_form_matches_complex_reference(asm8, y):
+    # reference: the complex operator B = L - i v.y (+ field term), stepped
+    # with dense complex implicit-midpoint propagators
+    g, smu = asm8.grid, asm8.maxw.sqrt_mu
+    Ls, Ld = asm8.dense_sectors()
+    vy = g.v[0] * y[0] + g.v[1] * y[1] + g.v[2] * y[2]
+    yn = np.linalg.norm(y)
+    Bs = Ls - 1j * np.diag(vy)
+    Bd = Ld - 1j * np.diag(vy)
+    if yn > 0:
+        Bd = Bd - (2j * g.wv / yn ** 2) * np.outer(vy * smu, smu)
+    dt, steps = 0.05, 200
+    I = np.eye(g.n)
+    u0 = default_mode_data(asm8, "mixed", 1e-3, seed=3)
+    ref = []
+    for B, u in ((Bs, (u0[0] + u0[1]) / np.sqrt(2)), (Bd, (u0[0] - u0[1]) / np.sqrt(2))):
+        P = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
+        for _ in range(steps):
+            u = P @ u
+        ref.append(u)
+    ref = np.concatenate(ref)
+    tr = evolve_mode(ModeOperator(y, asm8), u0, dt, steps * dt, n_samples=1)
+    got = np.concatenate(tr.final_state)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_propagator_budget_boundary(asm8):
+    # two real n x n float64 propagators per retained Fourier mode
+    g = asm8.grid
+    need = g.kx_r.size * 2 * g.n ** 2 * 8
+    Simulation(asm8, dt=0.05, store_budget_bytes=need)
+    with pytest.raises(MemoryError):
+        Simulation(asm8, dt=0.05, store_budget_bytes=need - 1)
