@@ -7,17 +7,13 @@ from .grid import (
     maxwellian,
     VelocityWeight,
     NormSuite,
-    sigma_norm,
-    radial_project,
 )
 from .collision import (
     KernelTable,
     CollisionAssembly,
     assemble_sigma,
-    p_v_project,
     coercivity_probe,
     GammaOp,
-    apply_Gamma,
 )
 from .macroscopic import (
     MacroState,
@@ -30,7 +26,6 @@ from .macroscopic import (
 from .lineardecay import (
     ModeOperator,
     ModeTrajectory,
-    build_mode_operator,
     evolve_mode,
     whole_space_decay,
 )
@@ -47,13 +42,12 @@ from .solver import (
 
 __all__ = [
     "PhaseGrid", "build_grid", "Maxwellian", "maxwellian",
-    "VelocityWeight", "NormSuite", "sigma_norm", "radial_project",
-    "KernelTable", "CollisionAssembly", "assemble_sigma", "p_v_project",
-    "coercivity_probe", "GammaOp", "apply_Gamma",
+    "VelocityWeight", "NormSuite",
+    "KernelTable", "CollisionAssembly", "assemble_sigma",
+    "coercivity_probe", "GammaOp",
     "MacroState", "FieldState", "MacroProjector", "project_P",
     "solve_poisson", "moment_residuals",
-    "ModeOperator", "ModeTrajectory", "build_mode_operator", "evolve_mode",
-    "whole_space_decay",
+    "ModeOperator", "ModeTrajectory", "evolve_mode", "whole_space_decay",
     "TwoSpeciesField", "PsiWeight", "EnergyReport", "Simulation",
     "make_initial_data", "energy_report", "energy_inequality_monitor",
     "smoothing_diagnostic",

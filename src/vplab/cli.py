@@ -3,7 +3,8 @@
 Every output embeds the hash of the fully resolved configuration, outputs
 carry no wall-clock state, and all randomness flows through a counter-based
 generator keyed by the seed, so identical config + seed reproduce outputs
-byte for byte. Exit codes: 0 success, 1 check failure, 2 config error.
+byte for byte. Exit codes: 0 success, 1 check or runtime failure (one
+line on stderr), 2 config error.
 """
 
 import argparse
@@ -30,18 +31,12 @@ class ConfigError(Exception):
     pass
 
 
-class CheckFailure(Exception):
-    pass
-
-
 DEFAULTS = {
     "grid": {"nv": 8, "vmax": 6.0, "nx": 32, "lx": float(np.pi)},
-    "physics": {"gamma": 0.0, "K0": 1.0, "K": 3, "l": 3.0, "psi_mode": "one",
-                "delta1_policy": "largest", "lambda_h": None,
-                "moment_weight": 10.0},
-    "scheme": {"dt": 0.05, "t_end": 5.0, "scheme": "implicit-midpoint",
-               "snapshot_every": 5, "disable_gamma": False,
-               "disable_field_nl": False},
+    "physics": {"gamma": 0.0, "K": 3, "l": 3.0, "psi_mode": "one",
+                "lambda_h": None},
+    "scheme": {"dt": 0.05, "t_end": 5.0, "snapshot_every": 5,
+               "disable_gamma": False, "disable_field_nl": False},
     "io": {"out_dir": ".", "cache_dir": None},
     "decay": {"m": 0, "l": 0.0, "l_star": None, "y_min": 0.02, "y_max": None,
               "n_y": 48, "t_end": 100.0, "fit_lo": 10.0, "fit_hi": 100.0,
@@ -117,8 +112,6 @@ def _validate(cfg, overrides=()):
         raise ConfigError("config key 'scheme.t_end' must be >= scheme.dt")
     if out["physics"]["psi_mode"] not in ("one", "tn"):
         raise ConfigError("config key 'physics.psi_mode' must be 'one' or 'tn'")
-    if out["scheme"]["scheme"] not in ("implicit-midpoint", "cn-explicit-transport"):
-        raise ConfigError("config key 'scheme.scheme' is not a known scheme")
     if out["decay"]["data"] not in ("macroscopic", "mixed"):
         raise ConfigError("config key 'decay.data' must be 'macroscopic' or 'mixed'")
     if out["initial_data"]["kind"] not in ("macroscopic", "noise", "file"):
@@ -205,29 +198,29 @@ def _assembly_from(cfg):
     return g, mw, asm
 
 
-def cmd_simulate(cfg, out_dir, cfg_h):
+def _initial_field(cfg, g, mw, amplitude, asym):
+    idc = cfg["initial_data"]
+    f0 = make_initial_data(g, mw, idc["kind"], amplitude, idc["mode"], asym,
+                           cfg["seed"], idc["path"])
+    return TwoSpeciesField(f0, g, mw)
+
+
+def _run_with_energy(cfg, out_dir, cfg_h):
+    """Run the configured trajectory, one energy report per snapshot; write energy.csv."""
     g, mw, asm = _assembly_from(cfg)
     sc = cfg["scheme"]
-    sim = Simulation(asm, sc["dt"], scheme=sc["scheme"],
-                     disable_gamma=sc["disable_gamma"],
+    sim = Simulation(asm, sc["dt"], disable_gamma=sc["disable_gamma"],
                      disable_field_nl=sc["disable_field_nl"])
     idc = cfg["initial_data"]
-    f0 = make_initial_data(g, mw, idc["kind"], idc["amplitude"], idc["mode"],
-                           idc["asym"], cfg["seed"], idc["path"])
-    state = TwoSpeciesField(f0, g, mw)
+    state = _initial_field(cfg, g, mw, idc["amplitude"], idc["asym"])
     psi = PsiWeight(cfg["physics"]["psi_mode"])
     K, l = cfg["physics"]["K"], cfg["physics"]["l"]
-    proj = sim.projector
     reports = []
 
     def cb(st):
-        reports.append(energy_report(st, asm, K, l, psi, proj))
+        reports.append(energy_report(st, asm, K, l, psi, sim.projector))
 
     snaps = sim.run(state, sc["t_end"], sc["snapshot_every"], callback=cb)
-    times = np.array([t for t, _ in snaps])
-    fields = np.stack([f for _, f in snaps])
-    write_snapshots(out_dir / "snapshots.npz",
-                    {"t": times, "f": fields}, cfg_h)
     keys = sorted(reports[0].summands)
     header = ["t"] + keys + ["E_total", "Eh_total", "D_total", "dtphi_inf",
                              "z1", "min_F", "div_E_residual"]
@@ -235,6 +228,15 @@ def cmd_simulate(cfg, out_dir, cfg_h):
             + [r.E_total, r.Eh_total, r.D_total, r.dtphi_inf, r.z1, r.min_F,
                r.div_E_residual] for r in reports]
     write_csv(out_dir / "energy.csv", header, rows, cfg_h)
+    return asm, snaps, reports
+
+
+def cmd_simulate(cfg, out_dir, cfg_h):
+    _, snaps, reports = _run_with_energy(cfg, out_dir, cfg_h)
+    times = np.array([t for t, _ in snaps])
+    fields = np.stack([f for _, f in snaps])
+    write_snapshots(out_dir / "snapshots.npz",
+                    {"t": times, "f": fields}, cfg_h)
     summary = {
         "t_end": float(times[-1]),
         "n_snapshots": len(snaps),
@@ -253,7 +255,7 @@ def cmd_decay(cfg, out_dir, cfg_h):
         asm, m=dc["m"], l=dc["l"], l_star=dc["l_star"], data=dc["data"],
         y_min=dc["y_min"], y_max=dc["y_max"], n_y=dc["n_y"],
         t_end=dc["t_end"], fit_window=(dc["fit_lo"], dc["fit_hi"]),
-        scheme=cfg["scheme"]["scheme"], seed=cfg["seed"])
+        seed=cfg["seed"])
     report.pop("fits", None)
     write_json(out_dir / "decay_report.json", report, cfg_h)
     rows = []
@@ -298,20 +300,16 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
     """
     g, mw, asm = _assembly_from(cfg)
     proj = MacroProjector(g, mw)
-    sc = cfg["scheme"]
-    idc = cfg["initial_data"]
-    base_dt = sc["dt"]
-    spin = Simulation(asm, base_dt / 4.0, scheme=sc["scheme"])
-    st = TwoSpeciesField(
-        make_initial_data(g, mw, idc["kind"], 1e-2, idc["mode"],
-                          0.5, cfg["seed"]), g, mw)
+    base_dt = cfg["scheme"]["dt"]
+    spin = Simulation(asm, base_dt / 4.0)
+    st = _initial_field(cfg, g, mw, 1e-2, 0.5)
     for _ in range(int(round(0.5 / (base_dt / 4.0)))):
         spin.step(st)
     fstart = st.f.copy()
     horizon = 0.6
 
     def rms_by_line(dt):
-        simx = Simulation(asm, dt, scheme=sc["scheme"])
+        simx = Simulation(asm, dt)
         stx = TwoSpeciesField(fstart.copy(), g, mw)
         snaps = simx.run(stx, dt * int(round(horizon / dt)), 1)
         recs = moment_residuals(snaps, dt, g, mw, asm.apply_L, simx.forcing, proj)
@@ -382,21 +380,8 @@ def cmd_symbols_check(cfg, out_dir, cfg_h):
 
 
 def cmd_energy_report(cfg, out_dir, cfg_h):
-    g, mw, asm = _assembly_from(cfg)
+    asm, _, reports = _run_with_energy(cfg, out_dir, cfg_h)
     sc = cfg["scheme"]
-    idc = cfg["initial_data"]
-    sim = Simulation(asm, sc["dt"], scheme=sc["scheme"],
-                     disable_gamma=sc["disable_gamma"],
-                     disable_field_nl=sc["disable_field_nl"])
-    f0 = make_initial_data(g, mw, idc["kind"], idc["amplitude"], idc["mode"],
-                           idc["asym"], cfg["seed"])
-    state = TwoSpeciesField(f0, g, mw)
-    psi = PsiWeight(cfg["physics"]["psi_mode"])
-    K, l = cfg["physics"]["K"], cfg["physics"]["l"]
-    reports = []
-    sim.run(state, sc["t_end"], sc["snapshot_every"],
-            callback=lambda st: reports.append(
-                energy_report(st, asm, K, l, psi, sim.projector)))
     lam_h = cfg["physics"]["lambda_h"]
     if lam_h is None:
         lam_h, _ = coercivity_probe(asm)
@@ -404,12 +389,6 @@ def cmd_energy_report(cfg, out_dir, cfg_h):
     mon = energy_inequality_monitor(reports, dt_snap, lam_h / 2.0)
     mon["lambda_h"] = lam_h
     write_json(out_dir / "inequality_report.json", mon, cfg_h)
-    keys = sorted(reports[0].summands)
-    header = ["t"] + keys + ["E_total", "Eh_total", "D_total", "dtphi_inf"]
-    rows = [[r.t] + [r.summands[k] for k in keys]
-            + [r.E_total, r.Eh_total, r.D_total, r.dtphi_inf]
-            for r in reports]
-    write_csv(out_dir / "energy.csv", header, rows, cfg_h)
     ok = np.isfinite(mon["C_cov"])
     return 0 if ok else 1
 
@@ -483,15 +462,13 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         rc = COMMANDS[args.command](cfg, out_dir, cfg_h)
-    except CheckFailure as e:
-        print(f"check failure: {e}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as e:
+        # CFL violation, smoothing blow-up, propagator memory budget
+        print(f"{args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     if rc != 0:
         print(f"{args.command}: acceptance thresholds not met", file=sys.stderr)
     return rc
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 import scipy.linalg as sla
 
 from .grid import VelocityWeight, NormSuite
+from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
@@ -33,16 +34,6 @@ PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
 def pair_of(i, j):
     return PAIR_INDEX[(i, j) if i <= j else (j, i)]
-
-
-def p_v_project(h, v):
-    """Component of the 3-vector h along the direction of v (zero at v = 0)."""
-    h = np.asarray(h, dtype=float)
-    v = np.asarray(v, dtype=float)
-    vsq = float(v @ v)
-    if vsq == 0.0:
-        return np.zeros(3)
-    return (h @ v) / vsq * v
 
 
 class KernelTable:
@@ -297,50 +288,11 @@ class CollisionAssembly:
 
     # -- null space -----------------------------------------------------------
 
-    def null_basis_raw(self):
-        """The six spanning vectors of ker L, un-normalized, shape (6, 2, n)."""
-        smu = self.maxw.sqrt_mu
-        v = self.grid.v
-        vsq = self.grid.vsq
-        zero = np.zeros_like(smu)
-        vecs = [
-            np.stack([smu, zero]),
-            np.stack([zero, smu]),
-            np.stack([v[0] * smu, v[0] * smu]),
-            np.stack([v[1] * smu, v[1] * smu]),
-            np.stack([v[2] * smu, v[2] * smu]),
-            np.stack([vsq * smu, vsq * smu]),
-        ]
-        return np.stack(vecs)
-
-    def null_basis(self):
-        """Discretely orthonormalized null basis, shape (6, 2, n)."""
-        raw = self.null_basis_raw().astype(float)
-        out = []
-        for vec in raw:
-            w = vec.copy()
-            for u in out:
-                w -= np.sum(u * w) * self.grid.wv * u
-            w /= np.sqrt(np.sum(w * w) * self.grid.wv)
-            out.append(w)
-        return np.stack(out)
-
     def sector_kernels(self):
         """Orthonormal kernel bases of the sum and difference sectors."""
-        smu = self.maxw.sqrt_mu
-        v = self.grid.v
-        vsq = self.grid.vsq
-        def gs(vecs):
-            out = []
-            for vec in vecs:
-                w = vec.astype(float).copy()
-                for u in out:
-                    w -= np.sum(u * w) * self.grid.wv * u
-                w /= np.sqrt(np.sum(w * w) * self.grid.wv)
-                out.append(w)
-            return np.stack(out)
-        ks = gs([smu, v[0] * smu, v[1] * smu, v[2] * smu, vsq * smu])
-        kd = gs([smu])
+        raw = null_basis_raw(self.grid, self.maxw)[:, 0]   # smu, v_j smu, |v|^2 smu
+        ks = orthonormalize(raw[[0, 2, 3, 4, 5]], self.grid.wv)
+        kd = orthonormalize(raw[:1], self.grid.wv)
         return ks, kd
 
     def dense_sectors(self):
@@ -354,7 +306,7 @@ class CollisionAssembly:
     def null_residuals(self):
         """Relative residual |L xi| / |xi| for each raw null vector."""
         out = []
-        for xi in self.null_basis_raw():
+        for xi in null_basis_raw(self.grid, self.maxw):
             r = self.apply_L(xi)
             out.append(
                 float(np.sqrt(np.sum(r ** 2)) / np.sqrt(np.sum(xi ** 2)))
@@ -463,7 +415,3 @@ class GammaOp:
         U, W = self.coefficients(f[0] + f[1])
         return np.stack([self.apply(U, W, g[0]), self.apply(U, W, g[1])])
 
-
-def apply_Gamma(assembly, f, g):
-    """Convenience wrapper: Gamma_pm(f, g) for two-species fields."""
-    return GammaOp(assembly)(np.asarray(f), np.asarray(g))

@@ -188,19 +188,6 @@ class VelocityWeight:
         return self._pows[l]
 
 
-def radial_project(gvec, grid):
-    """Pointwise projection of a velocity-indexed 3-vector field onto v/|v|.
-
-    gvec has shape (3, n). Returns the component along v at each node;
-    at the v = 0 node the projection is zero by convention (no such node
-    exists on the cell-centered grid, kept for safety).
-    """
-    vsq = grid.vsq
-    safe = np.where(vsq > 0, vsq, 1.0)
-    coef = np.where(vsq > 0, (gvec * grid.v).sum(axis=0) / safe, 0.0)
-    return coef[None, :] * grid.v
-
-
 class NormSuite:
     """Norm evaluators bound to a grid: L2_v, L2_{v,x}, sigma-norm, Z1.
 
@@ -270,7 +257,3 @@ class NormSuite:
         out = np.einsum("ij,ij->i", np.conj(flat), (S @ flat.T).T).real * self.grid.wv
         return out.reshape(G.shape[:-1])
 
-
-def sigma_norm(g, l, gamma, grid):
-    """|g|_{sigma,l} of a single-species velocity field on the given grid."""
-    return NormSuite(grid).sigma(np.asarray(g), l, gamma)

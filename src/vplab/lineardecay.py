@@ -56,29 +56,17 @@ class ModeOperator:
             self.Bd -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(vy * smu, smu)
         self._props = {}
 
-    def propagators(self, dt, scheme="implicit-midpoint"):
-        """One-step real propagators (P_sum, P_diff), cached per (dt, scheme).
+    def propagators(self, dt):
+        """One-step implicit-midpoint real propagators (P_sum, P_diff), cached per dt.
 
         Both are n x n float64 (2 n^2 8 bytes per mode) and act on fields
         mapped by `to_real`; apply them with `real_matvec`.
         """
-        key = (float(dt), scheme)
+        key = float(dt)
         if key not in self._props:
-            n = self.Bs.shape[0]
-            I = np.eye(n)
-            out = []
-            for B, L in zip((self.Bs, self.Bd), self.asm.dense_sectors()):
-                if scheme == "implicit-midpoint":
-                    P = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
-                elif scheme == "cn-explicit-transport":
-                    # Crank-Nicolson on L, explicit midpoint on transport/field.
-                    T = B - L
-                    rhs = I + 0.5 * dt * L + dt * (T @ (I + 0.5 * dt * B))
-                    P = np.linalg.solve(I - 0.5 * dt * L, rhs)
-                else:
-                    raise ValueError(f"unknown scheme: {scheme!r}")
-                out.append(P)
-            self._props[key] = tuple(out)
+            I = np.eye(self.Bs.shape[0])
+            self._props[key] = tuple(np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
+                                     for B in (self.Bs, self.Bd))
         return self._props[key]
 
     def apply(self, u):
@@ -143,18 +131,12 @@ def real_matvec(M, w):
     return (M @ w.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
-def build_mode_operator(y, assembly, grid=None, with_field=True):
-    """Operator closure for u' = B(y) u (grid is carried by the assembly)."""
-    return ModeOperator(y, assembly, with_field=with_field)
-
-
 @dataclass
 class ModeTrajectory:
     """Sampled mode evolution: times, functional, sigma-norm dissipation."""
     y: float
     l: float
     dt: float
-    scheme: str
     t: np.ndarray
     energy: np.ndarray
     sigma_diss: np.ndarray
@@ -163,9 +145,8 @@ class ModeTrajectory:
     final_state: tuple = field(default=None, repr=False)
 
 
-def evolve_mode(op, u0, dt, t_end, scheme="implicit-midpoint", l=0.0,
-                n_samples=80, increase_tol=1e-11):
-    """Integrate one mode and sample its functional and dissipation.
+def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80, increase_tol=1e-11):
+    """Integrate one mode with implicit midpoint; sample functional and dissipation.
 
     u0 is a two-species complex field (2, n). Emits a warning-grade flag via
     the returned violation count when the functional increases beyond
@@ -176,7 +157,7 @@ def evolve_mode(op, u0, dt, t_end, scheme="implicit-midpoint", l=0.0,
     # step T u as (n, 2) float arrays; map back to u at every sample
     ws = to_real((u0[0] + u0[1]) / _SQ2).view(np.float64).reshape(-1, 2)
     wd = to_real((u0[0] - u0[1]) / _SQ2).view(np.float64).reshape(-1, 2)
-    Ps, Pd = op.propagators(dt, scheme)
+    Ps, Pd = op.propagators(dt)
     w2l = asm.weight.pow(l) ** 2
     steps = int(round(t_end / dt))
     samp = max(1, steps // max(n_samples, 1))
@@ -208,7 +189,7 @@ def evolve_mode(op, u0, dt, t_end, scheme="implicit-midpoint", l=0.0,
             RuntimeWarning,
         )
     return ModeTrajectory(
-        y=op.ynorm, l=l, dt=dt, scheme=scheme, t=ts, energy=Es,
+        y=op.ynorm, l=l, dt=dt, t=ts, energy=Es,
         sigma_diss=np.array(Ds), max_rel_increase=max_inc, violations=viol,
         final_state=(us, ud),
     )
@@ -250,9 +231,8 @@ def _fit_loglog(t, I, t_lo, t_hi):
 
 def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
                       amplitude=1e-3, y_min=0.02, y_max=None, n_y=48,
-                      t_end=100.0, fit_window=(10.0, 100.0),
-                      scheme="implicit-midpoint", n_samples=80, with_field=True,
-                      seed=0):
+                      t_end=100.0, fit_window=(10.0, 100.0), n_samples=80,
+                      with_field=True, seed=0):
     """Whole-space decay emulation by quadrature over a continuous y sweep.
 
     Evolves one mode per quadrature node, assembles
@@ -285,7 +265,7 @@ def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
     for y in ys:
         dt = 0.05 * min(1.0, 1.0 / y)
         op = ModeOperator([y, 0, 0], assembly, with_field=with_field)
-        trajs.append(evolve_mode(op, u0, dt, t_end, scheme, l, n_samples))
+        trajs.append(evolve_mode(op, u0, dt, t_end, l, n_samples))
     t_eval = np.geomspace(max(0.5 * fit_window[0], trajs[0].t[1]), t_end, 160)
     E_ty = np.array([np.interp(t_eval, tr.t, tr.energy) for tr in trajs]).T
     lw = np.gradient(np.log(ys)) * ys
@@ -294,7 +274,7 @@ def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
         "gamma": gamma, "l": l, "l_star": l_star,
         "y_grid": [float(v) for v in ys],
         "t_window": [float(fit_window[0]), float(fit_window[1])],
-        "scheme": scheme, "data": data,
+        "data": data,
         "total_violations": int(sum(tr.violations for tr in trajs)),
         "max_rel_increase": float(max(tr.max_rel_increase for tr in trajs)),
     }

@@ -34,35 +34,41 @@ class FieldState:
     mean_rho: float = 0.0
 
 
+def null_basis_raw(grid, maxw):
+    """The six collision invariants spanning ker L, un-normalized, (6, 2, n)."""
+    smu = maxw.sqrt_mu
+    v = grid.v
+    vsq = grid.vsq
+    zero = np.zeros_like(smu)
+    return np.stack([
+        np.stack([smu, zero]),
+        np.stack([zero, smu]),
+        np.stack([v[0] * smu, v[0] * smu]),
+        np.stack([v[1] * smu, v[1] * smu]),
+        np.stack([v[2] * smu, v[2] * smu]),
+        np.stack([vsq * smu, vsq * smu]),
+    ])
+
+
+def orthonormalize(vecs, wv):
+    """Gram-Schmidt in the discrete L^2_v inner product, in the order given."""
+    out = []
+    for vec in vecs:
+        w = np.array(vec, dtype=float)
+        for u in out:
+            w -= np.sum(u * w) * wv * u
+        w /= np.sqrt(np.sum(w * w) * wv)
+        out.append(w)
+    return np.stack(out)
+
+
 class MacroProjector:
     """L^2_v-orthogonal projection onto the six collision invariants."""
 
     def __init__(self, grid, maxw):
         self.grid = grid
         self.maxw = maxw
-        raw = self._raw_basis()
-        out = []
-        for vec in raw:
-            w = vec.copy()
-            for u in out:
-                w -= np.sum(u * w) * grid.wv * u
-            w /= np.sqrt(np.sum(w * w) * grid.wv)
-            out.append(w)
-        self.basis = np.stack(out)                 # (6, 2, n)
-
-    def _raw_basis(self):
-        smu = self.maxw.sqrt_mu
-        v = self.grid.v
-        vsq = self.grid.vsq
-        zero = np.zeros_like(smu)
-        return np.stack([
-            np.stack([smu, zero]),
-            np.stack([zero, smu]),
-            np.stack([v[0] * smu, v[0] * smu]),
-            np.stack([v[1] * smu, v[1] * smu]),
-            np.stack([v[2] * smu, v[2] * smu]),
-            np.stack([vsq * smu, vsq * smu]),
-        ]).astype(float)
+        self.basis = orthonormalize(null_basis_raw(grid, maxw), grid.wv)  # (6, 2, n)
 
     def split(self, f):
         """Return (Pf, (I-P)f) for f of shape (2, ..., n)."""

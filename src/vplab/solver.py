@@ -149,18 +149,17 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
 class Simulation:
     """Owner of one trajectory of the perturbation system.
 
-    Parameters mirror the run-file scheme block: dt, t_end, scheme,
-    snapshot_every (steps), disable_gamma / disable_field_nl flags.
+    Parameters mirror the run-file scheme block: dt, t_end, snapshot_every
+    (steps), disable_gamma / disable_field_nl flags. The linear part always
+    steps with implicit midpoint.
     """
 
-    def __init__(self, assembly, dt, scheme="implicit-midpoint",
-                 disable_gamma=False, disable_field_nl=False, cfl_limit=1.0,
-                 store_budget_bytes=1_500_000_000):
+    def __init__(self, assembly, dt, disable_gamma=False, disable_field_nl=False,
+                 cfl_limit=1.0, store_budget_bytes=1_500_000_000):
         self.asm = assembly
         self.grid = assembly.grid
         self.maxw = assembly.maxw
         self.dt = float(dt)
-        self.scheme = scheme
         self.disable_gamma = bool(disable_gamma)
         self.disable_field_nl = bool(disable_field_nl)
         self.cfl_limit = float(cfl_limit)
@@ -176,7 +175,7 @@ class Simulation:
                 "reduce nv or nx"
             )
         # only the propagators are kept; each ModeOperator is freed once built
-        self._props = [ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt, scheme)
+        self._props = [ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt)
                        for y in self.grid.kx_r]
         smu = self.maxw.sqrt_mu
         self._mass_dir = smu / np.sqrt(np.sum(smu ** 2) * self.grid.wv)
@@ -272,11 +271,9 @@ class EnergyReport:
     div_E_residual: float
 
 
-def dt_phi_sup(state):
-    """||d_t phi||_inf via d_t phi = Lap^{-1} div G (continuity relation)."""
+def dt_phi_sup(state, IPf):
+    """||d_t phi||_inf via d_t phi = Lap^{-1} div G, G from IPf = (I-P) state.f."""
     grid = state.grid
-    from .macroscopic import project_P
-    _, _, IPf = project_P(state.f, grid, state.maxw, None)
     smu = state.maxw.sqrt_mu
     G1 = np.tensordot(IPf[0] - IPf[1], grid.v[0] * smu, axes=(-1, 0)) * grid.wv
     gh = np.fft.rfft(G1)
@@ -286,8 +283,7 @@ def dt_phi_sup(state):
     return float(np.abs(np.fft.irfft(ph, n=grid.nx)).max())
 
 
-def energy_report(state, assembly, K, l, psi=None, projector=None,
-                  noise_check=True):
+def energy_report(state, assembly, K, l, psi=None, projector=None):
     """Instant energy, high-order energy, and dissipation rate summands.
 
     Summands carry the weights w^{l-|alpha|-|beta|} and psi_{|alpha|+|beta|-3}
@@ -308,7 +304,7 @@ def energy_report(state, assembly, K, l, psi=None, projector=None,
     dx_measure = grid.dx
     D = grid.dv_ops()
 
-    if noise_check and K >= 1:
+    if K >= 1:
         ceiling = (2.0 / grid.hv) ** K
         base = np.abs(IPf).max() + 1e-300
         probe = IPf
@@ -398,7 +394,7 @@ def energy_report(state, assembly, K, l, psi=None, projector=None,
     return EnergyReport(
         t=t, K=K, l=l, summands=summands,
         E_total=E_tot, Eh_total=Eh_tot, D_total=D_tot,
-        dtphi_inf=dt_phi_sup(state),
+        dtphi_inf=dt_phi_sup(state, IPf),
         z1=assembly.norms.z1(f),
         min_F=state.min_F(),
         div_E_residual=div_E_residual(fs, grid),

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vplab import build_grid, maxwellian, make_initial_data
 from vplab.cli import main, config_hash, resolve_config, build_parser, \
     read_snapshots, _validate, ConfigError
 
@@ -30,6 +33,8 @@ def test_malformed_json_exit2(tmp_path):
 def test_bad_values_exit2(tmp_path):
     for body in ('{"physics": {"psi_mode": "weird"}}',
                  '{"scheme": {"scheme": "rk9"}}',
+                 '{"scheme": {"scheme": "implicit-midpoint"}}',
+                 '{"physics": {"K0": 1.0}}',
                  '{"seed": -3}',
                  '{"bogus_block": {}}'):
         (tmp_path / "c.json").write_text(body)
@@ -148,3 +153,51 @@ def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
     assert run_cli(args + ["--out", str(tmp_path / "o")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, body, message", [
+    (["--nv", "16", "--nx", "32"], None, "per-mode propagator storage"),
+    ([], {"grid": {"nx": 4}, "initial_data": {"amplitude": 50.0},
+          "scheme": {"t_end": 0.1}}, "CFL violation"),
+])
+def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
+    if body is not None:
+        (tmp_path / "c.json").write_text(json.dumps(body))
+        args = args + ["--config", str(tmp_path / "c.json")]
+    r = subprocess.run([sys.executable, "-W", "ignore", "-m", "vplab.cli",
+                        "simulate", "--out", str(tmp_path / "o")] + args,
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_initial_data_file_energy_report_and_moments(tmp_path):
+    # both commands read initial_data.path; energy-report writes the
+    # same energy.csv as simulate
+    for nx in (8, 4):
+        g = build_grid(nv=8, nx=nx)
+        np.savez(tmp_path / f"f0_nx{nx}.npz",
+                 f=make_initial_data(g, maxwellian(g), "macroscopic", 1.0, asym=0.25))
+    run = {"grid": {"nx": 8}, "scheme": {"t_end": 0.5},
+           "physics": {"lambda_h": 0.1}}
+    (tmp_path / "sim.json").write_text(json.dumps(run))
+    run["initial_data"] = {"kind": "file", "path": str(tmp_path / "f0_nx8.npz")}
+    (tmp_path / "er.json").write_text(json.dumps(run))
+    assert run_cli(["simulate", "--config", str(tmp_path / "sim.json"),
+                    "--out", str(tmp_path / "sim")]) == 0
+    assert run_cli(["energy-report", "--config", str(tmp_path / "er.json"),
+                    "--out", str(tmp_path / "er")]) == 0
+    sim_csv = (tmp_path / "sim" / "energy.csv").read_text().splitlines()
+    er_csv = (tmp_path / "er" / "energy.csv").read_text().splitlines()
+    assert er_csv[1] == sim_csv[1]
+    assert er_csv[1].endswith(",z1,min_F,div_E_residual")
+    assert er_csv[2:] == sim_csv[2:]      # the file holds the default data
+    (tmp_path / "mom.json").write_text(json.dumps({"initial_data": {
+        "kind": "file", "path": str(tmp_path / "f0_nx4.npz")}}))
+    rc = run_cli(["moments-check", "--config", str(tmp_path / "mom.json"),
+                  "--nv", "8", "--nx", "4", "--dt", "0.1",
+                  "--out", str(tmp_path / "mom")])
+    assert rc in (0, 1)
+    assert "orders" in json.loads((tmp_path / "mom" / "moments_report.json").read_text())

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from vplab.lineardecay import (ModeOperator, build_mode_operator, evolve_mode,
-                               whole_space_decay, default_mode_data)
+from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
+                               default_mode_data)
+from vplab.macroscopic import MacroProjector, null_basis_raw
 from vplab.solver import Simulation
 
 
 def test_B_at_zero_is_L(asm8):
-    op = build_mode_operator([0.0, 0, 0], asm8)
-    for xi in asm8.null_basis_raw():
+    op = ModeOperator([0.0, 0, 0], asm8)
+    for xi in null_basis_raw(asm8.grid, asm8.maxw):
         r = op.apply(xi.astype(complex))
         assert np.abs(r).max() < 1e-10 * np.abs(xi).max()
 
@@ -16,7 +17,7 @@ def test_B_at_zero_is_L(asm8):
 def test_transport_parity(asm8):
     # for real even-in-v data the transport part of Bu is odd and imaginary
     g = asm8.grid
-    op = build_mode_operator([1.0, 0, 0], asm8)
+    op = ModeOperator([1.0, 0, 0], asm8)
     u = np.exp(-g.vsq / 3.0)
     r = op.apply(np.stack([u, u]).astype(complex))
     nv = g.nv
@@ -29,14 +30,14 @@ def test_transport_parity(asm8):
 
 def test_energy_metric_symmetric_part_nonpositive(asm8):
     for y in (0.3, 1.0, 3.0):
-        op = build_mode_operator([y, 0, 0], asm8)
+        op = ModeOperator([y, 0, 0], asm8)
         assert op.energy_metric_symmetric_bound() < 1e-9
 
 
 def test_plain_dissipativity_random_states(asm8):
     # Re(Bu, u) <= 0 for seeded random u (hard potential)
     g = asm8.grid
-    op = build_mode_operator([1.0, 0, 0], asm8)
+    op = ModeOperator([1.0, 0, 0], asm8)
     rng = np.random.default_rng(21)
     for _ in range(100):
         u = (rng.standard_normal((2, g.n)) + 1j * rng.standard_normal((2, g.n)))
@@ -46,8 +47,8 @@ def test_plain_dissipativity_random_states(asm8):
 
 
 def test_equilibrium_trajectory_constant(asm8):
-    op = build_mode_operator([0.0, 0, 0], asm8)
-    u0 = asm8.null_basis()[2].astype(complex)
+    op = ModeOperator([0.0, 0, 0], asm8)
+    u0 = MacroProjector(asm8.grid, asm8.maxw).basis[2].astype(complex)
     tr = evolve_mode(op, u0, 0.1, 5.0)
     assert np.abs(tr.energy - tr.energy[0]).max() < 1e-10 * tr.energy[0]
 
@@ -55,14 +56,14 @@ def test_equilibrium_trajectory_constant(asm8):
 def test_mode_functional_monotone(asm8):
     u0 = default_mode_data(asm8, "mixed", 1e-3, seed=2)
     for y in (0.05, 0.7, 2.0):
-        op = build_mode_operator([y, 0, 0], asm8)
+        op = ModeOperator([y, 0, 0], asm8)
         tr = evolve_mode(op, u0, 0.05, 20.0)
         assert tr.violations == 0
         assert tr.max_rel_increase <= 1e-11
 
 
 def test_mode_self_convergence_second_order(asm8):
-    op = build_mode_operator([0.8, 0, 0], asm8)
+    op = ModeOperator([0.8, 0, 0], asm8)
     u0 = default_mode_data(asm8, "mixed", 1e-3, seed=3)
 
     def final(dt):
@@ -75,21 +76,8 @@ def test_mode_self_convergence_second_order(asm8):
     assert e1 / e2 == pytest.approx(4.0, rel=0.3)
 
 
-def test_cn_explicit_transport_scheme(asm8):
-    op = build_mode_operator([0.8, 0, 0], asm8)
-    u0 = default_mode_data(asm8, "mixed", 1e-3, seed=3)
-    tr_im = evolve_mode(op, u0, 0.02, 2.0, scheme="implicit-midpoint", n_samples=1)
-    tr_cn = evolve_mode(op, u0, 0.02, 2.0, scheme="cn-explicit-transport", n_samples=1)
-    a = np.concatenate(tr_im.final_state)
-    b = np.concatenate(tr_cn.final_state)
-    # the split is a different scheme, not implicit midpoint in disguise
-    assert 1e-5 * np.abs(a).max() < np.abs(a - b).max() < 5e-4 * np.abs(a).max()
-    with pytest.raises(ValueError):
-        op.propagators(0.05, "bogus")
-
-
 def test_sigma_dissipation_samples_positive(asm8):
-    op = build_mode_operator([0.5, 0, 0], asm8)
+    op = ModeOperator([0.5, 0, 0], asm8)
     u0 = default_mode_data(asm8, "macroscopic", 1e-3)
     tr = evolve_mode(op, u0, 0.05, 5.0)
     assert np.all(tr.sigma_diss >= 0)
@@ -98,7 +86,7 @@ def test_sigma_dissipation_samples_positive(asm8):
 
 def test_high_frequency_block_exponential(asm8):
     # fixed |y| >= 1: E(t,y) <= E(0,y) exp(-lambda_hat t) with lambda_hat > 0
-    op = build_mode_operator([1.5, 0, 0], asm8)
+    op = ModeOperator([1.5, 0, 0], asm8)
     u0 = default_mode_data(asm8, "macroscopic", 1e-3)
     tr = evolve_mode(op, u0, 0.03, 25.0)
     # measured envelope rate: largest lambda with E(t) <= E(0) exp(-lambda t)
