@@ -23,7 +23,8 @@ from .collision import CollisionAssembly, assemble_sigma, coercivity_probe
 from .macroscopic import moment_residuals, MacroProjector
 from .lineardecay import whole_space_decay
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
-                     energy_report, PsiWeight, energy_inequality_monitor)
+                     energy_report, PsiWeight, energy_inequality_monitor,
+                     check_propagator_budget)
 from . import weyl
 
 
@@ -190,12 +191,18 @@ def read_snapshots(path):
     return out
 
 
-def _assembly_from(cfg):
-    g = build_grid(**cfg["grid"])
+def _assembly_from(cfg, g):
     mw = maxwellian(g)
     asm = CollisionAssembly(g, mw, cfg["physics"]["gamma"],
                             sigma_cache_dir=cfg["io"]["cache_dir"])
-    return g, mw, asm
+    return mw, asm
+
+
+def _simulation_grid(cfg):
+    """The configured grid, refused before any assembly if its propagators do not fit."""
+    g = build_grid(**cfg["grid"])
+    check_propagator_budget(g)
+    return g
 
 
 def _initial_field(cfg, g, mw, amplitude, asym):
@@ -207,7 +214,8 @@ def _initial_field(cfg, g, mw, amplitude, asym):
 
 def _run_with_energy(cfg, out_dir, cfg_h):
     """Run the configured trajectory, one energy report per snapshot; write energy.csv."""
-    g, mw, asm = _assembly_from(cfg)
+    g = _simulation_grid(cfg)
+    mw, asm = _assembly_from(cfg, g)
     sc = cfg["scheme"]
     sim = Simulation(asm, sc["dt"], disable_gamma=sc["disable_gamma"],
                      disable_field_nl=sc["disable_field_nl"])
@@ -249,7 +257,7 @@ def cmd_simulate(cfg, out_dir, cfg_h):
 
 
 def cmd_decay(cfg, out_dir, cfg_h):
-    g, mw, asm = _assembly_from(cfg)
+    _, asm = _assembly_from(cfg, build_grid(**cfg["grid"]))
     dc = cfg["decay"]
     report, trajs = whole_space_decay(
         asm, m=dc["m"], l=dc["l"], l_star=dc["l_star"], data=dc["data"],
@@ -269,7 +277,8 @@ def cmd_decay(cfg, out_dir, cfg_h):
 
 
 def cmd_collision_check(cfg, out_dir, cfg_h):
-    g, mw, asm = _assembly_from(cfg)
+    g = build_grid(**cfg["grid"])
+    mw, asm = _assembly_from(cfg, g)
     res = asm.null_residuals()
     sig_fft = asm.sigma
     sig_dir = assemble_sigma(g, mw, cfg["physics"]["gamma"], method="direct",
@@ -298,7 +307,8 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
     The study uses its own data scale (amplitude 1e-2, species-asymmetric)
     so the time-discretization signal sits well above the quadrature floors.
     """
-    g, mw, asm = _assembly_from(cfg)
+    g = _simulation_grid(cfg)
+    mw, asm = _assembly_from(cfg, g)
     proj = MacroProjector(g, mw)
     base_dt = cfg["scheme"]["dt"]
     spin = Simulation(asm, base_dt / 4.0)

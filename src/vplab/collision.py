@@ -30,6 +30,7 @@ from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
+STAB = 0.5      # strength of the odd-even stabilization form
 
 
 def pair_of(i, j):
@@ -40,17 +41,15 @@ class KernelTable:
     """Collision kernel Phi^{ij}(z) tabulated on the pair-difference grid.
 
     Phi(z) = reg(|z|)^{gamma+2} (I - z z^T/|z|^2) with the magnitude floored
-    at eps_reg (half the cell diagonal by default) and the z = 0 self-cell
-    excluded. The projector part is kept exact so Phi(z) z = 0 holds at
-    every tabulated z.
+    at eps_reg, half the cell diagonal, and the z = 0 self-cell excluded.
+    The projector part is kept exact so Phi(z) z = 0 holds at every
+    tabulated z.
     """
 
-    def __init__(self, grid, gamma, eps_reg=None):
+    def __init__(self, grid, gamma):
         self.gamma = float(gamma)
         nv, h = grid.nv, grid.hv
-        if eps_reg is None:
-            eps_reg = np.sqrt(3.0) * h / 2.0
-        self.eps_reg = float(eps_reg)
+        self.eps_reg = float(np.sqrt(3.0) * h / 2.0)
         zd = np.arange(-(nv - 1), nv) * h
         Z = np.meshgrid(zd, zd, zd, indexing="ij")
         zsq = Z[0] ** 2 + Z[1] ** 2 + Z[2] ** 2
@@ -68,7 +67,13 @@ class KernelTable:
 
 
 class _ConvKit:
-    """Zero-padded FFT convolution with the six kernel components."""
+    """Zero-padded FFT convolution with the six kernel components.
+
+    Each input field is transformed once; the kernel acts on its spectrum
+    through the precomputed component spectra Phi^{ij}-hat (the structure of
+    the fast spectral Landau solvers of Pareschi, Russo and Toscani), so the
+    only per-component work is a pointwise product.
+    """
 
     def __init__(self, grid, kernel):
         self.grid = grid
@@ -79,20 +84,32 @@ class _ConvKit:
         pad[:, :s, :s, :s] = kernel.phi
         self.khat = np.fft.rfftn(pad, axes=(-3, -2, -1))
 
-    def conv(self, k, g):
-        """Convolve flattened fields g (..., nv^3) with kernel component k."""
-        if np.iscomplexobj(g):
-            return self.conv(k, g.real) + 1j * self.conv(k, g.imag)
+    def _forward(self, g):
+        """Spectra of the zero-padded real fields g (..., nv^3)."""
         nv, m = self.nv, self.m
         lead = g.shape[:-1]
-        g3 = g.reshape(lead + (nv, nv, nv))
         padded = np.zeros(lead + (m, m, m))
-        padded[..., :nv, :nv, :nv] = g3
-        gh = np.fft.rfftn(padded, axes=(-3, -2, -1))
-        out = np.fft.irfftn(self.khat[k] * gh, s=(m, m, m), axes=(-3, -2, -1))
+        padded[..., :nv, :nv, :nv] = g.reshape(lead + (nv, nv, nv))
+        return np.fft.rfftn(padded, axes=(-3, -2, -1))
+
+    def _inverse(self, gh):
+        """Fields (..., nv^3) on the velocity grid from product spectra gh."""
+        nv, m = self.nv, self.m
+        out = np.fft.irfftn(gh, s=(m, m, m), axes=(-3, -2, -1))
         s = nv - 1
         res = out[..., s:s + nv, s:s + nv, s:s + nv] * self.grid.wv
-        return res.reshape(lead + (nv ** 3,))
+        return res.reshape(gh.shape[:-3] + (nv ** 3,))
+
+    def components(self, g):
+        """All six Phi^{ij} * g in PAIRS order, (..., 6, n), for real g (..., n)."""
+        return self._inverse(self.khat * self._forward(g)[..., None, :, :, :])
+
+    def contract(self, q):
+        """sum_j Phi^{ij} * q_j for i = 0..2, (..., 3, n), for real q (..., 3, n)."""
+        qh = self._forward(q)
+        return self._inverse(np.stack([
+            sum(self.khat[pair_of(i, j)] * qh[..., j, :, :, :] for j in range(3))
+            for i in range(3)], axis=-4))
 
 
 def _pair_difference_index(nv):
@@ -107,7 +124,7 @@ def _pair_difference_index(nv):
     return (a * base + b) * base + c
 
 
-def assemble_sigma(grid, maxw, gamma, eps_reg=None, method="fft", kernel=None):
+def assemble_sigma(grid, maxw, gamma, method="fft", kernel=None):
     """Diffusion coefficients sigma^{ij}(v) = int Phi^{ij}(v - v*) mu(v*) dv*.
 
     Returns the (6, n) table in PAIRS order. `method` selects the zero-padded
@@ -115,10 +132,9 @@ def assemble_sigma(grid, maxw, gamma, eps_reg=None, method="fft", kernel=None):
     the 3x3 matrix at any node fails positive semidefiniteness.
     """
     if kernel is None:
-        kernel = KernelTable(grid, gamma, eps_reg)
+        kernel = KernelTable(grid, gamma)
     if method == "fft":
-        kit = _ConvKit(grid, kernel)
-        sigma = np.stack([kit.conv(k, maxw.mu) for k in range(6)])
+        sigma = _ConvKit(grid, kernel).components(maxw.mu)
     elif method == "direct":
         idx = _pair_difference_index(grid.nv)
         sigma = np.stack([
@@ -146,23 +162,17 @@ class CollisionAssembly:
     grid, maxw : PhaseGrid, Maxwellian
     gamma : float
         Kernel exponent in [-3, 1].
-    eps_reg : float, optional
-        Magnitude floor for the kernel singularity (half cell diagonal).
-    stab : float
-        Strength of the odd-even stabilization form (0 disables).
     sigma_cache_dir : str, optional
         Directory for sigma tables keyed by (gamma, nv, vmax, eps_reg).
     """
 
-    def __init__(self, grid, maxw, gamma, eps_reg=None, stab=0.5,
-                 sigma_cache_dir=None):
+    def __init__(self, grid, maxw, gamma, sigma_cache_dir=None):
         self.grid = grid
         self.maxw = maxw
         self.gamma = float(gamma)
-        self.stab = float(stab)
         self.weight = VelocityWeight(grid, gamma)
         self.norms = NormSuite(grid)
-        self.kernel = KernelTable(grid, gamma, eps_reg)
+        self.kernel = KernelTable(grid, gamma)
         self.eps_reg = self.kernel.eps_reg
         self.sigma = self._sigma_cached(sigma_cache_dir)
         self._kit = _ConvKit(grid, self.kernel)
@@ -182,19 +192,17 @@ class CollisionAssembly:
                 term = term + self.CT[j] @ sp.diags(self.sigma[pair_of(i, j)]) @ self.C[i]
             A = term if A is None else A + term
         A = (-2.0) * A
-        if stab > 0:
-            rho = (1.0 + grid.vsq) ** ((gamma + 2.0) / 2.0)
-            pen = None
-            for D4 in grid.dv4_ops():
-                R = (Ms @ D4 @ Msi).tocsr()
-                T = R.T @ sp.diags(rho) @ R
-                pen = T if pen is None else pen + T
-            A = A - stab * pen
+        rho = (1.0 + grid.vsq) ** ((gamma + 2.0) / 2.0)
+        pen = None
+        for D4 in grid.dv4_ops():
+            R = (Ms @ D4 @ Msi).tocsr()
+            T = R.T @ sp.diags(rho) @ R
+            pen = T if pen is None else pen + T
+        A = A - STAB * pen
         self.A = ((A + A.T) * 0.5).tocsr()
 
         self._K_dense = None
         self._sectors = None
-        self._lambda_cache = {}
 
     def _sigma_cached(self, cache_dir):
         """sigma from the cache when the stored table is sound, else assembled.
@@ -229,21 +237,11 @@ class CollisionAssembly:
     # -- K: integral part ---------------------------------------------------
 
     def apply_K(self, h):
-        """K applied to a species-sum field h (matrix-free convolution path)."""
-        if self._K_dense is not None:
-            return self._apply_mat(self._K_dense, h)
+        """K applied to species-sum fields h (..., n) by FFT convolution."""
         smu = self.maxw.sqrt_mu
-        ch = np.stack([self._apply_sp(self.C[j], h) for j in range(3)])
-        q = smu * ch                                      # M^{1/2} C_j h
-        out = None
-        for i in range(3):
-            gi = None
-            for j in range(3):
-                t = self._kit.conv(pair_of(i, j), q[j])
-                gi = t if gi is None else gi + t
-            t = self._apply_sp(self.CT[i], smu * gi)
-            out = t if out is None else out + t
-        return out
+        q = smu * np.stack([self._apply_sp(Cj, h) for Cj in self.C], axis=-2)
+        g = smu * self._kit.contract(q)          # q_j = M^{1/2} C_j h
+        return sum(self._apply_sp(self.CT[i], g[..., i, :]) for i in range(3))
 
     def build_K_dense(self):
         """Materialize K as a dense matrix (feasible up to nv = 16)."""
@@ -270,11 +268,6 @@ class CollisionAssembly:
     def _apply_sp(S, g):
         flat = g.reshape(-1, g.shape[-1])
         return (S @ flat.T).T.reshape(g.shape)
-
-    @staticmethod
-    def _apply_mat(M, g):
-        flat = g.reshape(-1, g.shape[-1])
-        return (flat @ M.T).reshape(g.shape)
 
     def apply_A(self, g):
         """Diffusion part A applied per species field (..., n)."""
@@ -312,19 +305,6 @@ class CollisionAssembly:
                 float(np.sqrt(np.sum(r ** 2)) / np.sqrt(np.sum(xi ** 2)))
             )
         return np.array(out)
-
-    def structure(self):
-        """Sparsity/structure metadata of the assembled operator."""
-        return {
-            "n": self.grid.n,
-            "gamma": self.gamma,
-            "eps_reg": self.eps_reg,
-            "stab": self.stab,
-            "A_nnz": int(self.A.nnz),
-            "A_nnz_per_row": float(self.A.nnz / self.grid.n),
-            "K_dense_built": self._K_dense is not None,
-            "sectors_built": self._sectors is not None,
-        }
 
 
 def coercivity_probe(assembly, n_eigs=3):
@@ -382,19 +362,11 @@ class GammaOp:
         asm = self.asm
         v = asm.grid.v
         u = asm.maxw.sqrt_mu * hsum
-        U = np.stack([asm._kit.conv(k, u) for k in range(6)], axis=-2)
-        W = []
-        for i in range(3):
-            wi = None
-            for j in range(3):
-                # sqrt_mu d_j f = D_j u + (v_j/2) u
-                t = asm._kit.conv(pair_of(i, j),
-                                  asm._apply_sp(asm.grid.dv_ops()[j], u)
-                                  + 0.5 * v[j] * u)
-                wi = t if wi is None else wi + t
-            W.append(wi)
-        W = np.stack(W, axis=-2)
-        return U, W
+        U = asm._kit.components(u)
+        # sqrt_mu d_j f = D_j u + (v_j/2) u
+        du = np.stack([asm._apply_sp(Dj, u) + 0.5 * v[j] * u
+                       for j, Dj in enumerate(asm.grid.dv_ops())], axis=-2)
+        return U, asm._kit.contract(du)
 
     def apply(self, U, W, g):
         """Gtilde(f, g) given the coefficient tables of f."""

@@ -200,13 +200,6 @@ class NormSuite:
         self.grid = grid
         self._forms = {}
 
-    def l2v(self, g):
-        return float(np.sqrt(np.sum(np.abs(g) ** 2) * self.grid.wv))
-
-    def l2vx(self, f):
-        """L^2_{v,x} norm of a field with a spatial axis (..., nx, n)."""
-        return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.grid.wv * self.grid.dx))
-
     def z1(self, f):
         """Z1 = L^2_v(L^1_x) norm of a field shaped (..., nx, n)."""
         l1x = np.sum(np.abs(f), axis=-2) * self.grid.dx

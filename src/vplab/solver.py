@@ -23,6 +23,10 @@ from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
 
 _SQ2 = np.sqrt(2.0)
+PROPAGATOR_BUDGET_BYTES = 1_500_000_000
+# Largest allowed field CFL number and largest allowed ratio of a nonlinear
+# half-step's max|increment| to the max|f| it starts from.
+STABILITY_LIMIT = 1.0
 
 
 class PsiWeight:
@@ -146,6 +150,22 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
     return amplitude * f
 
 
+def check_propagator_budget(grid, budget_bytes=PROPAGATOR_BUDGET_BYTES):
+    """Raise MemoryError when the per-mode propagators of `grid` exceed the budget.
+
+    Depends on nv and nx only, so it can run before any operator is built.
+    """
+    nxr = grid.kx_r.size
+    need = nxr * 2 * grid.n ** 2 * 8
+    if need > budget_bytes:
+        raise MemoryError(
+            f"per-mode propagator storage {need/1e9:.1f} GB "
+            f"({nxr} modes x 2 real {grid.n}^2 float64 matrices) "
+            f"exceeds the budget of {budget_bytes/1e9:.1f} GB; "
+            "reduce nv or nx"
+        )
+
+
 class Simulation:
     """Owner of one trajectory of the perturbation system.
 
@@ -155,25 +175,16 @@ class Simulation:
     """
 
     def __init__(self, assembly, dt, disable_gamma=False, disable_field_nl=False,
-                 cfl_limit=1.0, store_budget_bytes=1_500_000_000):
+                 store_budget_bytes=PROPAGATOR_BUDGET_BYTES):
         self.asm = assembly
         self.grid = assembly.grid
         self.maxw = assembly.maxw
         self.dt = float(dt)
         self.disable_gamma = bool(disable_gamma)
         self.disable_field_nl = bool(disable_field_nl)
-        self.cfl_limit = float(cfl_limit)
         self.gamma_op = GammaOp(assembly)
         self.projector = MacroProjector(self.grid, self.maxw)
-        nxr = self.grid.kx_r.size
-        need = nxr * 2 * self.grid.n ** 2 * 8
-        if need > store_budget_bytes:
-            raise MemoryError(
-                f"per-mode propagator storage {need/1e9:.1f} GB "
-                f"({nxr} modes x 2 real {self.grid.n}^2 float64 matrices) "
-                f"exceeds the budget of {store_budget_bytes/1e9:.1f} GB; "
-                "reduce nv or nx"
-            )
+        check_propagator_budget(self.grid, store_budget_bytes)
         # only the propagators are kept; each ModeOperator is freed once built
         self._props = [ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt)
                        for y in self.grid.kx_r]
@@ -206,17 +217,28 @@ class Simulation:
         return dealias_x(g, self.grid)
 
     def _nl_halfstep(self, state, half_dt):
+        """Explicit midpoint half-step of the quadratic terms, with two guards.
+
+        The field CFL number is checked before the step. The explicit forcing
+        can still blow up with a CFL number below one, so the step is refused
+        when its increment outgrows the field it started from.
+        """
         if self.disable_gamma and self.disable_field_nl:
             return
         fs = state.field(refresh=True)
         if not self.disable_field_nl:
             cfl = self.dt * np.abs(fs.E[0]).max() / self.grid.hv
-            if cfl > self.cfl_limit:
+            if cfl > STABILITY_LIMIT:
                 raise RuntimeError(f"CFL violation: |dphi| dt / hv = {cfl:.3f}")
         k1 = self.forcing(state.f, fs)
         mid = TwoSpeciesField(state.f + 0.5 * half_dt * k1, self.grid, self.maxw)
-        k2 = self.forcing(mid.f, mid.field())
-        state.f += half_dt * k2
+        inc = half_dt * self.forcing(mid.f, mid.field())
+        inc_max, f_max = np.abs(inc).max(), np.abs(state.f).max()
+        if not inc_max <= STABILITY_LIMIT * f_max:
+            raise RuntimeError(
+                f"nonlinear half-step blow-up at t = {state.t:.6g}: max|increment| "
+                f"{inc_max:.3e} exceeds max|f| {f_max:.3e}")
+        state.f += inc
 
     def _linear_step(self, state):
         f = state.f

@@ -158,7 +158,7 @@ def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
 @pytest.mark.parametrize("args, body, message", [
     (["--nv", "16", "--nx", "32"], None, "per-mode propagator storage"),
     ([], {"grid": {"nx": 4}, "initial_data": {"amplitude": 50.0},
-          "scheme": {"t_end": 0.1}}, "CFL violation"),
+          "scheme": {"t_end": 0.1}}, "nonlinear half-step blow-up at t = 0:"),
 ])
 def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
     if body is not None:
@@ -171,6 +171,17 @@ def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
     assert message in r.stderr
     assert "Traceback" not in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-report", "moments-check"])
+def test_propagator_budget_checked_before_assembly(tmp_path, monkeypatch, capsys,
+                                                   command):
+    def refuse(*args, **kwargs):
+        pytest.fail("CollisionAssembly built for a grid over the propagator budget")
+    monkeypatch.setattr("vplab.cli.CollisionAssembly", refuse)
+    assert run_cli([command, "--nv", "16", "--nx", "32",
+                    "--out", str(tmp_path / "o")]) == 1
+    assert "per-mode propagator storage" in capsys.readouterr().err
 
 
 def test_initial_data_file_energy_report_and_moments(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe
-from vplab.collision import GammaOp, KernelTable, pair_of
+from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index
 from vplab.macroscopic import MacroProjector
 
 
@@ -131,8 +131,11 @@ def test_K_matrix_free_matches_dense(grid8, maxw8):
     h = rng.standard_normal(grid8.n) * maxw8.sqrt_mu
     k_mf = asm.apply_K(h)
     Kd = asm.build_K_dense()
-    asm._K_dense = None
     assert np.abs(k_mf - Kd @ h).max() < 1e-12 * np.abs(Kd @ h).max()
+    # a batch, applied once the dense K exists
+    H = rng.standard_normal((4, grid8.n)) * maxw8.sqrt_mu
+    ref = H @ Kd.T
+    assert np.abs(asm.apply_K(H) - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_coercivity_probe(asm8):
@@ -165,6 +168,25 @@ def test_gamma_collision_invariance(asm8):
         assert abs(asm8.grid.inner_v(smu, ga[s])) < 1e-13 * max(scale, 1.0)
 
 
+def test_gamma_coefficients_match_direct_sums(asm8):
+    # U^{ij} = Phi^{ij} * u and W^i = sum_j Phi^{ij} * (D_j u + v_j u / 2),
+    # u = sqrt_mu h, summed directly over the pair-difference gather
+    grid, maxw = asm8.grid, asm8.maxw
+    rng = np.random.default_rng(19)
+    h = rng.standard_normal((3, grid.n)) * maxw.sqrt_mu
+    U, W = GammaOp(asm8).coefficients(h)
+    idx = _pair_difference_index(grid.nv)
+    Y = [asm8.kernel.phi[k].ravel()[idx] * grid.wv for k in range(6)]
+    u = maxw.sqrt_mu * h
+    du = [(Dj @ u.T).T + 0.5 * grid.v[j] * u for j, Dj in enumerate(grid.dv_ops())]
+    U_ref = np.stack([u @ Y[k].T for k in range(6)], axis=-2)
+    W_ref = np.stack([sum(du[j] @ Y[pair_of(i, j)].T for j in range(3))
+                      for i in range(3)], axis=-2)
+    assert U.shape == U_ref.shape and W.shape == W_ref.shape
+    assert np.abs(U - U_ref).max() <= 1e-12 * np.abs(U_ref).max()
+    assert np.abs(W - W_ref).max() <= 1e-12 * np.abs(W_ref).max()
+
+
 def test_gamma_upper_bound_measured(asm8):
     # |w^l Gamma~(f,g)|_{L2} vs the H^1/H^2-weighted right side; C recorded
     grid, maxw = asm8.grid, asm8.maxw
@@ -187,8 +209,6 @@ def test_gamma_upper_bound_measured(asm8):
     for _ in range(3):
         f = rng.standard_normal((2, grid.n)) * smu
         gf = rng.standard_normal(grid.n) * smu
-        U, W = asm8.gamma_op.coefficients(f[0] + f[1]) if hasattr(asm8, "gamma_op") \
-            else (None, None)
         op = GammaOp(asm8)
         U, W = op.coefficients(f[0] + f[1])
         out = op.apply(U, W, gf)
