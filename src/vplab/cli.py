@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import build_grid, maxwellian
 from .collision import CollisionAssembly, assemble_sigma, coercivity_probe
-from .macroscopic import moment_residuals, MacroProjector
+from .macroscopic import moment_residuals
 from .lineardecay import whole_space_decay
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
                      energy_report, PsiWeight, energy_inequality_monitor,
@@ -58,7 +58,16 @@ def _is_number(v):
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-# (block, key, type check, range check, what the value must be)
+def _is_bool(v):
+    return isinstance(v, bool)
+
+
+def _is_str(v):
+    return isinstance(v, str) and v != ""
+
+
+# (block, key, type check, range check, what the value must be); a key
+# whose default is null also takes null
 _RULES = [
     ("grid", "nv", _is_int, lambda v: v >= 8 and v % 2 == 0, "an even integer >= 8"),
     ("grid", "vmax", _is_number, lambda v: v > 0, "a positive number"),
@@ -69,11 +78,26 @@ _RULES = [
      "a number in [-3, 1]"),
     ("physics", "K", _is_int, lambda v: v >= 0, "a nonnegative integer"),
     ("physics", "l", _is_number, lambda v: True, "a finite number"),
+    ("physics", "lambda_h", _is_number, lambda v: v > 0, "null or a positive number"),
     ("scheme", "dt", _is_number, lambda v: v > 0, "a positive number"),
     ("scheme", "t_end", _is_number, lambda v: v > 0, "a positive number"),
     ("scheme", "snapshot_every", _is_int, lambda v: v >= 1, "an integer >= 1"),
+    ("scheme", "disable_gamma", _is_bool, lambda v: True, "true or false"),
+    ("scheme", "disable_field_nl", _is_bool, lambda v: True, "true or false"),
+    ("io", "out_dir", _is_str, lambda v: True, "a non-empty string"),
+    ("io", "cache_dir", _is_str, lambda v: True, "null or a non-empty string"),
     ("decay", "m", _is_int, lambda v: v >= 0, "a nonnegative integer"),
+    ("decay", "l", _is_number, lambda v: True, "a finite number"),
+    ("decay", "l_star", _is_number, lambda v: v >= 0, "null or a nonnegative number"),
+    ("decay", "y_min", _is_number, lambda v: v > 0, "a positive number"),
+    ("decay", "y_max", _is_number, lambda v: v > 0, "null or a positive number"),
+    ("decay", "n_y", _is_int, lambda v: v >= 2, "an integer >= 2"),
+    ("decay", "t_end", _is_number, lambda v: v > 0, "a positive number"),
+    ("decay", "fit_lo", _is_number, lambda v: v > 0, "a positive number"),
+    ("decay", "fit_hi", _is_number, lambda v: v > 0, "a positive number"),
     ("initial_data", "amplitude", _is_number, lambda v: True, "a finite number"),
+    ("initial_data", "mode", _is_int, lambda v: v >= 1, "a positive integer"),
+    ("initial_data", "asym", _is_number, lambda v: True, "a finite number"),
 ]
 
 
@@ -107,10 +131,19 @@ def _validate(cfg, overrides=()):
         raise ConfigError("config key 'seed' must be a nonnegative integer")
     for block, key, is_type, in_range, what in _RULES:
         v = out[block][key]
+        if v is None and DEFAULTS[block][key] is None:
+            continue
         if not (is_type(v) and in_range(v)):
             raise ConfigError(f"config key '{block}.{key}' must be {what}, got {v!r}")
     if out["scheme"]["t_end"] < out["scheme"]["dt"]:
         raise ConfigError("config key 'scheme.t_end' must be >= scheme.dt")
+    dc = out["decay"]
+    if dc["y_max"] is not None and dc["y_max"] <= dc["y_min"]:
+        raise ConfigError("config key 'decay.y_max' must be > decay.y_min")
+    if dc["fit_hi"] <= dc["fit_lo"]:
+        raise ConfigError("config key 'decay.fit_hi' must be > decay.fit_lo")
+    if dc["fit_lo"] >= dc["t_end"]:
+        raise ConfigError("config key 'decay.fit_lo' must be < decay.t_end")
     if out["physics"]["psi_mode"] not in ("one", "tn"):
         raise ConfigError("config key 'physics.psi_mode' must be 'one' or 'tn'")
     if out["decay"]["data"] not in ("macroscopic", "mixed"):
@@ -281,8 +314,7 @@ def cmd_collision_check(cfg, out_dir, cfg_h):
     mw, asm = _assembly_from(cfg, g)
     res = asm.null_residuals()
     sig_fft = asm.sigma
-    sig_dir = assemble_sigma(g, mw, cfg["physics"]["gamma"], method="direct",
-                             kernel=asm.kernel)
+    sig_dir = assemble_sigma(g, mw, cfg["physics"]["gamma"], method="direct")
     sig_agree = float(np.abs(sig_fft - sig_dir).max())
     lam, prob = coercivity_probe(asm)
     report = {
@@ -309,7 +341,6 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
     """
     g = _simulation_grid(cfg)
     mw, asm = _assembly_from(cfg, g)
-    proj = MacroProjector(g, mw)
     base_dt = cfg["scheme"]["dt"]
     spin = Simulation(asm, base_dt / 4.0)
     st = _initial_field(cfg, g, mw, 1e-2, 0.5)
@@ -322,7 +353,8 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
         simx = Simulation(asm, dt)
         stx = TwoSpeciesField(fstart.copy(), g, mw)
         snaps = simx.run(stx, dt * int(round(horizon / dt)), 1)
-        recs = moment_residuals(snaps, dt, g, mw, asm.apply_L, simx.forcing, proj)
+        recs = moment_residuals(snaps, dt, g, mw, asm.apply_L, simx.forcing,
+                                simx.projector)
         agg = {}
         for r in recs:
             agg.setdefault(r["equation_id"], []).append(r["l2_residual"] ** 2)

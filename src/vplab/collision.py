@@ -77,6 +77,7 @@ class _ConvKit:
 
     def __init__(self, grid, kernel):
         self.grid = grid
+        self.kernel = kernel
         self.nv = grid.nv
         self.m = 2 * grid.nv
         pad = np.zeros((6, self.m, self.m, self.m))
@@ -124,25 +125,9 @@ def _pair_difference_index(nv):
     return (a * base + b) * base + c
 
 
-def assemble_sigma(grid, maxw, gamma, method="fft", kernel=None):
-    """Diffusion coefficients sigma^{ij}(v) = int Phi^{ij}(v - v*) mu(v*) dv*.
-
-    Returns the (6, n) table in PAIRS order. `method` selects the zero-padded
-    FFT path or the direct dense sum; the two agree to roundoff. Raises if
-    the 3x3 matrix at any node fails positive semidefiniteness.
-    """
-    if kernel is None:
-        kernel = KernelTable(grid, gamma)
-    if method == "fft":
-        sigma = _ConvKit(grid, kernel).components(maxw.mu)
-    elif method == "direct":
-        idx = _pair_difference_index(grid.nv)
-        sigma = np.stack([
-            (kernel.phi[k].ravel()[idx] * grid.wv) @ maxw.mu for k in range(6)
-        ])
-    else:
-        raise ValueError(f"unknown sigma assembly method: {method!r}")
-    mats = np.empty((grid.n, 3, 3))
+def _check_psd(sigma):
+    """Raise ValueError unless the 3x3 matrix sigma^{ij} is PSD at every node."""
+    mats = np.empty((sigma.shape[1], 3, 3))
     for (i, j) in PAIRS:
         mats[:, i, j] = mats[:, j, i] = sigma[pair_of(i, j)]
     eigmin = np.linalg.eigvalsh(mats)[:, 0].min()
@@ -151,6 +136,28 @@ def assemble_sigma(grid, maxw, gamma, method="fft", kernel=None):
             f"sigma not positive semidefinite (min eigenvalue {eigmin:.3e}); "
             "eps_reg too small"
         )
+
+
+def assemble_sigma(grid, maxw, gamma, method="fft", kit=None):
+    """Diffusion coefficients sigma^{ij}(v) = int Phi^{ij}(v - v*) mu(v*) dv*.
+
+    Returns the (6, n) table in PAIRS order. `method` selects the zero-padded
+    FFT path or the direct dense sum; the two agree to roundoff. `kit` is
+    the convolution kit of the kernel table (built for `gamma` when omitted).
+    Raises if the 3x3 matrix at any node fails positive semidefiniteness.
+    """
+    if kit is None:
+        kit = _ConvKit(grid, KernelTable(grid, gamma))
+    if method == "fft":
+        sigma = kit.components(maxw.mu)
+    elif method == "direct":
+        idx = _pair_difference_index(grid.nv)
+        sigma = np.stack([
+            (kit.kernel.phi[k].ravel()[idx] * grid.wv) @ maxw.mu for k in range(6)
+        ])
+    else:
+        raise ValueError(f"unknown sigma assembly method: {method!r}")
+    _check_psd(sigma)
     return sigma
 
 
@@ -174,8 +181,8 @@ class CollisionAssembly:
         self.norms = NormSuite(grid)
         self.kernel = KernelTable(grid, gamma)
         self.eps_reg = self.kernel.eps_reg
-        self.sigma = self._sigma_cached(sigma_cache_dir)
         self._kit = _ConvKit(grid, self.kernel)
+        self.sigma = self._sigma_cached(sigma_cache_dir)
 
         smu = maxw.sqrt_mu
         Ms = sp.diags(smu)
@@ -208,25 +215,25 @@ class CollisionAssembly:
         """sigma from the cache when the stored table is sound, else assembled.
 
         A cached table is used only when it loads as a finite float64 array
-        of shape (6, n); anything else is recomputed and rewritten. The write
+        of shape (6, n) that is positive semidefinite at every node; anything
+        else is recomputed and rewritten. The write
         goes to a temporary file renamed into place, so a reader never sees
         a partial table.
         """
         if cache_dir is None:
-            return assemble_sigma(self.grid, self.maxw, self.gamma,
-                                  kernel=self.kernel)
+            return assemble_sigma(self.grid, self.maxw, self.gamma, kit=self._kit)
         key = (f"sigma_g{self.gamma:+.6g}_nv{self.grid.nv}"
                f"_vm{self.grid.vmax:.6g}_eps{self.eps_reg:.6g}.npy")
         path = Path(cache_dir) / key
         try:
             sigma = np.load(path)
+            if (isinstance(sigma, np.ndarray) and sigma.shape == (6, self.grid.n)
+                    and sigma.dtype == np.float64 and np.isfinite(sigma).all()):
+                _check_psd(sigma)
+                return sigma
         except (OSError, ValueError, EOFError):
-            sigma = None
-        if (isinstance(sigma, np.ndarray) and sigma.shape == (6, self.grid.n)
-                and sigma.dtype == np.float64 and np.isfinite(sigma).all()):
-            return sigma
-        sigma = assemble_sigma(self.grid, self.maxw, self.gamma,
-                               kernel=self.kernel)
+            pass
+        sigma = assemble_sigma(self.grid, self.maxw, self.gamma, kit=self._kit)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(tmp, "wb") as fh:

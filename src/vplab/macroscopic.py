@@ -62,13 +62,29 @@ def orthonormalize(vecs, wv):
     return np.stack(out)
 
 
+# Rows of MacroProjector.zeta: mass, momentum MO + j, energy, Theta_jk at
+# TH + 3 j + k, Lambda_j at LA + j.
+MASS, MO, EN, TH, LA = 0, 1, 4, 5, 14
+
+
 class MacroProjector:
-    """L^2_v-orthogonal projection onto the six collision invariants."""
+    """L^2_v-orthogonal projection onto the six collision invariants.
+
+    `zeta` (17, n) holds every velocity test function of the macroscopic
+    layer: sqrt_mu, v_j sqrt_mu, (|v|^2 - 3) sqrt_mu, (v_j v_k - 1) sqrt_mu
+    and (|v|^2 - 5) v_j sqrt_mu / 10, in the row order named above.
+    """
 
     def __init__(self, grid, maxw):
         self.grid = grid
         self.maxw = maxw
         self.basis = orthonormalize(null_basis_raw(grid, maxw), grid.wv)  # (6, 2, n)
+        smu, v, vsq = maxw.sqrt_mu, grid.v, grid.vsq
+        self.zeta = np.concatenate([
+            smu[None], v * smu, ((vsq - 3.0) * smu)[None],
+            (v[:, None] * v[None, :] - 1.0).reshape(9, -1) * smu,
+            0.1 * (vsq - 5.0) * v * smu,
+        ])
 
     def split(self, f):
         """Return (Pf, (I-P)f) for f of shape (2, ..., n)."""
@@ -80,18 +96,9 @@ class MacroProjector:
             Pf = np.moveaxis(np.tensordot(coef, self.basis, axes=(0, 0)), [-2, -1], [0, -1])
         return Pf, f - Pf
 
-    def coefficients(self, f):
-        """Stated inner-product formulas for a_pm, b, c on the discrete grid."""
-        grid, smu = self.grid, self.maxw.sqrt_mu
-        v, vsq = grid.v, grid.vsq
-        def mom(zeta, fs):
-            return np.tensordot(fs, zeta, axes=(-1, 0)) * grid.wv
-        a_plus = mom(smu, f[0])
-        a_minus = mom(smu, f[1])
-        fsum = f[0] + f[1]
-        b = np.stack([0.5 * mom(v[j] * smu, fsum) for j in range(3)])
-        c = mom((vsq - 3.0) * smu, fsum) / 12.0
-        return a_plus, a_minus, b, c
+    def moments(self, X):
+        """Every (zeta_r, X) for X (..., nx, n), as (..., 17, nx)."""
+        return (self.zeta @ np.swapaxes(X, -1, -2)) * self.grid.wv
 
 
 def project_P(f, grid, maxw, projector=None):
@@ -104,43 +111,15 @@ def project_P(f, grid, maxw, projector=None):
         projector = MacroProjector(grid, maxw)
     f = np.asarray(f)
     Pf, IPf = projector.split(f)
-    a_plus, a_minus, b, c = projector.coefficients(f)
-    th = theta_moments(IPf, grid, maxw)
-    la = lambda_moments(IPf, grid, maxw)
-    G = momentum_flux_difference(IPf, grid, maxw)
-    state = MacroState(a_plus=a_plus, a_minus=a_minus, b=b, c=c,
-                       theta=th, lam=la, G=G)
+    mf, mi = projector.moments(f), projector.moments(IPf)
+    state = MacroState(
+        a_plus=mf[0, MASS], a_minus=mf[1, MASS],
+        b=0.5 * (mf[0, MO:MO + 3] + mf[1, MO:MO + 3]),
+        c=(mf[0, EN] + mf[1, EN]) / 12.0,
+        theta=mi[:, TH:TH + 9].reshape((2, 3, 3) + mi.shape[2:]),
+        lam=mi[:, LA:LA + 3],
+        G=mi[0, MO:MO + 3] - mi[1, MO:MO + 3])
     return state, Pf, IPf
-
-
-def theta_moments(X, grid, maxw):
-    """Theta_jk(X_s) = ((v_j v_k - 1) sqrt_mu, X_s) for all j, k."""
-    v, smu, wv = grid.v, maxw.sqrt_mu, grid.wv
-    out = np.empty((2, 3, 3) + X.shape[1:-1])
-    for j in range(3):
-        for k in range(3):
-            zeta = (v[j] * v[k] - 1.0) * smu
-            out[:, j, k] = np.tensordot(X, zeta, axes=(-1, 0)) * wv
-    return out
-
-
-def lambda_moments(X, grid, maxw):
-    """Lambda_j(X_s) = (1/10)((|v|^2 - 5) v_j sqrt_mu, X_s)."""
-    v, vsq, smu, wv = grid.v, grid.vsq, maxw.sqrt_mu, grid.wv
-    out = np.empty((2, 3) + X.shape[1:-1])
-    for j in range(3):
-        zeta = 0.1 * (vsq - 5.0) * v[j] * smu
-        out[:, j] = np.tensordot(X, zeta, axes=(-1, 0)) * wv
-    return out
-
-
-def momentum_flux_difference(IPf, grid, maxw):
-    """G_j = (v_j sqrt_mu, (I-P)f . (1, -1))."""
-    v, smu, wv = grid.v, maxw.sqrt_mu, grid.wv
-    diff = IPf[0] - IPf[1]
-    return np.stack([
-        np.tensordot(diff, v[j] * smu, axes=(-1, 0)) * wv for j in range(3)
-    ])
 
 
 def solve_poisson(rho, grid, mean_tol=1e-10):
@@ -180,37 +159,21 @@ def div_E_residual(fs, grid):
 
 
 def _moment_pack(f, grid, maxw, projector, apply_L, forcing):
-    """All per-snapshot ingredients the residual lines need."""
-    v, smu, wv = grid.v, maxw.sqrt_mu, grid.wv
+    """All per-snapshot ingredients the residual lines need.
+
+    Besides the state and the field, the pack holds the table moments
+    (2, 17, nx) of (I-P)f, g, Lf, h and v_1 d_x (I-P)f.
+    """
     state, Pf, IPf = project_P(f, grid, maxw, projector)
     fs = solve_poisson(state.a_plus - state.a_minus, grid)
     Lf = apply_L(f)
     g = forcing(f, fs)
     dxf = grid.ddx(IPf, axis=-2)
-    transport = -v[0] * dxf          # -v.grad_x (I-P)f, one spatial axis
+    transport = -grid.v[0] * dxf     # -v.grad_x (I-P)f, one spatial axis
     h = transport + Lf
-    def vmom(zeta, X):
-        return np.tensordot(X, zeta, axes=(-1, 0)) * wv
-    m = np.stack([np.stack([vmom(v[j] * smu, IPf[s]) for j in range(3)])
-                  for s in range(2)])                       # (2, 3, nx)
-    pack = {
-        "state": state, "field": fs, "Lf": Lf, "g": g, "h": h,
-        "m": m,
-        "theta_g": theta_moments(g, grid, maxw),
-        "theta_h": theta_moments(h, grid, maxw),
-        "lam_g": lambda_moments(g, grid, maxw),
-        "lam_h": lambda_moments(h, grid, maxw),
-        "smu_g": np.stack([vmom(smu, g[s]) for s in range(2)]),
-        "smu_L": np.stack([vmom(smu, Lf[s]) for s in range(2)]),
-        "vj_Lg": np.stack([np.stack([vmom(v[j] * smu, (Lf + g)[s]) for j in range(3)])
-                           for s in range(2)]),
-        "en_Lg": np.stack([vmom((grid.vsq - 3.0) * smu, (Lf + g)[s]) for s in range(2)]),
-        "ipf_en": np.stack([vmom((grid.vsq - 3.0) * smu, IPf[s]) for s in range(2)]),
-        "trans_vj": np.stack([np.stack([vmom(v[j] * smu, v[0] * dxf[s]) for j in range(3)])
-                              for s in range(2)]),
-        "trans_en": np.stack([vmom((grid.vsq - 3.0) * smu, v[0] * dxf[s]) for s in range(2)]),
-    }
-    return pack
+    mom = projector.moments
+    return {"state": state, "field": fs, "ipf": mom(IPf), "g": mom(g),
+            "L": mom(Lf), "h": mom(h), "trans": mom(grid.v[0] * dxf)}
 
 
 def moment_residuals(snapshots, dt, grid, maxw, apply_L, forcing, projector=None):
@@ -254,28 +217,30 @@ def moment_residuals(snapshots, dt, grid, maxw, apply_L, forcing, projector=None
         st = p0["state"]
         E1 = p0["field"].E[0]
         a = (st.a_plus, st.a_minus)
+        ipf, mg, mh, tr = p0["ipf"], p0["g"], p0["h"], p0["trans"]
+        mLg = p0["L"] + mg
         for s in range(2):
             tag = "p" if s == 0 else "m"
             # mass
             r = dt_of(lambda q, s=s: (q["state"].a_plus, q["state"].a_minus)[s]) \
-                + ddx(st.b[0]) + ddx(p0["m"][s, 0])
+                + ddx(st.b[0]) + ddx(ipf[s, MO])
             emit(f"s17_mass_{tag}", t, r)
             # momentum
             for j in range(3):
-                r = dt_of(lambda q, s=s, j=j: q["state"].b[j] + q["m"][s, j]) \
+                r = dt_of(lambda q, s=s, j=j: q["state"].b[j] + q["ipf"][s, MO + j]) \
                     + (ddx(a[s] + 2.0 * st.c) if j == 0 else 0.0) \
                     - sgn[s] * (E1 if j == 0 else 0.0) \
-                    + p0["trans_vj"][s, j] - p0["vj_Lg"][s, j]
+                    + tr[s, MO + j] - mLg[s, MO + j]
                 emit(f"s17_momentum_{tag}{j+1}", t, r)
             # energy
-            r = dt_of(lambda q, s=s: q["state"].c + q["ipf_en"][s] / 6.0) \
-                + ddx(st.b[0]) / 3.0 + p0["trans_en"][s] / 6.0 - p0["en_Lg"][s] / 6.0
+            r = dt_of(lambda q, s=s: q["state"].c + q["ipf"][s, EN] / 6.0) \
+                + ddx(st.b[0]) / 3.0 + tr[s, EN] / 6.0 - mLg[s, EN] / 6.0
             emit(f"s17_energy_{tag}", t, r)
             # Theta diagonal
             for j in range(3):
                 r = dt_of(lambda q, s=s, j=j: q["state"].theta[s, j, j] + 2.0 * q["state"].c) \
                     + 2.0 * (ddx(st.b[j]) if j == 0 else 0.0) \
-                    - p0["theta_g"][s, j, j] - p0["theta_h"][s, j, j]
+                    - mg[s, TH + 3 * j + j] - mh[s, TH + 3 * j + j]
                 emit(f"s17_theta_{tag}{j+1}{j+1}", t, r)
             # Theta off-diagonal
             for j in range(3):
@@ -283,36 +248,30 @@ def moment_residuals(snapshots, dt, grid, maxw, apply_L, forcing, projector=None
                     r = dt_of(lambda q, s=s, j=j, kk=kk: q["state"].theta[s, j, kk]) \
                         + (ddx(st.b[kk]) if j == 0 else 0.0) \
                         + (ddx(st.b[j]) if kk == 0 else 0.0) \
-                        + ddx(p0["m"][s, 0]) \
-                        - p0["theta_g"][s, j, kk] - p0["theta_h"][s, j, kk] \
-                        - p0["smu_g"][s] - p0["smu_L"][s]
+                        + ddx(ipf[s, MO]) \
+                        - mg[s, TH + 3 * j + kk] - mh[s, TH + 3 * j + kk] \
+                        - mg[s, MASS] - p0["L"][s, MASS]
                     emit(f"s17_theta_{tag}{j+1}{kk+1}", t, r)
             # Lambda
             for j in range(3):
                 r = dt_of(lambda q, s=s, j=j: q["state"].lam[s, j]) \
                     + (ddx(st.c) if j == 0 else 0.0) \
-                    - p0["lam_g"][s, j] - p0["lam_h"][s, j]
+                    - mg[s, LA + j] - mh[s, LA + j]
                 emit(f"s17_lambda_{tag}{j+1}", t, r)
 
         # (19): species means
         r = dt_of(lambda q: 0.5 * (q["state"].a_plus + q["state"].a_minus)) + ddx(st.b[0])
         emit("s19_mass", t, r)
         th_sum = p0["state"].theta[0] + p0["state"].theta[1]
-        th_sum_gh = (p0["theta_g"] + p0["theta_h"]).sum(axis=0)
-        lam_sum_gh = (p0["lam_g"] + p0["lam_h"]).sum(axis=0)
-        vg_sum = np.stack([
-            np.tensordot(p0["g"][0] + p0["g"][1], grid.v[j] * maxw.sqrt_mu, axes=(-1, 0)) * grid.wv
-            for j in range(3)])
-        eg_sum = np.tensordot(p0["g"][0] + p0["g"][1], (grid.vsq - 3.0) * maxw.sqrt_mu,
-                              axes=(-1, 0)) * grid.wv
+        g_sum, gh_sum = mg.sum(axis=0), (mg + mh).sum(axis=0)
         for j in range(3):
             r = dt_of(lambda q, j=j: q["state"].b[j]) \
                 + (ddx(0.5 * (st.a_plus + st.a_minus) + 2.0 * st.c) if j == 0 else 0.0) \
-                + 0.5 * ddx(th_sum[j, 0]) - 0.5 * vg_sum[j]
+                + 0.5 * ddx(th_sum[j, 0]) - 0.5 * g_sum[MO + j]
             emit(f"s19_momentum_{j+1}", t, r)
         lam_sum = p0["state"].lam[0] + p0["state"].lam[1]
         r = dt_of(lambda q: q["state"].c) + ddx(st.b[0]) / 3.0 \
-            + (5.0 / 6.0) * ddx(lam_sum[0]) - eg_sum / 12.0
+            + (5.0 / 6.0) * ddx(lam_sum[0]) - g_sum[EN] / 12.0
         emit("s19_energy", t, r)
         for j in range(3):
             for kk in range(j, 3):
@@ -321,22 +280,21 @@ def moment_residuals(snapshots, dt, grid, maxw, apply_L, forcing, projector=None
                           + (2.0 * q["state"].c if j == kk else 0.0)) \
                     + (ddx(st.b[kk]) if j == 0 else 0.0) \
                     + (ddx(st.b[j]) if kk == 0 else 0.0) \
-                    - 0.5 * th_sum_gh[j, kk]
+                    - 0.5 * gh_sum[TH + 3 * j + kk]
                 emit(f"s19_theta_{j+1}{kk+1}", t, r)
         for j in range(3):
             r = 0.5 * dt_of(lambda q, j=j: q["state"].lam[0, j] + q["state"].lam[1, j]) \
-                + (ddx(st.c) if j == 0 else 0.0) - 0.5 * lam_sum_gh[j]
+                + (ddx(st.c) if j == 0 else 0.0) - 0.5 * gh_sum[LA + j]
             emit(f"s19_lambda_{j+1}", t, r)
 
         # (21): species differences / field dissipation
         r = dt_of(lambda q: q["state"].a_plus - q["state"].a_minus) + ddx(st.G[0])
         emit("s21_continuity", t, r)
         th_diff = p0["state"].theta[0] - p0["state"].theta[1]
-        vLg_diff = p0["vj_Lg"][0] - p0["vj_Lg"][1]
         for j in range(3):
             r = dt_of(lambda q, j=j: q["state"].G[j]) \
                 + (ddx(st.a_plus - st.a_minus) if j == 0 else 0.0) \
                 - 2.0 * (E1 if j == 0 else 0.0) \
-                + ddx(th_diff[j, 0]) - vLg_diff[j]
+                + ddx(th_diff[j, 0]) - (mLg[0, MO + j] - mLg[1, MO + j])
             emit(f"s21_field_{j+1}", t, r)
     return records

@@ -144,6 +144,20 @@ def test_sigma_cache_roundtrip(tmp_path):
     (["simulate", "--t-end", "0.01"], None, "scheme.t_end"),
     (["simulate"], '{"initial_data": {"kind": "file"}}', "initial_data.path"),
     (["decay"], '{"decay": {"data": "rough"}}', "decay.data"),
+    (["decay"], '{"decay": {"n_y": "12"}}', "decay.n_y"),
+    (["decay"], '{"decay": {"t_end": -5}}', "decay.t_end"),
+    (["decay"], '{"decay": {"fit_lo": 80, "fit_hi": 20}}', "decay.fit_hi"),
+    (["decay"], '{"decay": {"fit_lo": 20, "fit_hi": 80, "t_end": 20}}', "decay.fit_lo"),
+    (["decay"], '{"decay": {"y_min": 0}}', "decay.y_min"),
+    (["decay"], '{"decay": {"y_min": 0.5, "y_max": 0.1}}', "decay.y_max"),
+    (["decay"], '{"decay": {"l_star": "half"}}', "decay.l_star"),
+    (["decay"], '{"decay": {"l": null}}', "decay.l"),
+    (["energy-report"], '{"physics": {"lambda_h": "x"}}', "physics.lambda_h"),
+    (["simulate"], '{"initial_data": {"asym": "big"}}', "initial_data.asym"),
+    (["simulate"], '{"initial_data": {"mode": 1.5}}', "initial_data.mode"),
+    (["simulate"], '{"scheme": {"disable_gamma": "no"}}', "scheme.disable_gamma"),
+    (["simulate"], '{"scheme": {"disable_field_nl": 1}}', "scheme.disable_field_nl"),
+    (["collision-check"], '{"io": {"cache_dir": 3}}', "io.cache_dir"),
 ])
 def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
     # flags are checked after the merge, like run-file values

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe
@@ -249,6 +250,7 @@ def test_sigma_cache_rejects_bad_tables(grid8, maxw8, tmp_path):
         np.zeros((5, grid8.n)),
         np.zeros((6, grid8.n), dtype=np.float32),
         np.full((6, grid8.n), np.nan),
+        -np.ones((6, grid8.n)),
     ]
     for bad in bad_tables:
         if isinstance(bad, bytes):
@@ -259,3 +261,57 @@ def test_sigma_cache_rejects_bad_tables(grid8, maxw8, tmp_path):
         assert np.array_equal(sigma, fresh)
         assert np.array_equal(np.load(path), fresh)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_assembly_transforms_kernel_once(grid8, maxw8, monkeypatch):
+    # one batched kernel spectrum, then sigma's forward and inverse transform
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    CollisionAssembly(grid8, maxw8, 0.0)
+    assert len(calls) == 3
+
+
+# Operator invariants over nv in {8, 10, 12} and gamma in [-3, 1], each at
+# the bound of the fixed-case test above it.
+_invariant_cases = settings(max_examples=20, deadline=None, derandomize=True)
+_nv = st.sampled_from([8, 10, 12])
+_gamma = st.floats(-3.0, 1.0)
+
+
+def _assembly(nv, gamma):
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    return CollisionAssembly(g, maxwellian(g), gamma)
+
+
+@_invariant_cases
+@given(nv=_nv, gamma=_gamma, seed=st.integers(0, 2 ** 32 - 1))
+def test_property_L_symmetric_and_nonpositive(nv, gamma, seed):
+    asm = _assembly(nv, gamma)
+    rng = np.random.default_rng(seed)
+    g, h = (rng.standard_normal((2, asm.grid.n)) * asm.maxw.sqrt_mu for _ in range(2))
+    Lg, Lh = asm.apply_L(g), asm.apply_L(h)
+    gn, Lhn = np.linalg.norm(g), np.linalg.norm(Lh)
+    assert abs(np.sum(g * Lh) - np.sum(Lg * h)) < 1e-11 * gn * Lhn
+    assert np.sum(g * Lg) < 1e-10 * gn * np.linalg.norm(Lg)
+
+
+@_invariant_cases
+@given(nv=_nv, gamma=_gamma)
+def test_property_null_residuals(nv, gamma):
+    assert _assembly(nv, gamma).null_residuals().max() < 1e-10
+
+
+@_invariant_cases
+@given(nv=_nv, gamma=_gamma, seed=st.integers(0, 2 ** 32 - 1))
+def test_property_gamma_collision_invariance(nv, gamma, seed):
+    asm = _assembly(nv, gamma)
+    smu = asm.maxw.sqrt_mu
+    f = np.random.default_rng(seed).standard_normal((2, asm.grid.n)) * smu
+    ga = GammaOp(asm)(f, f)
+    scale = np.abs(ga).max()
+    for s in range(2):
+        assert abs(asm.grid.inner_v(smu, ga[s])) < 1e-13 * max(scale, 1.0)

@@ -3,7 +3,8 @@ import pytest
 
 from vplab import build_grid, maxwellian
 from vplab.macroscopic import (MacroProjector, project_P, solve_poisson,
-                               div_E_residual, moment_residuals)
+                               div_E_residual, moment_residuals,
+                               MASS, MO, EN, TH, LA)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,41 @@ def test_projection_idempotent_and_orthogonal(setup12):
     inner = np.einsum("sxv,sxv->x", Pf, IPf) * g.wv
     norm = np.einsum("sxv,sxv->x", f, f) * g.wv
     assert np.abs(inner / norm).max() < 1e-10
+
+
+def test_moment_table_layout(setup12):
+    # project_P and every table row against the quadrature sums written out
+    g, mw, proj = setup12
+    v, vsq, smu = g.v, g.vsq, mw.sqrt_mu
+    f = np.random.default_rng(3).standard_normal((2, g.nx, g.n)) * smu
+    st, _, IPf = project_P(f, g, mw, proj)
+
+    def mom(zeta, X):
+        return np.tensordot(X, zeta, axes=(-1, 0)) * g.wv
+
+    def close(got, want):
+        want = np.asarray(want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    fsum = f[0] + f[1]
+    close(st.a_plus, mom(smu, f[0]))
+    close(st.a_minus, mom(smu, f[1]))
+    close(st.b, [0.5 * mom(v[j] * smu, fsum) for j in range(3)])
+    close(st.c, mom((vsq - 3.0) * smu, fsum) / 12.0)
+    close(st.theta, [[[mom((v[j] * v[k] - 1.0) * smu, IPf[s]) for k in range(3)]
+                      for j in range(3)] for s in range(2)])
+    close(st.lam, [[mom(0.1 * (vsq - 5.0) * v[j] * smu, IPf[s]) for j in range(3)]
+                   for s in range(2)])
+    close(st.G, [mom(v[j] * smu, IPf[0] - IPf[1]) for j in range(3)])
+    rows = [(MASS, smu), (EN, (vsq - 3.0) * smu)]
+    rows += [(MO + j, v[j] * smu) for j in range(3)]
+    rows += [(TH + 3 * j + k, (v[j] * v[k] - 1.0) * smu)
+             for j in range(3) for k in range(3)]
+    rows += [(LA + j, 0.1 * (vsq - 5.0) * v[j] * smu) for j in range(3)]
+    assert sorted(r for r, _ in rows) == list(range(17))
+    m = proj.moments(f)
+    for r, zeta in rows:
+        close(m[:, r], mom(zeta, f))
 
 
 def test_poisson_eigenfunction(setup12):
