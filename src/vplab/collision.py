@@ -31,6 +31,7 @@ from .macroscopic import null_basis_raw, orthonormalize
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 STAB = 0.5      # strength of the odd-even stabilization form
+SIGMA_CACHE_VERSION = 1     # in the sigma-cache file name; bump when the table changes
 
 
 def pair_of(i, j):
@@ -170,7 +171,7 @@ class CollisionAssembly:
     gamma : float
         Kernel exponent in [-3, 1].
     sigma_cache_dir : str, optional
-        Directory for sigma tables keyed by (gamma, nv, vmax, eps_reg).
+        Directory for sigma tables keyed by (version, gamma, nv, vmax, eps_reg).
     """
 
     def __init__(self, grid, maxw, gamma, sigma_cache_dir=None):
@@ -222,7 +223,7 @@ class CollisionAssembly:
         """
         if cache_dir is None:
             return assemble_sigma(self.grid, self.maxw, self.gamma, kit=self._kit)
-        key = (f"sigma_g{self.gamma:+.6g}_nv{self.grid.nv}"
+        key = (f"sigma_v{SIGMA_CACHE_VERSION}_g{self.gamma:+.6g}_nv{self.grid.nv}"
                f"_vm{self.grid.vmax:.6g}_eps{self.eps_reg:.6g}.npy")
         path = Path(cache_dir) / key
         try:

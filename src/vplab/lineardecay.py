@@ -145,38 +145,48 @@ class ModeTrajectory:
     final_state: tuple = field(default=None, repr=False)
 
 
+def _sector_samples(P, u, steps, samp):
+    """Sector states (samples, n) from u, every samp steps and at the last step.
+
+    A stride is one product with P^samp, built by repeated squaring, when it is
+    taken at least twice, else samp products with P; leftover steps use P.
+    """
+    strides, rem = divmod(steps, samp)
+    Q, k = (np.linalg.matrix_power(P, samp), 1) if strides >= 2 and samp > 1 else (P, samp)
+    w = to_real(u).view(np.float64).reshape(-1, 2)      # step T u as (n, 2) floats
+    out = [w]
+    for _ in range(strides):
+        for _ in range(k):
+            w = Q @ w
+        out.append(w)
+    for _ in range(rem):
+        w = P @ w
+    if rem:
+        out.append(w)
+    return from_real(np.stack(out).view(np.complex128)[..., 0])
+
+
 def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80, increase_tol=1e-11):
     """Integrate one mode with implicit midpoint; sample functional and dissipation.
 
     u0 is a two-species complex field (2, n). Emits a warning-grade flag via
-    the returned violation count when the functional increases beyond
-    10x the integrator tolerance between consecutive samples.
+    the returned violation count when the functional increases by more than
+    increase_tol (relative) between consecutive samples.
     """
     asm = op.asm
     u0 = np.asarray(u0, dtype=complex)
-    # step T u as (n, 2) float arrays; map back to u at every sample
-    ws = to_real((u0[0] + u0[1]) / _SQ2).view(np.float64).reshape(-1, 2)
-    wd = to_real((u0[0] - u0[1]) / _SQ2).view(np.float64).reshape(-1, 2)
     Ps, Pd = op.propagators(dt)
     w2l = asm.weight.pow(l) ** 2
     steps = int(round(t_end / dt))
     samp = max(1, steps // max(n_samples, 1))
-    ts, Es, Ds = [], [], []
-    t = 0.0
-    for k in range(steps + 1):
-        if k % samp == 0 or k == steps:
-            us = from_real(ws.view(np.complex128).ravel())
-            ud = from_real(wd.view(np.complex128).ravel())
-            ts.append(t)
-            Es.append(op.mode_energy(us, ud, w2l))
-            d = asm.norms.sigma_sq_batch(np.stack([us, ud]), l, asm.gamma, asm.weight)
-            Ds.append(float(d.sum()))
-        if k < steps:
-            ws = Ps @ ws
-            wd = Pd @ wd
-            t += dt
-    Es = np.array(Es)
-    ts = np.array(ts)
+    # one sector at a time, so one stride power is alive at a time
+    us, ud = (_sector_samples(P, u, steps, samp)
+              for P, u in ((Ps, (u0[0] + u0[1]) / _SQ2), (Pd, (u0[0] - u0[1]) / _SQ2)))
+    t = np.concatenate([[0.0], np.cumsum(np.full(steps, dt))])    # t += dt, in order
+    ts = t[np.unique(np.r_[0:steps + 1:samp, steps])]
+    Es = np.array([op.mode_energy(a, b, w2l) for a, b in zip(us, ud)])
+    Ds = asm.norms.sigma_sq_batch(np.stack([us, ud], axis=1), l, asm.gamma,
+                                  asm.weight).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.diff(Es) / np.where(Es[:-1] > 0, Es[:-1], 1.0)
     max_inc = float(rel.max()) if rel.size else 0.0
@@ -190,8 +200,8 @@ def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80, increase_tol=1e-11):
         )
     return ModeTrajectory(
         y=op.ynorm, l=l, dt=dt, t=ts, energy=Es,
-        sigma_diss=np.array(Ds), max_rel_increase=max_inc, violations=viol,
-        final_state=(us, ud),
+        sigma_diss=Ds, max_rel_increase=max_inc, violations=viol,
+        final_state=(us[-1].copy(), ud[-1].copy()),
     )
 
 
@@ -266,7 +276,20 @@ def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
         dt = 0.05 * min(1.0, 1.0 / y)
         op = ModeOperator([y, 0, 0], assembly, with_field=with_field)
         trajs.append(evolve_mode(op, u0, dt, t_end, l, n_samples))
+    # measured dissipation rate scale from the best-resolved (largest-y) mode;
+    # the mode functional decays like exp(-lam_hat y^2/(1+y^2) t). A window
+    # with two samples also gives every mode the sample t[1] read below.
+    tr1 = trajs[-1]
+    t_hi = min(40.0, t_end / 2)
+    wfit = (tr1.t >= 2.0) & (tr1.t <= t_hi) & (tr1.energy > 0)
+    if wfit.sum() < 2:
+        raise RuntimeError(f"decay.t_end = {t_end:g} leaves {int(wfit.sum())} samples in the "
+                           f"dissipation-rate window t in [2, {t_hi:g}]; the fit needs 2")
     t_eval = np.geomspace(max(0.5 * fit_window[0], trajs[0].t[1]), t_end, 160)
+    n_fit = int(np.sum((t_eval >= fit_window[0]) & (t_eval <= fit_window[1])))
+    if n_fit < 3:
+        raise RuntimeError(f"decay.fit_lo/decay.fit_hi = {fit_window[0]:g}/{fit_window[1]:g} "
+                           f"leave {n_fit} of {t_eval.size} fit times; the fit needs 3")
     E_ty = np.array([np.interp(t_eval, tr.t, tr.energy) for tr in trajs]).T
     lw = np.gradient(np.log(ys)) * ys
     mlist = np.atleast_1d(m)
@@ -278,10 +301,6 @@ def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
         "total_violations": int(sum(tr.violations for tr in trajs)),
         "max_rel_increase": float(max(tr.max_rel_increase for tr in trajs)),
     }
-    # measured dissipation rate scale from the best-resolved (largest-y) mode;
-    # the mode functional decays like exp(-lam_hat y^2/(1+y^2) t)
-    tr1 = trajs[-1]
-    wfit = (tr1.t >= 2.0) & (tr1.t <= min(40.0, t_end / 2)) & (tr1.energy > 0)
     rate = -np.polyfit(tr1.t[wfit], np.log(tr1.energy[wfit]), 1)[0]
     lam_hat = float(rate / (tr1.y ** 2 / (1.0 + tr1.y ** 2)))
     report["lambda_hat"] = lam_hat

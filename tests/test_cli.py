@@ -170,16 +170,25 @@ def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
 
 
 @pytest.mark.parametrize("args, body, message", [
-    (["--nv", "16", "--nx", "32"], None, "per-mode propagator storage"),
-    ([], {"grid": {"nx": 4}, "initial_data": {"amplitude": 50.0},
-          "scheme": {"t_end": 0.1}}, "nonlinear half-step blow-up at t = 0:"),
+    (["simulate", "--nv", "16", "--nx", "32"], None, "per-mode propagator storage"),
+    (["simulate"], {"grid": {"nx": 4}, "initial_data": {"amplitude": 50.0},
+                    "scheme": {"t_end": 0.1}}, "nonlinear half-step blow-up at t = 0:"),
+    # no sample of the largest-y mode in the dissipation-rate window t in [2, t_end/2]
+    (["decay"], {"grid": {"nx": 8}, "decay": {"n_y": 4, "t_end": 3, "fit_lo": 1.0,
+                                              "fit_hi": 3}}, "decay.t_end"),
+    # horizon shorter than one mode step
+    (["decay"], {"grid": {"nx": 8}, "decay": {"n_y": 4, "t_end": 0.02, "fit_lo": 0.01,
+                                              "fit_hi": 0.02}}, "decay.t_end"),
+    # no fit time between fit_lo and fit_hi
+    (["decay"], {"grid": {"nx": 8}, "decay": {"n_y": 4, "t_end": 20, "fit_lo": 10.0,
+                                              "fit_hi": 10.01}}, "decay.fit_lo"),
 ])
 def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
     if body is not None:
         (tmp_path / "c.json").write_text(json.dumps(body))
         args = args + ["--config", str(tmp_path / "c.json")]
-    r = subprocess.run([sys.executable, "-W", "ignore", "-m", "vplab.cli",
-                        "simulate", "--out", str(tmp_path / "o")] + args,
+    r = subprocess.run([sys.executable, "-W", "ignore", "-m", "vplab.cli"]
+                       + args + ["--out", str(tmp_path / "o")],
                        capture_output=True, text=True)
     assert r.returncode == 1
     assert message in r.stderr

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe
-from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index
+from vplab.collision import (GammaOp, KernelTable, SIGMA_CACHE_VERSION, pair_of,
+                             _pair_difference_index)
 from vplab.macroscopic import MacroProjector
 
 
@@ -261,6 +262,20 @@ def test_sigma_cache_rejects_bad_tables(grid8, maxw8, tmp_path):
         assert np.array_equal(sigma, fresh)
         assert np.array_equal(np.load(path), fresh)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_sigma_cache_key_carries_format_version(grid8, maxw8, tmp_path):
+    # a sound table under the unversioned key of an older format is not read
+    asm = CollisionAssembly(grid8, maxw8, -1.0)
+    fresh = asm.sigma
+    old = tmp_path / (f"sigma_g{-1.0:+.6g}_nv{grid8.nv}_vm{grid8.vmax:.6g}"
+                      f"_eps{asm.eps_reg:.6g}.npy")
+    np.save(old, 2.0 * fresh)
+    sigma = CollisionAssembly(grid8, maxw8, -1.0, sigma_cache_dir=tmp_path).sigma
+    assert np.array_equal(sigma, fresh)
+    new = tmp_path / f"sigma_v{SIGMA_CACHE_VERSION}_{old.name[len('sigma_'):]}"
+    assert sorted(tmp_path.iterdir()) == sorted([old, new])
+    assert np.array_equal(np.load(new), fresh)
 
 
 def test_assembly_transforms_kernel_once(grid8, maxw8, monkeypatch):

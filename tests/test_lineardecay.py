@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
-                               default_mode_data)
+                               default_mode_data, from_real, real_matvec, to_real)
 from vplab.macroscopic import MacroProjector, null_basis_raw
 from vplab.solver import Simulation
 
@@ -74,6 +74,39 @@ def test_mode_self_convergence_second_order(asm8):
     e1 = np.abs(final(0.1) - final(0.05)).max()
     e2 = np.abs(final(0.05) - final(0.025)).max()
     assert e1 / e2 == pytest.approx(4.0, rel=0.3)
+
+
+@pytest.mark.parametrize("t_end, n_samples, samp, rem", [
+    (10.0, 40, 5, 0), (10.3, 40, 5, 1), (10.0, 16, 12, 8)])
+def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
+    # reference: one implicit-midpoint product per step, sampled every samp steps
+    op = ModeOperator([0.7, 0, 0], asm8)
+    u0 = default_mode_data(asm8, "mixed", 1e-3, seed=5)
+    dt = 0.05
+    steps = int(round(t_end / dt))
+    assert (steps // n_samples, steps % samp) == (samp, rem)
+    w2l = asm8.weight.pow(0.0) ** 2
+    ws = [to_real((u0[0] + s * u0[1]) / np.sqrt(2)) for s in (1, -1)]
+    t, ts, Es, Ds = 0.0, [], [], []
+    for k in range(steps + 1):
+        if k % samp == 0 or k == steps:
+            us, ud = (from_real(w) for w in ws)
+            ts.append(t)
+            Es.append(op.mode_energy(us, ud, w2l))
+            Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0, asm8.gamma,
+                                                asm8.weight).sum())
+        if k < steps:
+            ws = [real_matvec(P, w) for P, w in zip(op.propagators(dt), ws)]
+            t += dt
+    tr = evolve_mode(op, u0, dt, t_end, n_samples=n_samples)
+    assert np.array_equal(tr.t, ts)
+    np.testing.assert_allclose(tr.energy, Es, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(tr.sigma_diss, Ds, rtol=1e-11, atol=0)
+    ref = np.concatenate([us, ud])
+    assert np.abs(np.concatenate(tr.final_state) - ref).max() <= 1e-11 * np.abs(ref).max()
+    assert tr.violations == int(np.sum(np.diff(Es) / np.array(Es[:-1]) > 1e-11))
+    # the final state is a copy, not a view pinning every sample
+    assert all(f.base is None and f.flags.owndata for f in tr.final_state)
 
 
 def test_sigma_dissipation_samples_positive(asm8):
