@@ -21,7 +21,7 @@ import numpy as np
 from .grid import build_grid, maxwellian
 from .collision import CollisionAssembly, assemble_sigma, coercivity_probe
 from .macroscopic import moment_residuals
-from .lineardecay import whole_space_decay
+from .lineardecay import default_y_max, whole_space_decay
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
                      energy_report, PsiWeight, energy_inequality_monitor,
                      check_propagator_budget)
@@ -138,8 +138,12 @@ def _validate(cfg, overrides=()):
     if out["scheme"]["t_end"] < out["scheme"]["dt"]:
         raise ConfigError("config key 'scheme.t_end' must be >= scheme.dt")
     dc = out["decay"]
-    if dc["y_max"] is not None and dc["y_max"] <= dc["y_min"]:
-        raise ConfigError("config key 'decay.y_max' must be > decay.y_min")
+    y_max, key = dc["y_max"], "decay.y_max"
+    if y_max is None:       # the default upper end is fixed, so y_min is at fault
+        y_max, key = default_y_max(out["physics"]["gamma"]), "decay.y_min"
+    if y_max <= dc["y_min"]:
+        raise ConfigError(f"config key '{key}' must give decay.y_min < decay.y_max, "
+                          f"got {dc['y_min']:g} and {y_max:g}")
     if dc["fit_hi"] <= dc["fit_lo"]:
         raise ConfigError("config key 'decay.fit_hi' must be > decay.fit_lo")
     if dc["fit_lo"] >= dc["t_end"]:
@@ -151,11 +155,25 @@ def _validate(cfg, overrides=()):
     if out["initial_data"]["kind"] not in ("macroscopic", "noise", "file"):
         raise ConfigError(
             "config key 'initial_data.kind' must be 'macroscopic', 'noise' or 'file'")
-    if out["initial_data"]["kind"] == "file" and not isinstance(
-            out["initial_data"]["path"], str):
-        raise ConfigError("config key 'initial_data.path' must name a file "
-                          "when initial_data.kind is 'file'")
+    if out["initial_data"]["kind"] == "file":
+        _check_initial_file(out["initial_data"]["path"], out["grid"])
     return out
+
+
+def _check_initial_file(path, grid):
+    """Refuse an initial-data file that `make_initial_data` could not use."""
+    shape = (2, grid["nx"], grid["nv"] ** 3)
+    what = (f"config key 'initial_data.path' must name an .npz file holding a finite "
+            f"array f of shape {shape} when initial_data.kind is 'file'")
+    if not isinstance(path, str):
+        raise ConfigError(what)
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            f = z["f"]
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"{what}: {type(e).__name__}: {e}")
+    if f.shape != shape or f.dtype.kind not in "fiu" or not np.all(np.isfinite(f)):
+        raise ConfigError(f"{what}; {path} holds f of shape {f.shape}, dtype {f.dtype}")
 
 
 def config_hash(cfg):

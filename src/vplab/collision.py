@@ -315,12 +315,12 @@ class CollisionAssembly:
         return np.array(out)
 
 
-def coercivity_probe(assembly, n_eigs=3):
+def coercivity_probe(assembly):
     """Smallest generalized eigenvalue of (-L, sigma-form) off the kernel.
 
     Works sector by sector (the species sum/difference change of variables
-    block-diagonalizes L into A + 2K and A). Returns lambda_h and a spectrum
-    report. Raises if lambda_h <= 0.
+    block-diagonalizes L into A + 2K and A). Returns lambda_h and a report of
+    the 3 smallest eigenvalues per sector. Raises if lambda_h <= 0.
     """
     grid = assembly.grid
     S = assembly.norms.sigma_form(assembly.gamma, 0.0, assembly.weight).toarray()
@@ -333,7 +333,7 @@ def coercivity_probe(assembly, n_eigs=3):
         U = Q[:, kern.shape[0]:]
         Ared = U.T @ (-(L) @ U)
         Sred = U.T @ (S @ U)
-        top = min(n_eigs, Ared.shape[0]) - 1
+        top = min(3, Ared.shape[0]) - 1
         w = sla.eigh(Ared, Sred, subset_by_index=[0, top],
                      eigvals_only=True, driver="gvx")
         kres = [float(np.linalg.norm(L @ k) / np.linalg.norm(k)) for k in kern]

@@ -127,13 +127,12 @@ class PhaseGrid:
         return np.sum(np.conj(f) * g, axis=-1) * self.wv
 
     def ddx(self, field, axis=-1):
-        """Spectral x-derivative of a real or complex field along `axis`."""
+        """Spectral x-derivative of a real field along `axis`."""
         fh = np.fft.fft(field, axis=axis)
         shape = [1] * field.ndim
         shape[axis] = self.nx
         fh = fh * (1j * self.kx.reshape(shape))
-        out = np.fft.ifft(fh, axis=axis)
-        return out.real if np.isrealobj(field) else out
+        return np.fft.ifft(fh, axis=axis).real
 
 
 def build_grid(nv=16, vmax=6.0, nx=32, lx=np.pi):

@@ -15,6 +15,7 @@ import scipy.linalg as sla
 
 
 _SQ2 = np.sqrt(2.0)
+INCREASE_TOL = 1e-11       # functional increase per sample counted as a violation
 
 
 class ModeOperator:
@@ -33,7 +34,7 @@ class ModeOperator:
     field term. `to_real`/`from_real` apply T and T^{-1} to a complex field.
     """
 
-    def __init__(self, y, assembly, with_field=True):
+    def __init__(self, y, assembly):
         self.asm = assembly
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.size == 1:
@@ -50,8 +51,7 @@ class ModeOperator:
         self.Bs[anti] -= vy
         self.Bd = Ld.copy()
         self.Bd[anti] -= vy
-        self.with_field = bool(with_field) and self.ynorm > 0
-        if self.with_field:
+        if self.ynorm > 0:
             smu = assembly.maxw.sqrt_mu
             self.Bd -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(vy * smu, smu)
         self._props = {}
@@ -91,7 +91,7 @@ class ModeOperator:
         smu = self.asm.maxw.sqrt_mu
         Ms = np.eye(n) * grid.wv
         Md = Ms.copy()
-        if self.with_field:
+        if self.ynorm > 0:
             Md = Md + (2.0 * grid.wv ** 2 / self.ynorm ** 2) * np.outer(smu, smu)
         bounds = []
         for B, M in ((self.Bs, Ms), (self.Bd, Md)):
@@ -103,7 +103,7 @@ class ModeOperator:
     def mode_energy(self, us, ud, w2l):
         grid = self.asm.grid
         E = float(np.sum(w2l * (np.abs(us) ** 2 + np.abs(ud) ** 2)) * grid.wv)
-        if self.ynorm > 0 and self.with_field:
+        if self.ynorm > 0:
             rho = _SQ2 * np.sum(self.asm.maxw.sqrt_mu * ud) * grid.wv
             E += abs(rho) ** 2 / self.ynorm ** 2
         return E
@@ -166,12 +166,12 @@ def _sector_samples(P, u, steps, samp):
     return from_real(np.stack(out).view(np.complex128)[..., 0])
 
 
-def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80, increase_tol=1e-11):
+def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):
     """Integrate one mode with implicit midpoint; sample functional and dissipation.
 
     u0 is a two-species complex field (2, n). Emits a warning-grade flag via
     the returned violation count when the functional increases by more than
-    increase_tol (relative) between consecutive samples.
+    INCREASE_TOL (relative) between consecutive samples.
     """
     asm = op.asm
     u0 = np.asarray(u0, dtype=complex)
@@ -190,7 +190,7 @@ def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80, increase_tol=1e-11):
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.diff(Es) / np.where(Es[:-1] > 0, Es[:-1], 1.0)
     max_inc = float(rel.max()) if rel.size else 0.0
-    viol = int(np.sum(rel > increase_tol))
+    viol = int(np.sum(rel > INCREASE_TOL))
     if viol:
         import warnings
         warnings.warn(
@@ -239,10 +239,14 @@ def _fit_loglog(t, I, t_lo, t_hi):
     return float(cf[0]), float(ci), float(r2)
 
 
+def default_y_max(gamma):
+    """Upper end of the default y sweep: 1.2 for hard potentials, 1.0 for soft."""
+    return 1.2 if gamma + 2.0 >= 0.0 else 1.0
+
+
 def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
-                      amplitude=1e-3, y_min=0.02, y_max=None, n_y=48,
-                      t_end=100.0, fit_window=(10.0, 100.0), n_samples=80,
-                      with_field=True, seed=0):
+                      y_min=0.02, y_max=None, n_y=48, t_end=100.0,
+                      fit_window=(10.0, 100.0), n_samples=80, seed=0):
     """Whole-space decay emulation by quadrature over a continuous y sweep.
 
     Evolves one mode per quadrature node, assembles
@@ -266,15 +270,15 @@ def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
     gamma = assembly.gamma
     hard = gamma + 2.0 >= 0.0
     if y_max is None:
-        y_max = 1.2 if hard else 1.0
+        y_max = default_y_max(gamma)
     if l_star is None:
         l_star = 0.0 if hard else 0.5
     ys = np.geomspace(y_min, y_max, n_y)
-    u0 = default_mode_data(assembly, data, amplitude, seed)
+    u0 = default_mode_data(assembly, data, 1e-3, seed)
     trajs = []
     for y in ys:
         dt = 0.05 * min(1.0, 1.0 / y)
-        op = ModeOperator([y, 0, 0], assembly, with_field=with_field)
+        op = ModeOperator([y, 0, 0], assembly)
         trajs.append(evolve_mode(op, u0, dt, t_end, l, n_samples))
     # measured dissipation rate scale from the best-resolved (largest-y) mode;
     # the mode functional decays like exp(-lam_hat y^2/(1+y^2) t). A window

@@ -122,18 +122,18 @@ def project_P(f, grid, maxw, projector=None):
     return state, Pf, IPf
 
 
-def solve_poisson(rho, grid, mean_tol=1e-10):
+def solve_poisson(rho, grid):
     """Spectral solve of -Lap phi = rho on the torus, zero-mean phi, E = -grad phi.
 
     The zero mode of rho is removed (required for solvability); its size is
     reported in FieldState.mean_rho and a warning is emitted if it exceeds
-    mean_tol relative to the density scale.
+    1e-10 relative to the density scale.
     """
     rho = np.asarray(rho, dtype=float)
     rh = np.fft.rfft(rho)
     mean_rho = rh[0].real / grid.nx
     scale = np.abs(rho).max() if np.abs(rho).max() > 0 else 1.0
-    if abs(mean_rho) > mean_tol * scale:
+    if abs(mean_rho) > 1e-10 * scale:
         warnings.warn(
             f"poisson: removing nonzero charge mean {mean_rho:.3e}", RuntimeWarning
         )

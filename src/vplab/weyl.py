@@ -51,8 +51,6 @@ class SymbolTable:
     eta_axis: np.ndarray
     values: np.ndarray
     func: object = field(default=None, repr=False)
-    kind: str = "custom"
-    weight_class: str = "S(1)"
     params: dict = field(default_factory=dict)
     y: float = 0.0
 
@@ -104,11 +102,8 @@ def make_symbol(kind, gamma=-1.0, K0=1.0, delta1=0.5, y=1.0, d=1, nv=33,
         if custom is None:
             raise ValueError("custom symbol needs a callable")
         func = custom
-        wclass = "custom"
     else:
         func = _symbol_funcs(kind, p, y)
-        wclass = {"a_tilde": "S(a_tilde)", "b_tilde": "S(b_tilde)",
-                  "chi": "S(1)", "theta": "S(1)"}[kind]
     if d == 1:
         V, H = np.meshgrid(v, eta, indexing="ij")
         vals = func(V, H)
@@ -123,8 +118,7 @@ def make_symbol(kind, gamma=-1.0, K0=1.0, delta1=0.5, y=1.0, d=1, nv=33,
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol table has non-finite entries")
     return SymbolTable(d=d, v_axis=v, eta_axis=eta, values=np.asarray(vals),
-                       func=func, kind=kind, weight_class=wclass, params=p,
-                       y=float(y))
+                       func=func, params=p, y=float(y))
 
 
 @dataclass
@@ -133,21 +127,20 @@ class QuantizedOperator:
     matrix: np.ndarray
     t: float
     hermiticity_defect: float
-    kind: str = "custom"
 
 
-def quantize(sym, t=0.5, hermitize=True, dense_cap=64):
+def quantize(sym, t=0.5, hermitize=True):
     """Dense op_t(a), t in {0, 1/2}; midpoint quadrature over the eta grid.
 
     Weyl quantization (t = 1/2) of a real symbol is hermitized after
-    quadrature. Raises when the dense kernel would exceed the cap.
+    quadrature. Raises above 64 velocity points (32 per axis in 2D).
     """
     if t not in (0.0, 0.5):
         raise ValueError("quantization supports t in {0, 1/2}")
     v, eta = sym.v_axis, sym.eta_axis
     nv = v.size
     if sym.d == 1:
-        if nv > dense_cap:
+        if nv > 64:
             raise ValueError(f"grid too large for a dense kernel (nv={nv})")
         deta = 1.0 / (nv * (v[1] - v[0]))
         dv = v[1] - v[0]
@@ -187,8 +180,7 @@ def quantize(sym, t=0.5, hermitize=True, dense_cap=64):
     defect = float(np.abs(M - M.conj().T).max())
     if hermitize and t == 0.5 and np.isrealobj(sym.values):
         M = 0.5 * (M + M.conj().T)
-    return QuantizedOperator(matrix=M, t=t, hermiticity_defect=defect,
-                             kind=sym.kind)
+    return QuantizedOperator(matrix=M, t=t, hermiticity_defect=defect)
 
 
 def compose_first_order(a, b):
@@ -222,21 +214,19 @@ def compose_first_order(a, b):
             return af(v, e) * bf(v, e) + br / (4j * np.pi)
 
     return SymbolTable(d=1, v_axis=a.v_axis, eta_axis=a.eta_axis, values=vals,
-                       func=func, kind=f"{a.kind}#1{b.kind}",
-                       weight_class="composed", params=dict(a.params),
-                       y=a.y)
+                       func=func, params=dict(a.params), y=a.y)
 
 
-def operator_norm_probe(op, maxiter=1000, tol=1e-9, seed=0, block=4):
-    """Largest singular value by (block) power iteration on op^H op.
+def operator_norm_probe(op, maxiter=1000):
+    """Largest singular value by block power iteration on op^H op, to 1e-9 relative.
 
-    A small block keeps the iteration robust when the top singular values
-    are nearly degenerate (theta^w has a symmetric spectrum).
+    A small block (4 vectors) keeps the iteration robust when the top singular
+    values are nearly degenerate (theta^w has a symmetric spectrum).
     """
     M = op.matrix if isinstance(op, QuantizedOperator) else np.asarray(op)
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = np.random.default_rng(np.random.Philox(key=0))
     n = M.shape[1]
-    X = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
+    X = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     X, _ = np.linalg.qr(X)
     MH = M.conj().T
     prev = 0.0
@@ -244,36 +234,34 @@ def operator_norm_probe(op, maxiter=1000, tol=1e-9, seed=0, block=4):
         Y = MH @ (M @ X)
         H = X.conj().T @ Y
         s = float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[-1])
-        if abs(s - prev) <= tol * max(abs(s), 1.0):
+        if abs(s - prev) <= 1e-9 * max(abs(s), 1.0):
             return float(np.sqrt(max(s, 0.0)))
         X, _ = np.linalg.qr(Y)
         prev = s
     raise RuntimeError(f"power iteration did not converge in {maxiter} steps")
 
 
-def bracket_decomposition_check(y, gamma=-1.0, delta1=0.5, K0=1.0,
-                                nv=24, neta=24, vmax=6.0, eta_max=None,
-                                fd_step=None):
+def bracket_decomposition_check(y, gamma=-1.0, fd_step=None):
     """Pointwise check of {theta, v.y} = b_tilde + R1 + R2 on a 4D sample grid.
 
-    y is taken along the first axis; the grid spans (v1, v2, eta1, eta2)
-    with the remaining components zero (the symbols depend on |v|, |eta|,
-    and eta1 only). The bracket side uses a second-order finite difference
-    of step fd_step along eta1 (grid spacing by default); the decomposition
-    side is closed-form. Reports the maximum discrepancy, the domination
-    ratios sup|R1|/a_tilde and sup|R2|/a_tilde, and the discrepancy on the
-    region where the cutoff is identically one across the whole stencil
-    (theta is linear in eta1 there, so the difference is exact).
+    delta1 = 1/2, K0 = 1, y along the first axis. The grid spans (v1, v2,
+    eta1, eta2), |v| <= 6, |eta| <= max(2, 2|y|^delta2), with the remaining
+    components zero (the symbols depend on |v|, |eta|, and eta1 only). The
+    bracket side uses a second-order finite difference of step fd_step along
+    eta1 (grid spacing by default); the decomposition side is closed-form.
+    Reports the maximum discrepancy, the domination ratios sup|R1|/a_tilde
+    and sup|R2|/a_tilde, and the discrepancy on the region where the cutoff
+    is identically one across the whole stencil (theta is linear in eta1
+    there, so the difference is exact).
     """
-    p = _check_params({"gamma": gamma, "K0": K0, "delta1": delta1})
-    l0, d1, d2 = p["l0"], p["delta1"], p["delta2"]
+    p = _check_params({"gamma": gamma})
+    l0, d1, d2, K0 = p["l0"], p["delta1"], p["delta2"], p["K0"]
     ay = abs(float(y))
-    if eta_max is None:
-        eta_max = max(2.0, 2.0 * ay ** d2)
-    v1 = np.linspace(-vmax, vmax, nv)
-    v2 = np.linspace(0.0, vmax, nv // 2)
-    e1 = np.linspace(-eta_max, eta_max, neta)
-    e2 = np.linspace(0.0, eta_max, neta // 2)
+    eta_max = max(2.0, 2.0 * ay ** d2)
+    v1 = np.linspace(-6.0, 6.0, 24)
+    v2 = np.linspace(0.0, 6.0, 12)
+    e1 = np.linspace(-eta_max, eta_max, 24)
+    e2 = np.linspace(0.0, eta_max, 12)
     V1, V2, E1, E2 = np.meshgrid(v1, v2, e1, e2, indexing="ij")
     bv = np.sqrt(1.0 + V1 ** 2 + V2 ** 2)
     be = np.sqrt(1.0 + E1 ** 2 + E2 ** 2)
@@ -311,15 +299,13 @@ def bracket_decomposition_check(y, gamma=-1.0, delta1=0.5, K0=1.0,
     return report
 
 
-def theta_norm_sweep(gamma=-1.0, delta1=0.5, K0=1.0, nv=33, vmax=6.0,
-                     y_exponents=range(-4, 5), dense_cap=64):
+def theta_norm_sweep(gamma=-1.0, nv=33, y_exponents=range(-4, 5)):
     """sup ||theta^w|| over a dyadic y sweep (power-iteration oracle)."""
     norms = {}
     for e in y_exponents:
         y = 2.0 ** e
-        sym = make_symbol("theta", gamma=gamma, delta1=delta1, K0=K0, y=y,
-                          nv=nv, vmax=vmax)
-        op = quantize(sym, t=0.5, dense_cap=dense_cap)
+        sym = make_symbol("theta", gamma=gamma, y=y, nv=nv)
+        op = quantize(sym, t=0.5)
         norms[float(y)] = operator_norm_probe(op)
     return {"norms": norms, "sup": max(norms.values()), "nv": nv}
 
@@ -334,24 +320,23 @@ def sigma_norm_1d(f, v, gamma):
     return float(np.sqrt(val))
 
 
-def atilde_sigma_bound_check(gamma=-1.0, K0=1.0, nv=33, vmax=6.0,
-                             n_fields=50, band=6, seed=0):
-    """Measured constant in ||(a_tilde^{1/2})^w f|| <= C |f|_{sigma,0} (1D)."""
-    sym = make_symbol("custom", gamma=gamma, K0=K0, nv=nv, vmax=vmax,
+def atilde_sigma_bound_check(gamma=-1.0, n_fields=50):
+    """Measured constant in ||(a_tilde^{1/2})^w f|| <= C |f|_{sigma,0} (1D), K0 = 1."""
+    sym = make_symbol("custom", gamma=gamma,
                       custom=lambda v, eta: np.sqrt(
                           (1.0 + v ** 2) ** (gamma / 2.0)
                           * (1.0 + eta ** 2 + v ** 2)
-                          + K0 * (1.0 + v ** 2) ** ((gamma + 2.0) / 2.0)))
+                          + (1.0 + v ** 2) ** ((gamma + 2.0) / 2.0)))
     op = quantize(sym, t=0.5)
     v = sym.v_axis
     h = v[1] - v[0]
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = np.random.default_rng(np.random.Philox(key=0))
     ratios = []
     n = v.size
     for _ in range(n_fields):
         coef = np.zeros(n, dtype=complex)
-        idx = np.arange(1, band + 1)
-        c = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+        idx = np.arange(1, 7)                 # a real field of Fourier modes 0..6
+        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         coef[idx] = c
         coef[-idx] = np.conj(c)
         coef[0] = rng.standard_normal()
@@ -362,10 +347,7 @@ def atilde_sigma_bound_check(gamma=-1.0, K0=1.0, nv=33, vmax=6.0,
     return {"C_measured": float(max(ratios)), "n_fields": n_fields}
 
 
-def interpolation_display_check(alpha, beta=0, gamma=-1.0, delta1=None,
-                                n_default=20.0, delta=0.5,
-                                t_grid=None, v_grid=None, y_grid=None,
-                                refine=2.0):
+def interpolation_display_check(alpha, beta=0, gamma=-1.0):
     """Check the time-weight interpolation display pointwise on a sample grid.
 
     psi_{|a|-3-1/(2N)} <= delta b_tilde^{1/2} psi_{|a|-3}
@@ -375,12 +357,13 @@ def interpolation_display_check(alpha, beta=0, gamma=-1.0, delta1=None,
     constant is taken in closed form, C = q^{-1} (delta p)^{-q/p} with the
     conjugate pair implied by the order rule; the check evaluates the
     pointwise inequality with that constant on a base and a refined, wider
-    (t, v, y) grid, and also reports the attained supremum.
+    (t, v, y) grid, and also reports the attained supremum. delta = 1/2 and
+    delta1 follows the order rule.
     """
     from .solver import PsiWeight
-    psi = PsiWeight("tn", n_default=n_default)
-    if delta1 is None:
-        delta1 = psi.delta1(alpha, beta)
+    psi = PsiWeight("tn")
+    delta1 = psi.delta1(alpha, beta)
+    delta = 0.5
     p = _check_params({"gamma": gamma, "delta1": delta1})
     l0 = p["l0"]
     N = psi.N_of(alpha, beta)
@@ -395,12 +378,9 @@ def interpolation_display_check(alpha, beta=0, gamma=-1.0, delta1=None,
         pc = 1.0 / eta
         q = 1.0 / (1.0 - eta)
     C_young = (1.0 / q) * (delta * pc) ** (-q / pc)
-    if t_grid is None:
-        t_grid = np.linspace(0.02, 1.0, 40)
-    if v_grid is None:
-        v_grid = np.linspace(0.0, 8.0, 40)
-    if y_grid is None:
-        y_grid = np.geomspace(0.1, 10.0, 30)
+    t_grid = np.linspace(0.02, 1.0, 40)
+    v_grid = np.linspace(0.0, 8.0, 40)
+    y_grid = np.geomspace(0.1, 10.0, 30)
 
     def measure(ts, vs, ys):
         T, V, Y = np.meshgrid(ts, vs, ys, indexing="ij")
@@ -415,10 +395,9 @@ def interpolation_display_check(alpha, beta=0, gamma=-1.0, delta1=None,
         return float(need.max())
 
     C0 = measure(t_grid, v_grid, y_grid)
-    tr = np.linspace(t_grid[0] / refine, 1.0, int(len(t_grid) * refine))
-    vr = np.linspace(0.0, v_grid[-1] * refine, int(len(v_grid) * refine))
-    yr = np.geomspace(y_grid[0] / refine, y_grid[-1] * refine,
-                      int(len(y_grid) * refine))
+    tr = np.linspace(t_grid[0] / 2.0, 1.0, 2 * len(t_grid))
+    vr = np.linspace(0.0, v_grid[-1] * 2.0, 2 * len(v_grid))
+    yr = np.geomspace(y_grid[0] / 2.0, y_grid[-1] * 2.0, 2 * len(y_grid))
     C1 = measure(tr, vr, yr)
     return {
         "alpha": alpha, "beta": beta, "N": float(N), "delta": delta,

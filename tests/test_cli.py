@@ -158,6 +158,11 @@ def test_sigma_cache_roundtrip(tmp_path):
     (["simulate"], '{"scheme": {"disable_gamma": "no"}}', "scheme.disable_gamma"),
     (["simulate"], '{"scheme": {"disable_field_nl": 1}}', "scheme.disable_field_nl"),
     (["collision-check"], '{"io": {"cache_dir": 3}}', "io.cache_dir"),
+    # y_min at or above the default y_max: 1.2 for hard potentials, 1.0 for soft
+    (["decay"], '{"decay": {"y_min": 2.0}}', "decay.y_min"),
+    (["decay"], '{"physics": {"gamma": -2.5}, "decay": {"y_min": 1.1}}', "decay.y_min"),
+    (["simulate"], '{"initial_data": {"kind": "file", "path": "no_such_f0.npz"}}',
+     "initial_data.path"),
 ])
 def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
     # flags are checked after the merge, like run-file values
@@ -205,6 +210,18 @@ def test_propagator_budget_checked_before_assembly(tmp_path, monkeypatch, capsys
     assert run_cli([command, "--nv", "16", "--nx", "32",
                     "--out", str(tmp_path / "o")]) == 1
     assert "per-mode propagator storage" in capsys.readouterr().err
+
+
+def test_initial_data_file_wrong_shape_exit2(tmp_path, capsys):
+    # f written for nx = 4, run on nx = 8
+    g = build_grid(nv=8, nx=4)
+    np.savez(tmp_path / "f0.npz", f=make_initial_data(g, maxwellian(g), "macroscopic"))
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"initial_data": {"kind": "file", "path": str(tmp_path / "f0.npz")}}))
+    assert run_cli(["simulate", "--nx", "8", "--config", str(tmp_path / "c.json"),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert "'initial_data.path'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_initial_data_file_energy_report_and_moments(tmp_path):

@@ -43,6 +43,14 @@ def test_mass_conservation_and_field_identity(sim_env):
     assert drift < 1e-10
 
 
+def test_field_follows_reassigned_f(sim_env):
+    g, mw, _, _ = sim_env
+    st = TwoSpeciesField(make_initial_data(g, mw, "macroscopic", asym=0.5), g, mw)
+    st.field()
+    st.f = make_initial_data(g, mw, "macroscopic", asym=-0.5)
+    np.testing.assert_array_equal(st.field().rho, st.charge_density())
+
+
 def test_cross_module_equivalence_quick(sim_env):
     from vplab.lineardecay import ModeOperator, evolve_mode
     g, mw, asm, _ = sim_env
