@@ -38,7 +38,7 @@ DEFAULTS = {
                 "lambda_h": None},
     "scheme": {"dt": 0.05, "t_end": 5.0, "snapshot_every": 5,
                "disable_gamma": False, "disable_field_nl": False},
-    "io": {"out_dir": ".", "cache_dir": None},
+    "io": {"out_dir": "."},
     "decay": {"m": 0, "l": 0.0, "l_star": None, "y_min": 0.02, "y_max": None,
               "n_y": 48, "t_end": 100.0, "fit_lo": 10.0, "fit_hi": 100.0,
               "data": "macroscopic"},
@@ -85,7 +85,6 @@ _RULES = [
     ("scheme", "disable_gamma", _is_bool, lambda v: True, "true or false"),
     ("scheme", "disable_field_nl", _is_bool, lambda v: True, "true or false"),
     ("io", "out_dir", _is_str, lambda v: True, "a non-empty string"),
-    ("io", "cache_dir", _is_str, lambda v: True, "null or a non-empty string"),
     ("decay", "m", _is_int, lambda v: v >= 0, "a nonnegative integer"),
     ("decay", "l", _is_number, lambda v: True, "a finite number"),
     ("decay", "l_star", _is_number, lambda v: v >= 0, "null or a nonnegative number"),
@@ -98,6 +97,7 @@ _RULES = [
     ("initial_data", "amplitude", _is_number, lambda v: True, "a finite number"),
     ("initial_data", "mode", _is_int, lambda v: v >= 1, "a positive integer"),
     ("initial_data", "asym", _is_number, lambda v: True, "a finite number"),
+    ("initial_data", "path", _is_str, lambda v: True, "null or a non-empty string"),
 ]
 
 
@@ -244,8 +244,7 @@ def read_snapshots(path):
 
 def _assembly_from(cfg, g):
     mw = maxwellian(g)
-    asm = CollisionAssembly(g, mw, cfg["physics"]["gamma"],
-                            sigma_cache_dir=cfg["io"]["cache_dir"])
+    asm = CollisionAssembly(g, mw, cfg["physics"]["gamma"])
     return mw, asm
 
 
@@ -332,7 +331,8 @@ def cmd_collision_check(cfg, out_dir, cfg_h):
     mw, asm = _assembly_from(cfg, g)
     res = asm.null_residuals()
     sig_fft = asm.sigma
-    sig_dir = assemble_sigma(g, mw, cfg["physics"]["gamma"], method="direct")
+    sig_dir = assemble_sigma(g, mw, cfg["physics"]["gamma"], method="direct",
+                             kit=asm._kit)
     sig_agree = float(np.abs(sig_fft - sig_dir).max())
     lam, prob = coercivity_probe(asm)
     report = {
@@ -364,6 +364,7 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
     st = _initial_field(cfg, g, mw, 1e-2, 0.5)
     for _ in range(int(round(0.5 / (base_dt / 4.0)))):
         spin.step(st)
+    del spin        # free its propagators before the study builds its own
     fstart = st.f.copy()
     horizon = 0.6
 
@@ -481,7 +482,6 @@ def build_parser():
     ap.add_argument("--K", type=int, default=None)
     ap.add_argument("--l", type=float, default=None)
     ap.add_argument("--disable-gamma", action="store_true", default=None)
-    ap.add_argument("--cache-dir", type=str, default=None)
     return ap
 
 
@@ -492,7 +492,7 @@ _FLAG_MAP = {
     "psi": ("physics", "psi_mode"), "m": ("decay", "m"),
     "K": ("physics", "K"), "l": ("physics", "l"),
     "disable_gamma": ("scheme", "disable_gamma"),
-    "cache_dir": ("io", "cache_dir"), "out": ("io", "out_dir"),
+    "out": ("io", "out_dir"),
 }
 
 

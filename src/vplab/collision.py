@@ -18,9 +18,6 @@ conjugated fourth-difference form (exact zero on sqrt_mu times cubics)
 restores a physical dissipation rate at the grid scale.
 """
 
-import os
-from pathlib import Path
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.linalg as sla
@@ -31,7 +28,6 @@ from .macroscopic import null_basis_raw, orthonormalize
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 STAB = 0.5      # strength of the odd-even stabilization form
-SIGMA_CACHE_VERSION = 1     # in the sigma-cache file name; bump when the table changes
 
 
 def pair_of(i, j):
@@ -170,20 +166,21 @@ class CollisionAssembly:
     grid, maxw : PhaseGrid, Maxwellian
     gamma : float
         Kernel exponent in [-3, 1].
-    sigma_cache_dir : str, optional
-        Directory for sigma tables keyed by (version, gamma, nv, vmax, eps_reg).
+
+    The kernel table is transformed once and its spectra serve sigma, K and
+    the bilinear term. The dense sectors (A + 2K, A) are built on the first
+    `dense_sectors` call and kept; the dense K they come from is not.
     """
 
-    def __init__(self, grid, maxw, gamma, sigma_cache_dir=None):
+    def __init__(self, grid, maxw, gamma):
         self.grid = grid
         self.maxw = maxw
         self.gamma = float(gamma)
         self.weight = VelocityWeight(grid, gamma)
         self.norms = NormSuite(grid)
         self.kernel = KernelTable(grid, gamma)
-        self.eps_reg = self.kernel.eps_reg
         self._kit = _ConvKit(grid, self.kernel)
-        self.sigma = self._sigma_cached(sigma_cache_dir)
+        self.sigma = assemble_sigma(grid, maxw, self.gamma, kit=self._kit)
 
         smu = maxw.sqrt_mu
         Ms = sp.diags(smu)
@@ -209,38 +206,7 @@ class CollisionAssembly:
         A = A - STAB * pen
         self.A = ((A + A.T) * 0.5).tocsr()
 
-        self._K_dense = None
         self._sectors = None
-
-    def _sigma_cached(self, cache_dir):
-        """sigma from the cache when the stored table is sound, else assembled.
-
-        A cached table is used only when it loads as a finite float64 array
-        of shape (6, n) that is positive semidefinite at every node; anything
-        else is recomputed and rewritten. The write
-        goes to a temporary file renamed into place, so a reader never sees
-        a partial table.
-        """
-        if cache_dir is None:
-            return assemble_sigma(self.grid, self.maxw, self.gamma, kit=self._kit)
-        key = (f"sigma_v{SIGMA_CACHE_VERSION}_g{self.gamma:+.6g}_nv{self.grid.nv}"
-               f"_vm{self.grid.vmax:.6g}_eps{self.eps_reg:.6g}.npy")
-        path = Path(cache_dir) / key
-        try:
-            sigma = np.load(path)
-            if (isinstance(sigma, np.ndarray) and sigma.shape == (6, self.grid.n)
-                    and sigma.dtype == np.float64 and np.isfinite(sigma).all()):
-                _check_psd(sigma)
-                return sigma
-        except (OSError, ValueError, EOFError):
-            pass
-        sigma = assemble_sigma(self.grid, self.maxw, self.gamma, kit=self._kit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "wb") as fh:
-            np.save(fh, sigma)
-        os.replace(tmp, path)
-        return sigma
 
     # -- K: integral part ---------------------------------------------------
 
@@ -253,8 +219,6 @@ class CollisionAssembly:
 
     def build_K_dense(self):
         """Materialize K as a dense matrix (feasible up to nv = 16)."""
-        if self._K_dense is not None:
-            return self._K_dense
         grid = self.grid
         smu = self.maxw.sqrt_mu
         idx = _pair_difference_index(grid.nv)
@@ -267,8 +231,7 @@ class CollisionAssembly:
             if i != j:
                 T = T + T.T
             K += T
-        self._K_dense = (K + K.T) * 0.5
-        return self._K_dense
+        return (K + K.T) * 0.5
 
     # -- application helpers -------------------------------------------------
 

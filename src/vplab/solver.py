@@ -302,15 +302,13 @@ def dt_phi_sup(state, IPf):
     return float(np.abs(np.fft.irfft(ph, n=grid.nx)).max())
 
 
-def energy_report(state, assembly, K, l, psi=None, projector=None):
+def energy_report(state, assembly, K, l, psi, projector=None):
     """Instant energy, high-order energy, and dissipation rate summands.
 
     Summands carry the weights w^{l-|alpha|-|beta|} and psi_{|alpha|+|beta|-3}
     exactly as displayed; the dissipation field part stops at |alpha| <= K-1
     and its (I-P) part uses sigma norms at matching weights.
     """
-    if psi is None:
-        psi = PsiWeight("one")
     grid, maxw = state.grid, state.maxw
     if projector is None:
         projector = MacroProjector(grid, maxw)

@@ -50,7 +50,7 @@ class SymbolTable:
     v_axis: np.ndarray
     eta_axis: np.ndarray
     values: np.ndarray
-    func: object = field(default=None, repr=False)
+    func: object = field(repr=False)
     params: dict = field(default_factory=dict)
     y: float = 0.0
 
@@ -58,7 +58,7 @@ class SymbolTable:
         return float(np.abs(self.values).max())
 
 
-def _grids(d, nv, vmax):
+def _grids(nv, vmax):
     if nv % 2 == 0:
         nv += 1           # odd point count keeps the frequency set symmetric
     hv = 2.0 * vmax / nv
@@ -97,7 +97,7 @@ def make_symbol(kind, gamma=-1.0, K0=1.0, delta1=0.5, y=1.0, d=1, nv=33,
     delta1 in (0, 1/2], delta2 = 1 - delta1, l0 = gamma delta2.
     """
     p = _check_params({"gamma": gamma, "K0": K0, "delta1": delta1})
-    v, eta = _grids(d, nv, vmax)
+    v, eta = _grids(nv, vmax)
     if kind == "custom":
         if custom is None:
             raise ValueError("custom symbol needs a callable")
@@ -147,20 +147,12 @@ def quantize(sym, t=0.5, hermitize=True):
         X = v[:, None]
         Y = v[None, :]
         mid = (1.0 - t) * X + t * Y
-        if sym.func is not None:
-            a_mid = sym.func(mid[:, :, None], eta[None, None, :])
-        else:
-            a_mid = np.stack([
-                np.interp(mid.ravel(), v, sym.values[:, k]).reshape(nv, nv)
-                for k in range(eta.size)
-            ], axis=-1)
+        a_mid = sym.func(mid[:, :, None], eta[None, None, :])
         phase = np.exp(2j * np.pi * (X - Y)[:, :, None] * eta[None, None, :])
         M = (a_mid * phase).sum(axis=-1) * deta * dv
     elif sym.d == 2:
         if nv > 32:
             raise ValueError(f"grid too large for a dense 2D kernel (nv={nv})")
-        if sym.func is None:
-            raise ValueError("2D quantization needs a symbol evaluator")
         deta = 1.0 / (nv * (v[1] - v[0]))
         dv = v[1] - v[0]
         n2 = nv * nv
@@ -200,18 +192,15 @@ def compose_first_order(a, b):
     db_e = np.gradient(b.values, b.eta_axis, axis=1)
     bracket = da_e * db_v - da_v * db_e
     vals = a.values * b.values + bracket / (4j * np.pi)
-    func = None
-    if a.func is not None and b.func is not None:
-        he = float(np.min(np.diff(a.eta_axis)))
-        af, bf = a.func, b.func
+    he = float(np.min(np.diff(a.eta_axis)))
 
-        def func(v, e, af=af, bf=bf, hv=dv, he=he):
-            # same centered stencil as the tabulated bracket, evaluable at
-            # the quantization midpoints
-            br = ((af(v, e + he) - af(v, e - he)) * (bf(v + hv, e) - bf(v - hv, e))
-                  - (af(v + hv, e) - af(v - hv, e)) * (bf(v, e + he) - bf(v, e - he))) \
-                / (4.0 * hv * he)
-            return af(v, e) * bf(v, e) + br / (4j * np.pi)
+    def func(v, e, af=a.func, bf=b.func, hv=dv, he=he):
+        # same centered stencil as the tabulated bracket, evaluable at
+        # the quantization midpoints
+        br = ((af(v, e + he) - af(v, e - he)) * (bf(v + hv, e) - bf(v - hv, e))
+              - (af(v + hv, e) - af(v - hv, e)) * (bf(v, e + he) - bf(v, e - he))) \
+            / (4.0 * hv * he)
+        return af(v, e) * bf(v, e) + br / (4j * np.pi)
 
     return SymbolTable(d=1, v_axis=a.v_axis, eta_axis=a.eta_axis, values=vals,
                        func=func, params=dict(a.params), y=a.y)

@@ -1,14 +1,16 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vplab import build_grid, maxwellian, make_initial_data
+from vplab import build_grid, cli, collision, maxwellian, make_initial_data
 from vplab.cli import main, config_hash, resolve_config, build_parser, \
-    read_snapshots, _validate, ConfigError
+    read_snapshots, _validate, ConfigError, DEFAULTS
 
 
 def run_cli(args):
@@ -120,19 +122,47 @@ def test_seed_changes_outputs(tmp_path):
     assert (out1 / "energy.csv").read_bytes() != (out2 / "energy.csv").read_bytes()
 
 
-def test_sigma_cache_roundtrip(tmp_path):
-    rc1 = run_cli(["collision-check", "--nv", "8", "--gamma", "-1",
-                   "--cache-dir", str(tmp_path / "cache"),
-                   "--out", str(tmp_path / "o1")])
-    cached = list((tmp_path / "cache").glob("sigma_*.npy"))
-    assert len(cached) == 1
-    rc2 = run_cli(["collision-check", "--nv", "8", "--gamma", "-1",
-                   "--cache-dir", str(tmp_path / "cache"),
-                   "--out", str(tmp_path / "o2")])
-    assert rc1 == rc2 == 0
-    a = (tmp_path / "o1" / "collision_report.json").read_bytes()
-    b = (tmp_path / "o2" / "collision_report.json").read_bytes()
-    assert a == b
+def test_cache_dir_flag_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["collision-check", "--cache-dir", str(tmp_path / "cache"),
+                 "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_collision_check_builds_one_kernel_table(tmp_path, monkeypatch):
+    # the direct sigma reuses the assembly's kernel table
+    built = []
+
+    class Counted(collision.KernelTable):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(collision, "KernelTable", Counted)
+    assert run_cli(["collision-check", "--nv", "8", "--gamma", "-1",
+                    "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+
+
+def test_moments_check_frees_spin_up_before_study(tmp_path, monkeypatch):
+    # each Simulation's propagators are released before the next one is built
+    live = weakref.WeakSet()
+    built = []
+
+    class Recording(cli.Simulation):
+        def __init__(self, *args, **kwargs):
+            if built:
+                gc.collect()
+                assert not live, f"{len(live)} earlier Simulation alive at build {len(built)}"
+            super().__init__(*args, **kwargs)
+            live.add(self)
+            built.append(1)
+
+    monkeypatch.setattr(cli, "Simulation", Recording)
+    assert run_cli(["moments-check", "--nv", "8", "--nx", "4", "--dt", "0.1",
+                    "--out", str(tmp_path)]) in (0, 1)
+    assert len(built) == 3      # spin-up, then the dt and dt/2 runs
 
 
 @pytest.mark.parametrize("args, body, key", [
@@ -171,6 +201,22 @@ def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
         args = args + ["--config", str(tmp_path / "c.json")]
     assert run_cli(args + ["--out", str(tmp_path / "o")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("block, key", [(b, k) for b, keys in DEFAULTS.items()
+                                         if isinstance(keys, dict) for k in keys]
+                         + [("seed", None)])
+def test_list_value_exit2_naming_key(tmp_path, capsys, block, key):
+    # every config key has a type rule, whatever the other keys hold
+    body = {"io": {"out_dir": str(tmp_path / "o")}}
+    if key is None:
+        body[block], name = [1], block
+    else:
+        body.setdefault(block, {})[key], name = [1], f"{block}.{key}"
+    (tmp_path / "c.json").write_text(json.dumps(body))
+    assert run_cli(["collision-check", "--config", str(tmp_path / "c.json")]) == 2
+    assert f"'{name}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

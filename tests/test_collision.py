@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe
-from vplab.collision import (GammaOp, KernelTable, SIGMA_CACHE_VERSION, pair_of,
-                             _pair_difference_index)
+from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index
 from vplab.macroscopic import MacroProjector
 
 
@@ -140,6 +139,16 @@ def test_K_matrix_free_matches_dense(grid8, maxw8):
     assert np.abs(asm.apply_K(H) - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+def test_dense_sectors_hold_two_matrices(asm8):
+    # (A + 2K, A) are kept; the dense K they are built from is not
+    asm8.dense_sectors()
+    n = asm8.grid.n
+    held = [a for v in vars(asm8).values()
+            for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray) and a.shape == (n, n)]
+    assert len(held) == 2
+
+
 def test_coercivity_probe(asm8):
     lam, rep = coercivity_probe(asm8)
     assert lam > 0
@@ -241,41 +250,6 @@ def test_coercivity_stable_under_refinement():
         asm = CollisionAssembly(g, maxwellian(g), 0.0)
         lams[nv], _ = coercivity_probe(asm)
     assert abs(lams[16] - lams[12]) / lams[16] < 0.2
-
-
-def test_sigma_cache_rejects_bad_tables(grid8, maxw8, tmp_path):
-    fresh = CollisionAssembly(grid8, maxw8, -1.0, sigma_cache_dir=tmp_path).sigma
-    (path,) = tmp_path.glob("sigma_*.npy")
-    bad_tables = [
-        b"not an npy file",
-        np.zeros((5, grid8.n)),
-        np.zeros((6, grid8.n), dtype=np.float32),
-        np.full((6, grid8.n), np.nan),
-        -np.ones((6, grid8.n)),
-    ]
-    for bad in bad_tables:
-        if isinstance(bad, bytes):
-            path.write_bytes(bad)
-        else:
-            np.save(path, bad)
-        sigma = CollisionAssembly(grid8, maxw8, -1.0, sigma_cache_dir=tmp_path).sigma
-        assert np.array_equal(sigma, fresh)
-        assert np.array_equal(np.load(path), fresh)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-
-def test_sigma_cache_key_carries_format_version(grid8, maxw8, tmp_path):
-    # a sound table under the unversioned key of an older format is not read
-    asm = CollisionAssembly(grid8, maxw8, -1.0)
-    fresh = asm.sigma
-    old = tmp_path / (f"sigma_g{-1.0:+.6g}_nv{grid8.nv}_vm{grid8.vmax:.6g}"
-                      f"_eps{asm.eps_reg:.6g}.npy")
-    np.save(old, 2.0 * fresh)
-    sigma = CollisionAssembly(grid8, maxw8, -1.0, sigma_cache_dir=tmp_path).sigma
-    assert np.array_equal(sigma, fresh)
-    new = tmp_path / f"sigma_v{SIGMA_CACHE_VERSION}_{old.name[len('sigma_'):]}"
-    assert sorted(tmp_path.iterdir()) == sorted([old, new])
-    assert np.array_equal(np.load(new), fresh)
 
 
 def test_assembly_transforms_kernel_once(grid8, maxw8, monkeypatch):
