@@ -357,23 +357,26 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
     The study uses its own data scale (amplitude 1e-2, species-asymmetric)
     so the time-discretization signal sits well above the quadrature floors.
     """
+    base_dt = cfg["scheme"]["dt"]
+    horizon = 0.6
+    steps = int(round(horizon / base_dt))
+    if steps < 2:
+        raise RuntimeError(f"scheme.dt = {base_dt:g} leaves {steps} step(s) in the {horizon:g} "
+                           "study window; the moment residuals need 2 (3 snapshots)")
     g = _simulation_grid(cfg)
     mw, asm = _assembly_from(cfg, g)
-    base_dt = cfg["scheme"]["dt"]
     spin = Simulation(asm, base_dt / 4.0)
     st = _initial_field(cfg, g, mw, 1e-2, 0.5)
     for _ in range(int(round(0.5 / (base_dt / 4.0)))):
         spin.step(st)
     del spin        # free its propagators before the study builds its own
     fstart = st.f.copy()
-    horizon = 0.6
 
     def rms_by_line(dt):
         simx = Simulation(asm, dt)
         stx = TwoSpeciesField(fstart.copy(), g, mw)
         snaps = simx.run(stx, dt * int(round(horizon / dt)), 1)
-        recs = moment_residuals(snaps, dt, g, mw, asm.apply_L, simx.forcing,
-                                simx.projector)
+        recs = moment_residuals(snaps, dt, simx.projector, asm.apply_L, simx.forcing)
         agg = {}
         for r in recs:
             agg.setdefault(r["equation_id"], []).append(r["l2_residual"] ** 2)
@@ -441,13 +444,17 @@ def cmd_symbols_check(cfg, out_dir, cfg_h):
 
 
 def cmd_energy_report(cfg, out_dir, cfg_h):
-    asm, _, reports = _run_with_energy(cfg, out_dir, cfg_h)
     sc = cfg["scheme"]
+    steps = int(round(sc["t_end"] / sc["dt"]))      # as Simulation.run counts them
+    if steps <= sc["snapshot_every"]:               # 1 + ceil(steps / every) snapshots
+        raise RuntimeError(f"scheme.t_end = {sc['t_end']:g} gives 2 snapshots ({steps} steps "
+                           f"of {sc['dt']:g}, one every {sc['snapshot_every']}); the "
+                           "inequality monitor needs 3")
+    asm, _, reports = _run_with_energy(cfg, out_dir, cfg_h)
     lam_h = cfg["physics"]["lambda_h"]
     if lam_h is None:
         lam_h, _ = coercivity_probe(asm)
-    dt_snap = sc["dt"] * sc["snapshot_every"]
-    mon = energy_inequality_monitor(reports, dt_snap, lam_h / 2.0)
+    mon = energy_inequality_monitor(reports, lam_h / 2.0)
     mon["lambda_h"] = lam_h
     write_json(out_dir / "inequality_report.json", mon, cfg_h)
     ok = np.isfinite(mon["C_cov"])
@@ -523,7 +530,7 @@ def main(argv=None):
     try:
         rc = COMMANDS[args.command](cfg, out_dir, cfg_h)
     except (RuntimeError, MemoryError) as e:
-        # CFL violation, smoothing blow-up, propagator memory budget
+        # CFL violation, blow-up, propagator memory budget, too few samples
         print(f"{args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     if rc != 0:

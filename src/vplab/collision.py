@@ -177,7 +177,7 @@ class CollisionAssembly:
         self.maxw = maxw
         self.gamma = float(gamma)
         self.weight = VelocityWeight(grid, gamma)
-        self.norms = NormSuite(grid)
+        self.norms = NormSuite(grid, self.weight)
         self.kernel = KernelTable(grid, gamma)
         self._kit = _ConvKit(grid, self.kernel)
         self.sigma = assemble_sigma(grid, maxw, self.gamma, kit=self._kit)
@@ -188,7 +188,8 @@ class CollisionAssembly:
         D = grid.dv_ops()
         self.C = [(Ms @ Dj @ Msi).tocsr() for Dj in D]
         self.CT = [Cj.T.tocsr() for Cj in self.C]
-        self.Ct_tilde = [(Msi @ Dj @ Ms).tocsr() for Dj in D]
+        # conjugated difference along the one active axis, for the field term
+        self.Ct_tilde = (Msi @ D[0] @ Ms).tocsr()
 
         A = None
         for (i, j) in PAIRS:
@@ -286,7 +287,7 @@ def coercivity_probe(assembly):
     the 3 smallest eigenvalues per sector. Raises if lambda_h <= 0.
     """
     grid = assembly.grid
-    S = assembly.norms.sigma_form(assembly.gamma, 0.0, assembly.weight).toarray()
+    S = assembly.norms.sigma_form(0.0).toarray()
     Ls, Ld = assembly.dense_sectors()
     ks, kd = assembly.sector_kernels()
     report = {"gamma": assembly.gamma, "nv": grid.nv, "sectors": {}}

@@ -188,15 +188,16 @@ class VelocityWeight:
 
 
 class NormSuite:
-    """Norm evaluators bound to a grid: L2_v, L2_{v,x}, sigma-norm, Z1.
+    """Norm evaluators bound to a grid and one velocity weight: sigma-norm, Z1.
 
     The sigma-norm uses the three-term weighted form (radially projected
     gradient with <v>^{gamma/2}, perpendicular gradient and zeroth term with
-    <v>^{(gamma+2)/2}), all carrying w^l.
+    <v>^{(gamma+2)/2}), all carrying w^l; gamma is the weight's.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, weight):
         self.grid = grid
+        self.weight = weight
         self._forms = {}
 
     def z1(self, f):
@@ -204,15 +205,14 @@ class NormSuite:
         l1x = np.sum(np.abs(f), axis=-2) * self.grid.dx
         return float(np.sqrt(np.sum(l1x ** 2) * self.grid.wv))
 
-    def sigma_form(self, gamma, l=0.0, weight=None):
-        """Sparse matrix S with |g|^2_{sigma,l} = Re(g* . S g) * wv (cached)."""
-        key = (float(gamma), float(l))
+    def sigma_form(self, l):
+        """Sparse matrix S with |g|^2_{sigma,l} = Re(g* . S g) * wv (cached per l)."""
+        key = float(l)
         if key in self._forms:
             return self._forms[key]
         grid = self.grid
-        if weight is None:
-            weight = VelocityWeight(grid, gamma)
-        w2l = weight.pow(l) ** 2
+        gamma = self.weight.gamma
+        w2l = self.weight.pow(l) ** 2
         av = 1.0 + grid.vsq          # <v>^2
         D = grid.dv_ops()
         vsq = grid.vsq
@@ -236,15 +236,15 @@ class NormSuite:
         self._forms[key] = S
         return S
 
-    def sigma(self, g, l=0.0, gamma=0.0, weight=None):
+    def sigma(self, g, l):
         """Sigma norm |g|_{sigma,l} of a single-species velocity field."""
-        S = self.sigma_form(gamma, l, weight)
+        S = self.sigma_form(l)
         val = np.real(np.vdot(g, S @ g)) * self.grid.wv
         return float(np.sqrt(max(val, 0.0)))
 
-    def sigma_sq_batch(self, G, l=0.0, gamma=0.0, weight=None):
+    def sigma_sq_batch(self, G, l):
         """Squared sigma norms of fields stacked along leading axes (..., n)."""
-        S = self.sigma_form(gamma, l, weight)
+        S = self.sigma_form(l)
         flat = G.reshape(-1, G.shape[-1])
         out = np.einsum("ij,ij->i", np.conj(flat), (S @ flat.T).T).real * self.grid.wv
         return out.reshape(G.shape[:-1])

@@ -185,8 +185,7 @@ def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):
     t = np.concatenate([[0.0], np.cumsum(np.full(steps, dt))])    # t += dt, in order
     ts = t[np.unique(np.r_[0:steps + 1:samp, steps])]
     Es = np.array([op.mode_energy(a, b, w2l) for a, b in zip(us, ud)])
-    Ds = asm.norms.sigma_sq_batch(np.stack([us, ud], axis=1), l, asm.gamma,
-                                  asm.weight).sum(axis=1)
+    Ds = asm.norms.sigma_sq_batch(np.stack([us, ud], axis=1), l).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.diff(Es) / np.where(Es[:-1] > 0, Es[:-1], 1.0)
     max_inc = float(rel.max()) if rel.size else 0.0

@@ -27,9 +27,9 @@ class MacroState:
 
 @dataclass
 class FieldState:
-    """Electric potential/field and charge density on the torus."""
+    """Potential, field E = -d_x phi (the one active axis) and charge density."""
     phi: np.ndarray          # (nx,)
-    E: np.ndarray            # (3, nx); only the first axis is active in 1D
+    E: np.ndarray            # (nx,)
     rho: np.ndarray          # (nx,)
     mean_rho: float = 0.0
 
@@ -101,14 +101,12 @@ class MacroProjector:
         return (self.zeta @ np.swapaxes(X, -1, -2)) * self.grid.wv
 
 
-def project_P(f, grid, maxw, projector=None):
-    """Split f into (MacroState, Pf, (I-P)f).
+def project_P(f, projector):
+    """Split f into (MacroState, Pf, (I-P)f) with a MacroProjector.
 
     The macroscopic coefficients follow the stated inner products; the split
     itself uses the orthonormalized basis (idempotent at grid level).
     """
-    if projector is None:
-        projector = MacroProjector(grid, maxw)
     f = np.asarray(f)
     Pf, IPf = projector.split(f)
     mf, mi = projector.moments(f), projector.moments(IPf)
@@ -142,15 +140,13 @@ def solve_poisson(rho, grid):
     ph = np.zeros_like(rh)
     ph[1:] = rh[1:] / k[1:] ** 2
     phi = np.fft.irfft(ph, n=grid.nx)
-    E1 = np.fft.irfft(-1j * k * ph, n=grid.nx)
-    E = np.zeros((3, grid.nx))
-    E[0] = E1
+    E = np.fft.irfft(-1j * k * ph, n=grid.nx)
     return FieldState(phi=phi, E=E, rho=rho, mean_rho=float(mean_rho))
 
 
 def div_E_residual(fs, grid):
     """Relative spectral residual of div E = rho (zero mode excluded)."""
-    divE = grid.ddx(fs.E[0])
+    divE = grid.ddx(fs.E)
     rho0 = fs.rho - fs.rho.mean()
     denom = np.linalg.norm(rho0)
     if denom == 0:
@@ -158,13 +154,14 @@ def div_E_residual(fs, grid):
     return float(np.linalg.norm(divE - rho0) / denom)
 
 
-def _moment_pack(f, grid, maxw, projector, apply_L, forcing):
+def _moment_pack(f, projector, apply_L, forcing):
     """All per-snapshot ingredients the residual lines need.
 
     Besides the state and the field, the pack holds the table moments
     (2, 17, nx) of (I-P)f, g, Lf, h and v_1 d_x (I-P)f.
     """
-    state, Pf, IPf = project_P(f, grid, maxw, projector)
+    grid = projector.grid
+    state, Pf, IPf = project_P(f, projector)
     fs = solve_poisson(state.a_plus - state.a_minus, grid)
     Lf = apply_L(f)
     g = forcing(f, fs)
@@ -176,12 +173,13 @@ def _moment_pack(f, grid, maxw, projector, apply_L, forcing):
             "L": mom(Lf), "h": mom(h), "trans": mom(grid.v[0] * dxf)}
 
 
-def moment_residuals(snapshots, dt, grid, maxw, apply_L, forcing, projector=None):
+def moment_residuals(snapshots, dt, projector, apply_L, forcing):
     """Discrete residuals of the moment evolution systems along a trajectory.
 
     Parameters
     ----------
     snapshots : list of (t, f) with f shaped (2, nx, n) at uniform spacing dt
+    projector : MacroProjector; its grid is the grid of the snapshots
     apply_L : callable f -> Lf
     forcing : callable (f, FieldState) -> g, the nonlinear forcing as the
         time stepper discretizes it (zeroed parts excluded).
@@ -192,12 +190,9 @@ def moment_residuals(snapshots, dt, grid, maxw, apply_L, forcing, projector=None
     """
     if len(snapshots) < 3:
         raise ValueError("moment residuals need at least 3 consecutive snapshots")
-    if projector is None:
-        projector = MacroProjector(grid, maxw)
-    packs = [_moment_pack(f, grid, maxw, projector, apply_L, forcing)
-             for _, f in snapshots]
+    packs = [_moment_pack(f, projector, apply_L, forcing) for _, f in snapshots]
     times = [t for t, _ in snapshots]
-    ddx = grid.ddx
+    ddx = projector.grid.ddx
     records = []
 
     def emit(eq, t, r):
@@ -215,7 +210,7 @@ def moment_residuals(snapshots, dt, grid, maxw, apply_L, forcing, projector=None
         def dt_of(extract):
             return (extract(pp) - extract(pm)) / (2.0 * dt)
         st = p0["state"]
-        E1 = p0["field"].E[0]
+        E1 = p0["field"].E
         a = (st.a_plus, st.a_minus)
         ipf, mg, mh, tr = p0["ipf"], p0["g"], p0["h"], p0["trans"]
         mLg = p0["L"] + mg

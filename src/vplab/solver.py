@@ -27,6 +27,8 @@ PROPAGATOR_BUDGET_BYTES = 1_500_000_000
 # Largest allowed field CFL number and largest allowed ratio of a nonlinear
 # half-step's max|increment| to the max|f| it starts from.
 STABILITY_LIMIT = 1.0
+# Smoothing exponent N of the t^N time weight below the order rule's range
+N_DEFAULT = 20.0
 
 
 class PsiWeight:
@@ -34,14 +36,13 @@ class PsiWeight:
 
     N follows the order rule for x-derivative counts above three, with the
     exponent delta_1 picked as the largest value in (0, 1/2] compatible with
-    the mixed-order constraint; below that order N defaults to n_default.
+    the mixed-order constraint; below that order N is N_DEFAULT.
     """
 
-    def __init__(self, mode="one", n_default=20.0):
+    def __init__(self, mode="one"):
         if mode not in ("one", "tn"):
             raise ValueError("psi mode must be 'one' or 'tn'")
         self.mode = mode
-        self.n_default = float(n_default)
 
     def delta1(self, a, b):
         """Largest delta_1 in (0, 1/2] satisfying the mixed-order constraint."""
@@ -55,7 +56,7 @@ class PsiWeight:
     def N_of(self, a, b=0):
         """Smoothing exponent N(alpha) for |alpha| = a (default rule below 4)."""
         if a <= 3:
-            return self.n_default
+            return N_DEFAULT
         d1 = self.delta1(a, b)
         return (2.0 * a / d1 + 1.0) / (2.0 * (a - 3.0))
 
@@ -200,8 +201,8 @@ class Simulation:
         """
         g = np.zeros_like(f)
         if not self.disable_field_nl:
-            dphi = -fs.E[0]                     # d_x phi
-            ct = self.asm.Ct_tilde[0]
+            dphi = -fs.E                        # d_x phi
+            ct = self.asm.Ct_tilde
             adv = np.stack([self.asm._apply_sp(ct, f[0]), self.asm._apply_sp(ct, f[1])])
             # one-sided stencils at the box faces leak a small mass moment;
             # the continuum term has none, so project it out per species
@@ -225,7 +226,7 @@ class Simulation:
             return
         fs = state.field()
         if not self.disable_field_nl:
-            cfl = self.dt * np.abs(fs.E[0]).max() / self.grid.hv
+            cfl = self.dt * np.abs(fs.E).max() / self.grid.hv
             if cfl > STABILITY_LIMIT:
                 raise RuntimeError(f"CFL violation: |dphi| dt / hv = {cfl:.3f}")
         k1 = self.forcing(state.f, fs)
@@ -342,7 +343,7 @@ def energy_report(state, assembly, K, l, psi, projector=None):
             outs.append(np.fft.irfft(cur, n=grid.nx))
         return outs
 
-    E_list = x_derivs(fs.E[0], K)
+    E_list = x_derivs(fs.E, K)
     summands = {}
     E_tot = Eh_tot = D_tot = 0.0
 
@@ -400,8 +401,7 @@ def energy_report(state, assembly, K, l, psi, projector=None):
             E_tot += val
             Eh_tot += val
             sig = pw * float(
-                norms.sigma_sq_batch(da.reshape(-1, grid.n), l - a - nb,
-                                     assembly.gamma, weight).sum() * dx_measure
+                norms.sigma_sq_batch(da.reshape(-1, grid.n), l - a - nb).sum() * dx_measure
             )
             summands[f"D_IPf|{tag}"] = sig
             D_tot += sig
@@ -432,18 +432,22 @@ def running_X(reports, gamma):
     return np.array(out)
 
 
-def energy_inequality_monitor(reports, dt_snap, lam, coverage=0.99):
+def energy_inequality_monitor(reports, lam):
     """Discrete check of d_t E + lam D <= C ||d_t phi||_inf E along a run.
 
-    Returns the smallest constants covering all snapshots (C_full) and the
-    requested coverage fraction (C_cov), with the per-snapshot data.
+    d_t E is the centred difference over the reports' own times t, so a
+    short last interval is divided by its true length. Returns the smallest
+    constants covering all interior snapshots (C_full) and 99 % of them
+    (C_cov), with the per-snapshot data.
     """
     if len(reports) < 3:
         raise ValueError("inequality monitor needs at least 3 snapshots")
+    coverage = 0.99
+    t = np.array([r.t for r in reports])
     E = np.array([r.E_total for r in reports])
     Dv = np.array([r.D_total for r in reports])
     dphi = np.array([r.dtphi_inf for r in reports])
-    lhs = (E[2:] - E[:-2]) / (2.0 * dt_snap) + lam * Dv[1:-1]
+    lhs = (E[2:] - E[:-2]) / (t[2:] - t[:-2]) + lam * Dv[1:-1]
     rhs_base = dphi[1:-1] * E[1:-1]
     need = np.where(lhs <= 0, 0.0,
                     np.where(rhs_base > 0, lhs / np.where(rhs_base > 0, rhs_base, 1.0),

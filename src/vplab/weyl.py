@@ -4,13 +4,15 @@ Symbols live on a velocity grid times the DFT frequency grid of the same
 box, with the 2pi-in-the-exponent Fourier convention, so op_t(a) has kernel
 K(x, x') = sum_k exp(2 pi i (x - x') eta_k) a((1-t)x + t x', eta_k) d_eta,
 and a == 1 quantizes to the exact identity. Quantization runs in reduced
-dimension d in {1, 2}; the smoothing-proof symbols are evaluated pointwise
-in any dimension.
+dimension d = 1; the smoothing-proof symbols are evaluated pointwise in
+any dimension.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+VMAX = 6.0      # half-width of the velocity interval of every symbol table
 
 
 def chi0(z):
@@ -46,7 +48,6 @@ def _check_params(params):
 @dataclass
 class SymbolTable:
     """Tabulated symbol a(v, eta) with its evaluator and parameters."""
-    d: int
     v_axis: np.ndarray
     eta_axis: np.ndarray
     values: np.ndarray
@@ -58,11 +59,11 @@ class SymbolTable:
         return float(np.abs(self.values).max())
 
 
-def _grids(nv, vmax):
+def _grids(nv):
     if nv % 2 == 0:
         nv += 1           # odd point count keeps the frequency set symmetric
-    hv = 2.0 * vmax / nv
-    v = -vmax + (np.arange(nv) + 0.5) * hv
+    hv = 2.0 * VMAX / nv
+    v = -VMAX + (np.arange(nv) + 0.5) * hv
     eta = np.sort(np.fft.fftfreq(nv, d=hv))
     return v, eta
 
@@ -88,8 +89,7 @@ def _symbol_funcs(kind, p, y):
     raise ValueError(f"unknown symbol kind: {kind!r}")
 
 
-def make_symbol(kind, gamma=-1.0, K0=1.0, delta1=0.5, y=1.0, d=1, nv=33,
-                vmax=6.0, custom=None):
+def make_symbol(kind, gamma=-1.0, K0=1.0, delta1=0.5, y=1.0, nv=33, custom=None):
     """Tabulate one of the smoothing-proof symbols (or a custom callable).
 
     Kinds: "a_tilde" (admissible weight), "b_tilde", "chi" (cutoff),
@@ -97,27 +97,18 @@ def make_symbol(kind, gamma=-1.0, K0=1.0, delta1=0.5, y=1.0, d=1, nv=33,
     delta1 in (0, 1/2], delta2 = 1 - delta1, l0 = gamma delta2.
     """
     p = _check_params({"gamma": gamma, "K0": K0, "delta1": delta1})
-    v, eta = _grids(nv, vmax)
+    v, eta = _grids(nv)
     if kind == "custom":
         if custom is None:
             raise ValueError("custom symbol needs a callable")
         func = custom
     else:
         func = _symbol_funcs(kind, p, y)
-    if d == 1:
-        V, H = np.meshgrid(v, eta, indexing="ij")
-        vals = func(V, H)
-    elif d == 2:
-        # radial evaluator: tabulate on (|v|, |eta|) over the product grid
-        V1, V2 = np.meshgrid(v, v, indexing="ij")
-        H1, H2 = np.meshgrid(eta, eta, indexing="ij")
-        vals = func(np.sqrt(V1 ** 2 + V2 ** 2)[:, :, None, None],
-                    np.sqrt(H1 ** 2 + H2 ** 2)[None, None, :, :])
-    else:
-        raise ValueError("quantizable symbols support d in {1, 2}")
+    V, H = np.meshgrid(v, eta, indexing="ij")
+    vals = func(V, H)
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol table has non-finite entries")
-    return SymbolTable(d=d, v_axis=v, eta_axis=eta, values=np.asarray(vals),
+    return SymbolTable(v_axis=v, eta_axis=eta, values=np.asarray(vals),
                        func=func, params=p, y=float(y))
 
 
@@ -129,48 +120,29 @@ class QuantizedOperator:
     hermiticity_defect: float
 
 
-def quantize(sym, t=0.5, hermitize=True):
+def quantize(sym, t=0.5):
     """Dense op_t(a), t in {0, 1/2}; midpoint quadrature over the eta grid.
 
     Weyl quantization (t = 1/2) of a real symbol is hermitized after
-    quadrature. Raises above 64 velocity points (32 per axis in 2D).
+    quadrature; `hermiticity_defect` is measured before. Raises above 64
+    velocity points.
     """
     if t not in (0.0, 0.5):
         raise ValueError("quantization supports t in {0, 1/2}")
     v, eta = sym.v_axis, sym.eta_axis
     nv = v.size
-    if sym.d == 1:
-        if nv > 64:
-            raise ValueError(f"grid too large for a dense kernel (nv={nv})")
-        deta = 1.0 / (nv * (v[1] - v[0]))
-        dv = v[1] - v[0]
-        X = v[:, None]
-        Y = v[None, :]
-        mid = (1.0 - t) * X + t * Y
-        a_mid = sym.func(mid[:, :, None], eta[None, None, :])
-        phase = np.exp(2j * np.pi * (X - Y)[:, :, None] * eta[None, None, :])
-        M = (a_mid * phase).sum(axis=-1) * deta * dv
-    elif sym.d == 2:
-        if nv > 32:
-            raise ValueError(f"grid too large for a dense 2D kernel (nv={nv})")
-        deta = 1.0 / (nv * (v[1] - v[0]))
-        dv = v[1] - v[0]
-        n2 = nv * nv
-        V1, V2 = np.meshgrid(v, v, indexing="ij")
-        P = np.stack([V1.ravel(), V2.ravel()])          # (2, n2)
-        M = np.zeros((n2, n2), dtype=complex)
-        diff1 = P[0][:, None] - P[0][None, :]
-        diff2 = P[1][:, None] - P[1][None, :]
-        mid1 = (1.0 - t) * P[0][:, None] + t * P[0][None, :]
-        mid2 = (1.0 - t) * P[1][:, None] + t * P[1][None, :]
-        rmid = np.sqrt(mid1 ** 2 + mid2 ** 2)
-        for e1 in eta:
-            for e2 in eta:
-                a_mid = sym.func(rmid, np.hypot(e1, e2))
-                M += a_mid * np.exp(2j * np.pi * (diff1 * e1 + diff2 * e2))
-        M *= deta ** 2 * dv ** 2
+    if nv > 64:
+        raise ValueError(f"grid too large for a dense kernel (nv={nv})")
+    deta = 1.0 / (nv * (v[1] - v[0]))
+    dv = v[1] - v[0]
+    X = v[:, None]
+    Y = v[None, :]
+    mid = (1.0 - t) * X + t * Y
+    a_mid = sym.func(mid[:, :, None], eta[None, None, :])
+    phase = np.exp(2j * np.pi * (X - Y)[:, :, None] * eta[None, None, :])
+    M = (a_mid * phase).sum(axis=-1) * deta * dv
     defect = float(np.abs(M - M.conj().T).max())
-    if hermitize and t == 0.5 and np.isrealobj(sym.values):
+    if t == 0.5 and np.isrealobj(sym.values):
         M = 0.5 * (M + M.conj().T)
     return QuantizedOperator(matrix=M, t=t, hermiticity_defect=defect)
 
@@ -181,8 +153,6 @@ def compose_first_order(a, b):
     The Poisson bracket uses second-order finite differences on the
     tabulated (v, eta) grid (one-sided at the edges).
     """
-    if a.d != 1 or b.d != 1:
-        raise ValueError("first-order composition is tabulated for d = 1")
     if a.values.shape != b.values.shape:
         raise ValueError("symbols must share a grid")
     dv = a.v_axis[1] - a.v_axis[0]
@@ -202,7 +172,7 @@ def compose_first_order(a, b):
             / (4.0 * hv * he)
         return af(v, e) * bf(v, e) + br / (4j * np.pi)
 
-    return SymbolTable(d=1, v_axis=a.v_axis, eta_axis=a.eta_axis, values=vals,
+    return SymbolTable(v_axis=a.v_axis, eta_axis=a.eta_axis, values=vals,
                        func=func, params=dict(a.params), y=a.y)
 
 
@@ -309,8 +279,9 @@ def sigma_norm_1d(f, v, gamma):
     return float(np.sqrt(val))
 
 
-def atilde_sigma_bound_check(gamma=-1.0, n_fields=50):
+def atilde_sigma_bound_check(gamma=-1.0):
     """Measured constant in ||(a_tilde^{1/2})^w f|| <= C |f|_{sigma,0} (1D), K0 = 1."""
+    n_fields = 50               # seeded random real fields; C is their largest ratio
     sym = make_symbol("custom", gamma=gamma,
                       custom=lambda v, eta: np.sqrt(
                           (1.0 + v ** 2) ** (gamma / 2.0)

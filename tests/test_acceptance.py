@@ -69,7 +69,7 @@ def test_criterion_02_coercivity():
         ok &= lam > 0
         grid = asm.grid
         proj = MacroProjector(grid, asm.maxw)
-        S = asm.norms.sigma_form(asm.gamma, 0.0, asm.weight)
+        S = asm.norms.sigma_form(0.0)
         rng = np.random.default_rng(np.random.Philox(key=2))
         worst = np.inf
         for _ in range(100):
@@ -184,8 +184,7 @@ def test_criterion_07_moment_residual_order():
         simx = Simulation(asm, dt)
         stx = TwoSpeciesField(fstart.copy(), g, mw)
         snaps = simx.run(stx, dt * int(round(0.6 / dt)), 1)
-        recs = moment_residuals(snaps, dt, g, mw, asm.apply_L, simx.forcing,
-                                proj)
+        recs = moment_residuals(snaps, dt, proj, asm.apply_L, simx.forcing)
         agg = {}
         for r in recs:
             agg.setdefault(r["equation_id"], []).append(r["l2_residual"] ** 2)
@@ -236,7 +235,7 @@ def test_criterion_09_energy_inequality(asm8):
     sim.run(st, 10.0, snapshot_every=2,
             callback=lambda s: reports.append(
                 energy_report(s, asm8, 3, 3.0, psi, sim.projector)))
-    mon = energy_inequality_monitor(reports, 0.1, lam_h / 2.0, coverage=0.99)
+    mon = energy_inequality_monitor(reports, lam_h / 2.0)
     ok = (np.isfinite(mon["C_cov"])
           and mon["fraction_satisfied_at_C_cov"] >= 0.99)
     _report(9, ok, f"(lambda, C) = ({lam_h/2:.4f}, {mon['C_cov']:.3g}), "

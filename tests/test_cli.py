@@ -233,6 +233,10 @@ def test_list_value_exit2_naming_key(tmp_path, capsys, block, key):
     # no fit time between fit_lo and fit_hi
     (["decay"], {"grid": {"nx": 8}, "decay": {"n_y": 4, "t_end": 20, "fit_lo": 10.0,
                                               "fit_hi": 10.01}}, "decay.fit_lo"),
+    # two snapshots (t = 0, 0.1) for the three-point inequality monitor
+    (["energy-report", "--nx", "8", "--t-end", "0.1"], None, "scheme.t_end"),
+    # one step in the 0.6 window of the moments study, two snapshots
+    (["moments-check", "--nv", "8", "--nx", "4", "--dt", "0.5"], None, "scheme.dt"),
 ])
 def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
     if body is not None:
@@ -245,6 +249,20 @@ def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
     assert message in r.stderr
     assert "Traceback" not in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_inequality_monitor_uses_snapshot_times(tmp_path):
+    # snapshots at t = 0, 0.25, 0.5, 0.75, 1.0, 1.1: the last interval is short
+    assert run_cli(["energy-report", "--nx", "8", "--t-end", "1.1",
+                    "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "energy.csv").read_text().splitlines()[1:]
+    header = rows[0].split(",")
+    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    t, E, D = (data[:, header.index(k)] for k in ("t", "E_total", "D_total"))
+    assert np.allclose(t, [0.0, 0.25, 0.5, 0.75, 1.0, 1.1], rtol=0, atol=1e-12)
+    mon = json.loads((tmp_path / "inequality_report.json").read_text())
+    lhs = (E[2:] - E[:-2]) / (t[2:] - t[:-2]) + mon["lambda_h"] / 2.0 * D[1:-1]
+    np.testing.assert_allclose(mon["lhs"], lhs, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("command", ["simulate", "energy-report", "moments-check"])

@@ -77,20 +77,20 @@ def test_velocity_weight_branches(grid8):
 
 
 def test_sigma_norm_zero_and_homogeneity(grid8, maxw8):
-    ns = NormSuite(grid8)
-    assert ns.sigma(np.zeros(grid8.n), 0.0, 0.0) == 0.0
+    ns = NormSuite(grid8, VelocityWeight(grid8, 0.0))
+    assert ns.sigma(np.zeros(grid8.n), 0.0) == 0.0
     rng = np.random.default_rng(1)
     gfield = rng.standard_normal(grid8.n) * maxw8.sqrt_mu
-    s1 = ns.sigma(gfield, 1.0, 0.0)
-    s2 = ns.sigma(-2.5 * gfield, 1.0, 0.0)
+    s1 = ns.sigma(gfield, 1.0)
+    s2 = ns.sigma(-2.5 * gfield, 1.0)
     assert s2 == pytest.approx(2.5 * s1, rel=1e-12)
 
 
 def test_sigma_norm_dominates_weighted_l2(grid8, maxw8):
     # gamma = 0, l = 0: the zeroth term alone is ||<v> g||^2
-    ns = NormSuite(grid8)
+    ns = NormSuite(grid8, VelocityWeight(grid8, 0.0))
     gfield = (1 + grid8.vsq) * maxw8.sqrt_mu
-    val = ns.sigma(gfield, 0.0, 0.0)
+    val = ns.sigma(gfield, 0.0)
     low = np.sqrt(np.sum((1 + grid8.vsq) * gfield ** 2) * grid8.wv)
     assert val >= low
 
@@ -99,8 +99,8 @@ def test_sigma_norm_sqrt_mu_against_radial_quadrature():
     # gamma = -3, l = 0: P_v grad sqrt_mu = -(v/2) sqrt_mu, perpendicular 0
     g = build_grid(nv=24, vmax=6.0, nx=8)
     mw = maxwellian(g)
-    ns = NormSuite(g)
-    val = ns.sigma(mw.sqrt_mu, 0.0, -3.0)
+    ns = NormSuite(g, VelocityWeight(g, -3.0))
+    val = ns.sigma(mw.sqrt_mu, 0.0)
     mu_r = lambda r: (2 * np.pi) ** -1.5 * np.exp(-r * r / 2)
     t1, _ = quad(lambda r: 4 * np.pi * r ** 2 * (1 + r * r) ** -1.5
                  * (r * r / 4) * mu_r(r), 0, 6.0)
@@ -114,9 +114,9 @@ def test_sigma_norm_second_order_refinement():
     vals = {}
     for nv in (16, 24, 32):
         g = build_grid(nv=nv, vmax=6.0, nx=8)
-        ns = NormSuite(g)
+        ns = NormSuite(g, VelocityWeight(g, 0.0))
         gfield = np.exp(-g.vsq / 3.0) * (1 + g.v[0])
-        vals[nv] = ns.sigma(gfield, 0.0, 0.0)
+        vals[nv] = ns.sigma(gfield, 0.0)
     d1 = abs(vals[16] - vals[24])
     d2 = abs(vals[24] - vals[32])
     expected = (1 / 16 ** 2 - 1 / 24 ** 2) / (1 / 24 ** 2 - 1 / 32 ** 2)
@@ -124,7 +124,7 @@ def test_sigma_norm_second_order_refinement():
 
 
 def test_z1_factorization(grid8, maxw8):
-    ns = NormSuite(grid8)
+    ns = NormSuite(grid8, VelocityWeight(grid8, 0.0))
     alpha = 1.0 + 0.3 * np.sin(grid8.x)
     beta = maxw8.sqrt_mu * (1 + grid8.v[1])
     f = np.stack([alpha[:, None] * beta[None, :],

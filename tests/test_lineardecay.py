@@ -93,8 +93,7 @@ def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
             us, ud = (from_real(w) for w in ws)
             ts.append(t)
             Es.append(op.mode_energy(us, ud, w2l))
-            Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0, asm8.gamma,
-                                                asm8.weight).sum())
+            Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0).sum())
         if k < steps:
             ws = [real_matvec(P, w) for P, w in zip(op.propagators(dt), ws)]
             t += dt

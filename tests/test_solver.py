@@ -78,7 +78,7 @@ def test_orthogonality_preserved(sim_env):
     for _ in range(10):
         sim.step(st)
     _, Pf, IPf = __import__("vplab.macroscopic", fromlist=["project_P"]) \
-        .project_P(st.f, g, mw, sim.projector)
+        .project_P(st.f, sim.projector)
     inner = abs(np.sum(Pf * IPf) * g.wv * g.dx)
     norm = np.sum(st.f ** 2) * g.wv * g.dx
     assert inner < 1e-10 * norm
@@ -110,7 +110,7 @@ def test_pure_macroscopic_data_has_zero_fluctuation_summands(sim_env):
 
 
 def test_psi_weight_rules():
-    psi = PsiWeight("tn", n_default=20.0)
+    psi = PsiWeight("tn")
     assert psi.psi_k(0.5, 0) == 1.0
     assert psi.psi_k(0.5, -2) == 1.0
     assert psi.psi_k(0.0, 1) == 0.0
@@ -179,17 +179,17 @@ def test_inequality_monitor_trivial_and_structure(sim_env):
     g, mw, asm, sim = sim_env
 
     class R:
-        def __init__(s, E, D, p):
-            s.E_total, s.D_total, s.dtphi_inf = E, D, p
+        def __init__(s, t, E, D, p):
+            s.t, s.E_total, s.D_total, s.dtphi_inf = t, E, D, p
 
-    rows = [R(1.0 - 0.1 * k, 0.01, 0.1) for k in range(5)]
-    mon = energy_inequality_monitor(rows, 0.1, lam=0.0)
+    rows = [R(0.1 * k, 1.0 - 0.1 * k, 0.01, 0.1) for k in range(5)]
+    mon = energy_inequality_monitor(rows, lam=0.0)
     assert mon["C_full"] == 0.0                      # strictly decreasing E
-    rows = [R(1.0, 0.5, 0.2) for _ in range(5)]      # flat E, lam D > 0
-    mon = energy_inequality_monitor(rows, 0.1, lam=1.0)
+    rows = [R(0.1 * k, 1.0, 0.5, 0.2) for k in range(5)]     # flat E, lam D > 0
+    mon = energy_inequality_monitor(rows, lam=1.0)
     assert np.isfinite(mon["C_cov"]) and mon["C_cov"] > 0
     with pytest.raises(ValueError):
-        energy_inequality_monitor(rows[:2], 0.1, 1.0)
+        energy_inequality_monitor(rows[:2], 1.0)
 
 
 def test_running_X_monotone(sim_env):

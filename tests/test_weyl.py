@@ -78,10 +78,9 @@ def test_quantize_identity_multiplication_derivative():
 
 def test_weyl_hermitian_for_real_symbols():
     th = make_symbol("theta", gamma=-1.0, y=2.0)
-    op = quantize(th, 0.5, hermitize=False)
-    assert op.hermiticity_defect < 1e-10
-    op2 = quantize(th, 0.5)
-    assert np.abs(op2.matrix - op2.matrix.conj().T).max() < 1e-15
+    op = quantize(th, 0.5)
+    assert op.hermiticity_defect < 1e-10          # measured before hermitizing
+    assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-15
 
 
 def test_op0_equals_weyl_on_diagonal_symbols():
@@ -89,14 +88,6 @@ def test_op0_equals_weyl_on_diagonal_symbols():
     assert np.abs(quantize(vs, 0.0).matrix - quantize(vs, 0.5).matrix).max() < 1e-10
     es = make_symbol("custom", custom=lambda v, e: np.ones_like(v) * np.cos(e))
     assert np.abs(quantize(es, 0.0).matrix - quantize(es, 0.5).matrix).max() < 1e-10
-
-
-def test_quantize_2d_identity():
-    one = make_symbol("custom", d=2, nv=9,
-                      custom=lambda v, e: np.ones_like(v * e))
-    op = quantize(one, 0.5)
-    n2 = op.matrix.shape[0]
-    assert np.abs(op.matrix - np.eye(n2)).max() < 1e-6
 
 
 def test_quantize_caps():
@@ -186,7 +177,7 @@ def test_theta_norm_sweep_bounded():
 
 
 def test_atilde_halfpower_sigma_bound():
-    rep = atilde_sigma_bound_check(gamma=-1.0, n_fields=50)
+    rep = atilde_sigma_bound_check(gamma=-1.0)
     assert np.isfinite(rep["C_measured"])
     assert rep["C_measured"] < 10.0
 
