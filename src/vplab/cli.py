@@ -155,13 +155,17 @@ def _validate(cfg, overrides=()):
     if out["initial_data"]["kind"] not in ("macroscopic", "noise", "file"):
         raise ConfigError(
             "config key 'initial_data.kind' must be 'macroscopic', 'noise' or 'file'")
-    if out["initial_data"]["kind"] == "file":
-        _check_initial_file(out["initial_data"]["path"], out["grid"])
     return out
 
 
-def _check_initial_file(path, grid):
-    """Refuse an initial-data file that `make_initial_data` could not use."""
+def _read_initial_file(cfg):
+    """The array f of the initial-data file, or None unless initial_data.kind is 'file'.
+
+    The file is read once, here, and refused unless `make_initial_data` can use it.
+    """
+    if cfg["initial_data"]["kind"] != "file":
+        return None
+    path, grid = cfg["initial_data"]["path"], cfg["grid"]
     shape = (2, grid["nx"], grid["nv"] ** 3)
     what = (f"config key 'initial_data.path' must name an .npz file holding a finite "
             f"array f of shape {shape} when initial_data.kind is 'file'")
@@ -174,6 +178,7 @@ def _check_initial_file(path, grid):
         raise ConfigError(f"{what}: {type(e).__name__}: {e}")
     if f.shape != shape or f.dtype.kind not in "fiu" or not np.all(np.isfinite(f)):
         raise ConfigError(f"{what}; {path} holds f of shape {f.shape}, dtype {f.dtype}")
+    return f
 
 
 def config_hash(cfg):
@@ -255,14 +260,14 @@ def _simulation_grid(cfg):
     return g
 
 
-def _initial_field(cfg, g, mw, amplitude, asym):
+def _initial_field(cfg, g, mw, amplitude, asym, f_file):
     idc = cfg["initial_data"]
     f0 = make_initial_data(g, mw, idc["kind"], amplitude, idc["mode"], asym,
-                           cfg["seed"], idc["path"])
+                           cfg["seed"], f_file)
     return TwoSpeciesField(f0, g, mw)
 
 
-def _run_with_energy(cfg, out_dir, cfg_h):
+def _run_with_energy(cfg, out_dir, cfg_h, f_file):
     """Run the configured trajectory, one energy report per snapshot; write energy.csv."""
     g = _simulation_grid(cfg)
     mw, asm = _assembly_from(cfg, g)
@@ -270,7 +275,7 @@ def _run_with_energy(cfg, out_dir, cfg_h):
     sim = Simulation(asm, sc["dt"], disable_gamma=sc["disable_gamma"],
                      disable_field_nl=sc["disable_field_nl"])
     idc = cfg["initial_data"]
-    state = _initial_field(cfg, g, mw, idc["amplitude"], idc["asym"])
+    state = _initial_field(cfg, g, mw, idc["amplitude"], idc["asym"], f_file)
     psi = PsiWeight(cfg["physics"]["psi_mode"])
     K, l = cfg["physics"]["K"], cfg["physics"]["l"]
     reports = []
@@ -289,8 +294,8 @@ def _run_with_energy(cfg, out_dir, cfg_h):
     return asm, snaps, reports
 
 
-def cmd_simulate(cfg, out_dir, cfg_h):
-    _, snaps, reports = _run_with_energy(cfg, out_dir, cfg_h)
+def cmd_simulate(cfg, out_dir, cfg_h, f_file):
+    _, snaps, reports = _run_with_energy(cfg, out_dir, cfg_h, f_file)
     times = np.array([t for t, _ in snaps])
     fields = np.stack([f for _, f in snaps])
     write_snapshots(out_dir / "snapshots.npz",
@@ -306,7 +311,7 @@ def cmd_simulate(cfg, out_dir, cfg_h):
     return 0
 
 
-def cmd_decay(cfg, out_dir, cfg_h):
+def cmd_decay(cfg, out_dir, cfg_h, f_file):
     _, asm = _assembly_from(cfg, build_grid(**cfg["grid"]))
     dc = cfg["decay"]
     report, trajs = whole_space_decay(
@@ -326,7 +331,7 @@ def cmd_decay(cfg, out_dir, cfg_h):
     return 0 if ok else 1
 
 
-def cmd_collision_check(cfg, out_dir, cfg_h):
+def cmd_collision_check(cfg, out_dir, cfg_h, f_file):
     g = build_grid(**cfg["grid"])
     mw, asm = _assembly_from(cfg, g)
     res = asm.null_residuals()
@@ -334,23 +339,31 @@ def cmd_collision_check(cfg, out_dir, cfg_h):
     sig_dir = assemble_sigma(g, mw, cfg["physics"]["gamma"], method="direct",
                              kit=asm._kit)
     sig_agree = float(np.abs(sig_fft - sig_dir).max())
-    lam, prob = coercivity_probe(asm)
+    lam, prob = coercivity_probe(asm)       # raises unless lambda_h > 0
+    # the probe reads K through apply_K, the mode propagators through one
+    # dense K: compare the two on 4 seeded fields (the dense K is not kept)
+    rng = np.random.default_rng(np.random.Philox(key=cfg["seed"]))
+    H = rng.standard_normal((4, g.n)) * mw.sqrt_mu
+    k_ref = H @ asm.build_K_dense().T
+    k_agree = float(np.abs(asm.apply_K(H) - k_ref).max() / np.abs(k_ref).max())
     report = {
         "nv": g.nv, "gamma": cfg["physics"]["gamma"],
         "null_residuals": [float(r) for r in res],
         "null_residual_max": float(res.max()),
         "sigma_fft_vs_direct": sig_agree,
+        "K_fft_vs_dense": k_agree,
         "lambda_h": lam,
         "coercivity": prob,
-        "thresholds": {"null_residual_max": 5e-3, "sigma_fft_vs_direct": 1e-10},
+        "thresholds": {"null_residual_max": 5e-3, "sigma_fft_vs_direct": 1e-10,
+                       "K_fft_vs_dense": 1e-10},
     }
-    ok = res.max() <= 5e-3 and sig_agree <= 1e-10 and lam > 0
+    ok = res.max() <= 5e-3 and sig_agree <= 1e-10 and k_agree <= 1e-10
     report["passed"] = bool(ok)
     write_json(out_dir / "collision_report.json", report, cfg_h)
     return 0 if ok else 1
 
 
-def cmd_moments_check(cfg, out_dir, cfg_h):
+def cmd_moments_check(cfg, out_dir, cfg_h, f_file):
     """Residual convergence study: spin-up past the stiff transient, then
     compare RMS residuals per line at (dt, dt/2) over a fixed 0.6 window.
 
@@ -366,7 +379,7 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
     g = _simulation_grid(cfg)
     mw, asm = _assembly_from(cfg, g)
     spin = Simulation(asm, base_dt / 4.0)
-    st = _initial_field(cfg, g, mw, 1e-2, 0.5)
+    st = _initial_field(cfg, g, mw, 1e-2, 0.5, f_file)
     for _ in range(int(round(0.5 / (base_dt / 4.0)))):
         spin.step(st)
     del spin        # free its propagators before the study builds its own
@@ -400,7 +413,7 @@ def cmd_moments_check(cfg, out_dir, cfg_h):
     return 0 if ok else 1
 
 
-def cmd_symbols_check(cfg, out_dir, cfg_h):
+def cmd_symbols_check(cfg, out_dir, cfg_h, f_file):
     gamma = cfg["physics"]["gamma"] if cfg["physics"]["gamma"] < 0 else -1.0
     one = weyl.make_symbol("custom", custom=lambda v, e: np.ones_like(v * e))
     op1 = weyl.quantize(one, 0.5)
@@ -443,14 +456,14 @@ def cmd_symbols_check(cfg, out_dir, cfg_h):
     return 0 if ok else 1
 
 
-def cmd_energy_report(cfg, out_dir, cfg_h):
+def cmd_energy_report(cfg, out_dir, cfg_h, f_file):
     sc = cfg["scheme"]
     steps = int(round(sc["t_end"] / sc["dt"]))      # as Simulation.run counts them
     if steps <= sc["snapshot_every"]:               # 1 + ceil(steps / every) snapshots
         raise RuntimeError(f"scheme.t_end = {sc['t_end']:g} gives 2 snapshots ({steps} steps "
                            f"of {sc['dt']:g}, one every {sc['snapshot_every']}); the "
                            "inequality monitor needs 3")
-    asm, _, reports = _run_with_energy(cfg, out_dir, cfg_h)
+    asm, _, reports = _run_with_energy(cfg, out_dir, cfg_h, f_file)
     lam_h = cfg["physics"]["lambda_h"]
     if lam_h is None:
         lam_h, _ = coercivity_probe(asm)
@@ -461,6 +474,9 @@ def cmd_energy_report(cfg, out_dir, cfg_h):
     return 0 if ok else 1
 
 
+# Each command takes the resolved config, the output directory, the config
+# hash and the initial-data array read from initial_data.path (None unless
+# initial_data.kind is 'file').
 COMMANDS = {
     "simulate": cmd_simulate,
     "decay": cmd_decay,
@@ -521,6 +537,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        f_file = _read_initial_file(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -528,9 +545,10 @@ def main(argv=None):
     out_dir = Path(cfg["io"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        rc = COMMANDS[args.command](cfg, out_dir, cfg_h)
+        rc = COMMANDS[args.command](cfg, out_dir, cfg_h, f_file)
     except (RuntimeError, MemoryError) as e:
-        # CFL violation, blow-up, propagator memory budget, too few samples
+        # CFL violation, blow-up, propagator memory budget, too few samples,
+        # an unconverged or nonpositive coercivity probe
         print(f"{args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     if rc != 0:

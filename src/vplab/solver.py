@@ -115,12 +115,13 @@ def _beta_multi_indices(max_order):
 
 
 def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
-                      asym=0.0, seed=0, path=None):
+                      asym=0.0, seed=0, data=None):
     """Initial perturbation fields (charge-neutral in the x mean).
 
     "macroscopic": cosine-modulated macroscopic combination, optionally with
     a species-asymmetric part that drives the field. "noise": counter-based
     seeded noise, lightly mollified in v, times sqrt_mu (rough in v).
+    "file": the given array `data` (2, nx, n), as read from a file.
     """
     smu = maxw.sqrt_mu
     vsq = grid.vsq
@@ -142,8 +143,7 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
         f[0] -= rho.mean() / (2.0 * np.sum(smu ** 2) * grid.wv) * smu[None, :]
         f[1] += rho.mean() / (2.0 * np.sum(smu ** 2) * grid.wv) * smu[None, :]
     elif kind == "file":
-        with np.load(path) as z:
-            f = z["f"]
+        f = data
     else:
         raise ValueError(f"unknown initial data kind: {kind!r}")
     return amplitude * f

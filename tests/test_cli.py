@@ -2,11 +2,13 @@ import gc
 import json
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from vplab import build_grid, cli, collision, maxwellian, make_initial_data
 from vplab.cli import main, config_hash, resolve_config, build_parser, \
@@ -70,7 +72,28 @@ def test_collision_check_dispatch(tmp_path):
     rep = json.loads((tmp_path / "collision_report.json").read_text())
     assert rep["passed"]
     assert rep["lambda_h"] > 0
+    assert rep["K_fft_vs_dense"] <= rep["thresholds"]["K_fft_vs_dense"]
     assert "config_hash" in rep
+
+
+def test_collision_check_unconverged_probe_exit1(tmp_path, monkeypatch, capsys):
+    # LOBPCG stopped after 2 iterations: the probe's own residual check fires,
+    # and scipy's warning about the missed tolerance stays silent
+    lobpcg = scipy.sparse.linalg.lobpcg
+
+    def two_iterations(*args, **kwargs):
+        return lobpcg(*args, **dict(kwargs, maxiter=2))
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", two_iterations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["collision-check", "--nv", "8", "--gamma", "0",
+                      "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "RuntimeError" in err and "sum sector" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "collision_report.json").exists()
 
 
 def test_simulate_outputs_and_snapshots(tmp_path):
@@ -286,6 +309,24 @@ def test_initial_data_file_wrong_shape_exit2(tmp_path, capsys):
                     "--out", str(tmp_path / "o")]) == 2
     assert "'initial_data.path'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_initial_data_file_loaded_once(tmp_path, monkeypatch):
+    # validation reads the file before the out dir is made; the run reuses it
+    g = build_grid(nv=8, nx=4)
+    np.savez(tmp_path / "f0.npz", f=make_initial_data(g, maxwellian(g), "macroscopic"))
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"grid": {"nx": 4}, "scheme": {"t_end": 0.1},
+         "initial_data": {"kind": "file", "path": str(tmp_path / "f0.npz")}}))
+    loads = []
+
+    def counted(*args, _load=np.load, **kwargs):
+        loads.append(args[0])
+        return _load(*args, **kwargs)
+    monkeypatch.setattr(np, "load", counted)
+    assert run_cli(["simulate", "--config", str(tmp_path / "c.json"),
+                    "--out", str(tmp_path / "o")]) == 0
+    assert loads == [str(tmp_path / "f0.npz")]
 
 
 def test_initial_data_file_energy_report_and_moments(tmp_path):

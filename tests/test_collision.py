@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe
-from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index
+from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index, \
+    PROBE_MAXITER, PROBE_TOL
 from vplab.macroscopic import MacroProjector
 
 
@@ -155,6 +157,38 @@ def test_coercivity_probe(asm8):
     assert rep["sectors"]["sum"]["kernel_dim"] == 5
     assert rep["sectors"]["diff"]["kernel_dim"] == 1
     assert max(rep["sectors"]["sum"]["kernel_residuals"]) < 1e-10
+    for sector in rep["sectors"].values():
+        assert 0 < sector["iterations"] <= PROBE_MAXITER
+        assert sector["max_residual"] <= PROBE_TOL
+
+
+def dense_probe_eigs(asm):
+    """Oracle: the 3 smallest eigenvalues of (-L, S) per sector, densely.
+
+    A complete QR of the sector kernel gives an orthonormal basis U of its
+    complement, and LAPACK's gvx solves U^T (-L) U x = lam U^T S U x.
+    """
+    S = asm.norms.sigma_form(0.0).toarray()
+    ks, kd = asm.sector_kernels()
+    out = {}
+    for tag, L, kern in zip(("sum", "diff"), asm.dense_sectors(), (ks, kd)):
+        Q, _ = np.linalg.qr(kern.T, mode="complete")
+        U = Q[:, kern.shape[0]:]
+        out[tag] = sla.eigh(U.T @ (-L @ U), U.T @ (S @ U), subset_by_index=[0, 2],
+                            eigvals_only=True, driver="gvx")
+    return out
+
+
+@pytest.mark.parametrize("nv, gamma", [(8, 0.0), (8, -2.5), (12, 0.0)])
+def test_coercivity_probe_matches_dense_oracle(nv, gamma):
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    asm = CollisionAssembly(g, maxwellian(g), gamma)
+    lam, rep = coercivity_probe(asm)
+    oracle = dense_probe_eigs(asm)
+    for tag, want in oracle.items():
+        got = np.array(rep["sectors"][tag]["min_generalized_eigs"])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert lam == min(min(rep["sectors"][t]["min_generalized_eigs"]) for t in oracle)
 
 
 def test_gamma_bilinearity(asm8):
@@ -243,7 +277,7 @@ def test_eps_reg_default(grid8):
 
 
 def test_coercivity_stable_under_refinement():
-    # refinement study at the two largest sizes the dense probe supports
+    # refinement study at nv 12 and 16
     lams = {}
     for nv in (12, 16):
         g = build_grid(nv=nv, vmax=6.0, nx=8)
