@@ -258,8 +258,7 @@ class CollisionAssembly:
     def apply_L(self, f):
         """L = (L_+, L_-) applied to a two-species field f (2, ..., n)."""
         f = np.asarray(f)
-        ksum = self.apply_K(f[0] + f[1])
-        return np.stack([self.apply_A(f[0]) + ksum, self.apply_A(f[1]) + ksum])
+        return self.apply_A(f) + self.apply_K(f[0] + f[1])
 
     # -- null space -----------------------------------------------------------
 
@@ -406,7 +405,10 @@ class GammaOp:
         return U, asm._kit.contract(du)
 
     def apply(self, U, W, g):
-        """Gtilde(f, g) given the coefficient tables of f."""
+        """Gtilde(f, g) given the coefficient tables U (..., 6, n), W (..., 3, n) of f.
+
+        g is (..., n), or (2, ..., n) for both species at once.
+        """
         asm = self.asm
         D = asm.grid.dv_ops()
         dg = np.stack([asm._apply_sp(Dj, g) for Dj in D], axis=-2)
@@ -421,6 +423,5 @@ class GammaOp:
 
     def __call__(self, f, g):
         """Species-coupled Gamma_pm(f, g) for two-species fields (2, ..., n)."""
-        U, W = self.coefficients(f[0] + f[1])
-        return np.stack([self.apply(U, W, g[0]), self.apply(U, W, g[1])])
+        return self.apply(*self.coefficients(f[0] + f[1]), g)
 

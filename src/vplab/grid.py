@@ -7,8 +7,6 @@ differentiation. Fields over velocity are stored flattened in C order,
 index k = i1*nv^2 + i2*nv + i3.
 """
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -88,7 +86,6 @@ class PhaseGrid:
 
         self.dx = 2.0 * lx / nx
         self.x = -lx + np.arange(nx) * self.dx
-        self.kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=self.dx)
         self.kx_r = 2.0 * np.pi * np.fft.rfftfreq(nx, d=self.dx)
 
         self._dv = None
@@ -126,13 +123,25 @@ class PhaseGrid:
         """L^2_v inner product along the last axis."""
         return np.sum(np.conj(f) * g, axis=-1) * self.wv
 
+    def dx_powers(self, field, kmax, axis):
+        """[d_x^a field for a = 0..kmax] of a real field along `axis`.
+
+        One rfft, then the ladder multiplies by i kx_r once per order. The
+        Nyquist mode (even nx) has no real odd derivative: irfft drops it.
+        """
+        shape = [1] * np.ndim(field)
+        shape[axis] = self.kx_r.size
+        ik = (1j * self.kx_r).reshape(shape)
+        outs = [field]
+        cur = np.fft.rfft(field, axis=axis)
+        for _ in range(kmax):
+            cur = cur * ik
+            outs.append(np.fft.irfft(cur, n=self.nx, axis=axis))
+        return outs
+
     def ddx(self, field, axis=-1):
         """Spectral x-derivative of a real field along `axis`."""
-        fh = np.fft.fft(field, axis=axis)
-        shape = [1] * field.ndim
-        shape[axis] = self.nx
-        fh = fh * (1j * self.kx.reshape(shape))
-        return np.fft.ifft(fh, axis=axis).real
+        return self.dx_powers(field, 1, axis)[1]
 
 
 def build_grid(nv=16, vmax=6.0, nx=32, lx=np.pi):
@@ -159,7 +168,9 @@ class VelocityWeight:
     """Velocity weight w(v): <v> on the hard branch, <v>^{-gamma} on the soft.
 
     Valid for gamma in [-3, 1]; the branch flag follows the sign of gamma+2.
-    Real powers w^l are cached.
+    Real powers w^l are cached; a power that overflows at the box corners
+    holds inf there (numpy warns), and the commands that report weighted
+    quantities refuse non-finite results.
     """
 
     def __init__(self, grid, gamma):
@@ -174,16 +185,7 @@ class VelocityWeight:
     def pow(self, l):
         l = float(l)
         if l not in self._pows:
-            with np.errstate(over="raise"):
-                try:
-                    self._pows[l] = self.w ** l
-                except FloatingPointError:
-                    warnings.warn(
-                        f"velocity weight w^{l} overflows at the box corners",
-                        RuntimeWarning,
-                    )
-                    with np.errstate(over="ignore"):
-                        self._pows[l] = self.w ** l
+            self._pows[l] = self.w ** l
         return self._pows[l]
 
 
@@ -226,8 +228,6 @@ class NormSuite:
             R.append(Ri.tocsr())
         wpar = w2l * av ** (gamma / 2.0)
         wperp = w2l * av ** ((gamma + 2.0) / 2.0)
-        if not np.all(np.isfinite(wpar)) or not np.all(np.isfinite(wperp)):
-            warnings.warn("sigma-norm weights overflow at the box corners", RuntimeWarning)
         S = sp.diags(wperp).tocsr()
         for i in range(3):
             Qi = D[i] - R[i]
@@ -235,12 +235,6 @@ class NormSuite:
         S = ((S + S.T) * 0.5).tocsr()
         self._forms[key] = S
         return S
-
-    def sigma(self, g, l):
-        """Sigma norm |g|_{sigma,l} of a single-species velocity field."""
-        S = self.sigma_form(l)
-        val = np.real(np.vdot(g, S @ g)) * self.grid.wv
-        return float(np.sqrt(max(val, 0.0)))
 
     def sigma_sq_batch(self, G, l):
         """Squared sigma norms of fields stacked along leading axes (..., n)."""

@@ -8,6 +8,7 @@ l = 0 decreases exactly along the flow; implicit-midpoint stepping
 preserves that decrease to roundoff.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,11 +72,9 @@ class ModeOperator:
 
     def apply(self, u):
         """B(y) applied to a two-species mode field u (2, n)."""
-        us = to_real((u[0] + u[1]) / _SQ2)
-        ud = to_real((u[0] - u[1]) / _SQ2)
-        rs = from_real(real_matvec(self.Bs, us))
-        rd = from_real(real_matvec(self.Bd, ud))
-        return np.stack([(rs + rd) / _SQ2, (rs - rd) / _SQ2])
+        w = to_real(sectors(u))
+        return sectors(from_real(np.stack([real_matvec(self.Bs, w[0]),
+                                           real_matvec(self.Bd, w[1])])))
 
     def energy_metric_symmetric_bound(self):
         """Largest Rayleigh quotient of B in the mode-energy inner product.
@@ -107,6 +106,15 @@ class ModeOperator:
             rho = _SQ2 * np.sum(self.asm.maxw.sqrt_mu * ud) * grid.wv
             E += abs(rho) ** 2 / self.ynorm ** 2
         return E
+
+
+def sectors(f):
+    """(f_+, f_-) -> (f_+ + f_-, f_+ - f_-) / sqrt(2) along axis 0.
+
+    The species map to the (sum, difference) sectors. It is orthogonal and
+    its own inverse, so the same call maps sector fields back to species.
+    """
+    return np.stack([f[0] + f[1], f[0] - f[1]]) / _SQ2
 
 
 _TC = 0.5 - 0.5j      # T = (I + R)/2 - i (I - R)/2 = _TC I + conj(_TC) R
@@ -180,8 +188,7 @@ def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):
     steps = int(round(t_end / dt))
     samp = max(1, steps // max(n_samples, 1))
     # one sector at a time, so one stride power is alive at a time
-    us, ud = (_sector_samples(P, u, steps, samp)
-              for P, u in ((Ps, (u0[0] + u0[1]) / _SQ2), (Pd, (u0[0] - u0[1]) / _SQ2)))
+    us, ud = (_sector_samples(P, u, steps, samp) for P, u in zip((Ps, Pd), sectors(u0)))
     t = np.concatenate([[0.0], np.cumsum(np.full(steps, dt))])    # t += dt, in order
     ts = t[np.unique(np.r_[0:steps + 1:samp, steps])]
     Es = np.array([op.mode_energy(a, b, w2l) for a, b in zip(us, ud)])
@@ -191,7 +198,6 @@ def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):
     max_inc = float(rel.max()) if rel.size else 0.0
     viol = int(np.sum(rel > INCREASE_TOL))
     if viol:
-        import warnings
         warnings.warn(
             f"mode functional increased beyond tolerance at {viol} samples "
             f"(y = {op.ynorm:.3g}, max relative increase {max_inc:.2e})",
@@ -233,7 +239,7 @@ def _fit_loglog(t, I, t_lo, t_hi):
     yv = np.log(I[win])
     cf, cov = np.polyfit(x, yv, 1, cov=True)
     resid = yv - np.polyval(cf, x)
-    r2 = 1.0 - resid.var() / yv.var() if yv.var() > 0 else 1.0
+    r2 = 1.0 - resid.var() / yv.var() if yv.var() != 0 else 1.0     # NaN stays NaN
     ci = 1.96 * np.sqrt(cov[0, 0])
     return float(cf[0]), float(ci), float(r2)
 
@@ -275,10 +281,15 @@ def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
     ys = np.geomspace(y_min, y_max, n_y)
     u0 = default_mode_data(assembly, data, 1e-3, seed)
     trajs = []
-    for y in ys:
-        dt = 0.05 * min(1.0, 1.0 / y)
-        op = ModeOperator([y, 0, 0], assembly)
-        trajs.append(evolve_mode(op, u0, dt, t_end, l, n_samples))
+    with np.errstate(over="ignore", invalid="ignore"):      # refused below instead
+        for y in ys:
+            dt = 0.05 * min(1.0, 1.0 / y)
+            op = ModeOperator([y, 0, 0], assembly)
+            trajs.append(evolve_mode(op, u0, dt, t_end, l, n_samples))
+    if not all(np.isfinite(tr.energy).all() and np.isfinite(tr.sigma_diss).all()
+               for tr in trajs):
+        raise RuntimeError(f"decay.l = {l:g} leaves a mode functional or its sigma "
+                           "dissipation non-finite (w^l overflows on the velocity box)")
     # measured dissipation rate scale from the best-resolved (largest-y) mode;
     # the mode functional decays like exp(-lam_hat y^2/(1+y^2) t). A window
     # with two samples also gives every mode the sample t[1] read below.

@@ -13,16 +13,15 @@ time weight psi attached per summand order.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collision import GammaOp
-from .lineardecay import ModeOperator, from_real, real_matvec, to_real
+from .lineardecay import ModeOperator, from_real, real_matvec, sectors, to_real
 from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
 
-_SQ2 = np.sqrt(2.0)
 PROPAGATOR_BUDGET_BYTES = 1_500_000_000
 # Largest allowed field CFL number and largest allowed ratio of a nonlinear
 # half-step's max|increment| to the max|f| it starts from.
@@ -95,14 +94,12 @@ class TwoSpeciesField:
         return TwoSpeciesField(self.f.copy(), self.grid, self.maxw, self.t)
 
 
-def dealias_x(field, grid, axis=-2):
-    """Zero spatial modes above the 2/3 rule cutoff (quadratic dealiasing)."""
-    fh = np.fft.rfft(field, axis=axis)
+def dealias_x(field, grid):
+    """Zero spatial modes above the 2/3 rule cutoff (quadratic dealiasing), x on axis -2."""
+    fh = np.fft.rfft(field, axis=-2)
     mask = np.abs(grid.kx_r) <= (2.0 / 3.0) * np.abs(grid.kx_r).max() + 1e-12
-    shape = [1] * fh.ndim
-    shape[axis] = fh.shape[axis]
-    fh *= mask.reshape(shape)
-    return np.fft.irfft(fh, n=grid.nx, axis=axis)
+    fh *= mask[:, None]
+    return np.fft.irfft(fh, n=grid.nx, axis=-2)
 
 
 def _beta_multi_indices(max_order):
@@ -138,10 +135,11 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
             raw = 0.5 * raw + 0.25 * (np.roll(raw, 1, axis=ax) + np.roll(raw, -1, axis=ax))
         f = raw.reshape(2, grid.nx, grid.n) * smu[None, None, :]
         f = dealias_x(f, grid)
-        rho = np.tensordot(f[0] - f[1], smu, axes=(-1, 0)) * grid.wv
+        rho = TwoSpeciesField(f, grid, maxw).charge_density()
         # remove the x-mean charge so the torus Poisson problem is solvable
-        f[0] -= rho.mean() / (2.0 * np.sum(smu ** 2) * grid.wv) * smu[None, :]
-        f[1] += rho.mean() / (2.0 * np.sum(smu ** 2) * grid.wv) * smu[None, :]
+        shift = rho.mean() / (2.0 * np.sum(smu ** 2) * grid.wv) * smu
+        f[0] -= shift
+        f[1] += shift
     elif kind == "file":
         f = data
     else:
@@ -149,18 +147,19 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
     return amplitude * f
 
 
-def check_propagator_budget(grid, budget_bytes=PROPAGATOR_BUDGET_BYTES):
+def check_propagator_budget(grid):
     """Raise MemoryError when the per-mode propagators of `grid` exceed the budget.
 
     Depends on nv and nx only, so it can run before any operator is built.
+    The budget is PROPAGATOR_BUDGET_BYTES as it stands when the check runs.
     """
     nxr = grid.kx_r.size
     need = nxr * 2 * grid.n ** 2 * 8
-    if need > budget_bytes:
+    if need > PROPAGATOR_BUDGET_BYTES:
         raise MemoryError(
             f"per-mode propagator storage {need/1e9:.1f} GB "
             f"({nxr} modes x 2 real {grid.n}^2 float64 matrices) "
-            f"exceeds the budget of {budget_bytes/1e9:.1f} GB; "
+            f"exceeds the budget of {PROPAGATOR_BUDGET_BYTES/1e9:.1f} GB; "
             "reduce nv or nx"
         )
 
@@ -173,8 +172,7 @@ class Simulation:
     steps with implicit midpoint.
     """
 
-    def __init__(self, assembly, dt, disable_gamma=False, disable_field_nl=False,
-                 store_budget_bytes=PROPAGATOR_BUDGET_BYTES):
+    def __init__(self, assembly, dt, disable_gamma=False, disable_field_nl=False):
         self.asm = assembly
         self.grid = assembly.grid
         self.maxw = assembly.maxw
@@ -183,7 +181,7 @@ class Simulation:
         self.disable_field_nl = bool(disable_field_nl)
         self.gamma_op = GammaOp(assembly)
         self.projector = MacroProjector(self.grid, self.maxw)
-        check_propagator_budget(self.grid, store_budget_bytes)
+        check_propagator_budget(self.grid)
         # only the propagators are kept; each ModeOperator is freed once built
         self._props = [ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt)
                        for y in self.grid.kx_r]
@@ -202,8 +200,7 @@ class Simulation:
         g = np.zeros_like(f)
         if not self.disable_field_nl:
             dphi = -fs.E                        # d_x phi
-            ct = self.asm.Ct_tilde
-            adv = np.stack([self.asm._apply_sp(ct, f[0]), self.asm._apply_sp(ct, f[1])])
+            adv = self.asm._apply_sp(self.asm.Ct_tilde, f)
             # one-sided stencils at the box faces leak a small mass moment;
             # the continuum term has none, so project it out per species
             mdir = self._mass_dir
@@ -240,17 +237,11 @@ class Simulation:
         state.f += inc
 
     def _linear_step(self, state):
-        f = state.f
-        s = (f[0] + f[1]) / _SQ2
-        d = (f[0] - f[1]) / _SQ2
-        sh = to_real(np.fft.rfft(s, axis=0))
-        dh = to_real(np.fft.rfft(d, axis=0))
-        for k, (Ps, Pd) in enumerate(self._props):
-            sh[k] = real_matvec(Ps, sh[k])
-            dh[k] = real_matvec(Pd, dh[k])
-        s = np.fft.irfft(from_real(sh), n=self.grid.nx, axis=0)
-        d = np.fft.irfft(from_real(dh), n=self.grid.nx, axis=0)
-        state.f = np.stack([(s + d) / _SQ2, (s - d) / _SQ2])
+        h = to_real(np.fft.rfft(sectors(state.f), axis=1))       # (2 sectors, modes, n)
+        for k, props in enumerate(self._props):
+            for s, P in enumerate(props):
+                h[s, k] = real_matvec(P, h[s, k])
+        state.f = sectors(np.fft.irfft(from_real(h), n=self.grid.nx, axis=1))
 
     def step(self, state):
         """One Strang-split step: nonlinear half-step, linear step, nonlinear half-step."""
@@ -292,27 +283,21 @@ class EnergyReport:
 
 
 def dt_phi_sup(state, IPf):
-    """||d_t phi||_inf via d_t phi = Lap^{-1} div G, G from IPf = (I-P) state.f."""
+    """||d_t phi||_inf via -Lap d_t phi = -div G, G from IPf = (I-P) state.f."""
     grid = state.grid
     smu = state.maxw.sqrt_mu
     G1 = np.tensordot(IPf[0] - IPf[1], grid.v[0] * smu, axes=(-1, 0)) * grid.wv
-    gh = np.fft.rfft(G1)
-    k = grid.kx_r
-    ph = np.zeros_like(gh)
-    ph[1:] = -1j * k[1:] * gh[1:] / k[1:] ** 2
-    return float(np.abs(np.fft.irfft(ph, n=grid.nx)).max())
+    return float(np.abs(solve_poisson(-grid.ddx(G1), grid).phi).max())
 
 
-def energy_report(state, assembly, K, l, psi, projector=None):
+def energy_report(state, assembly, K, l, psi, projector):
     """Instant energy, high-order energy, and dissipation rate summands.
 
     Summands carry the weights w^{l-|alpha|-|beta|} and psi_{|alpha|+|beta|-3}
     exactly as displayed; the dissipation field part stops at |alpha| <= K-1
     and its (I-P) part uses sigma norms at matching weights.
     """
-    grid, maxw = state.grid, state.maxw
-    if projector is None:
-        projector = MacroProjector(grid, maxw)
+    grid = state.grid
     t = state.t
     f = state.f
     fs = state.field()
@@ -334,22 +319,12 @@ def energy_report(state, assembly, K, l, psi, projector=None):
                 RuntimeWarning,
             )
 
-    # x-derivatives: spectral, applied in Fourier space once per alpha
-    def x_derivs(field_x, kmax):
-        outs = [field_x]
-        cur = np.fft.rfft(field_x)
-        for _ in range(kmax):
-            cur = cur * (1j * grid.kx_r)
-            outs.append(np.fft.irfft(cur, n=grid.nx))
-        return outs
-
-    E_list = x_derivs(fs.E, K)
     summands = {}
     E_tot = Eh_tot = D_tot = 0.0
 
-    for a in range(K + 1):
+    for a, da in enumerate(grid.dx_powers(fs.E, K, -1)):
         pw = psi.psi_k(t, a - 3, a, 0) ** 2
-        val = pw * float(np.sum(E_list[a] ** 2) * dx_measure)
+        val = pw * float(np.sum(da ** 2) * dx_measure)
         summands[f"E|a{a}"] = val
         E_tot += val
         Eh_tot += val
@@ -358,12 +333,7 @@ def energy_report(state, assembly, K, l, psi, projector=None):
             D_tot += val
 
     # Pf: x-derivatives of the projected part
-    Pfh = np.fft.rfft(Pf, axis=1)
-    cur = Pfh
-    for a in range(K + 1):
-        if a > 0:
-            cur = cur * (1j * grid.kx_r)[None, :, None]
-        da = np.fft.irfft(cur, n=grid.nx, axis=1)
+    for a, da in enumerate(grid.dx_powers(Pf, K, 1)):
         pw = psi.psi_k(t, a - 3, a, 0) ** 2
         val = pw * float(np.sum(da ** 2) * grid.wv * dx_measure)
         summands[f"Pf|a{a}"] = val
@@ -386,13 +356,7 @@ def energy_report(state, assembly, K, l, psi, projector=None):
         nb = sum(b)
         if nb > K:
             continue
-        g_b = dbeta[b]
-        gh = np.fft.rfft(g_b, axis=1)
-        cur = gh
-        for a in range(K - nb + 1):
-            if a > 0:
-                cur = cur * (1j * grid.kx_r)[None, :, None]
-            da = np.fft.irfft(cur, n=grid.nx, axis=1)
+        for a, da in enumerate(grid.dx_powers(dbeta[b], K - nb, 1)):
             pw = psi.psi_k(t, a + nb - 3, a, nb) ** 2
             wl = weight.pow(l - a - nb)
             tag = f"a{a}b{b[0]}{b[1]}{b[2]}"

@@ -286,7 +286,7 @@ def test_criterion_11_smoothing_proxy(asm8):
     g, mw = asm8.grid, asm8.maxw
     st0 = TwoSpeciesField(
         make_initial_data(g, mw, "noise", amplitude=1e-3, seed=6), g, mw)
-    rep0 = energy_report(st0, asm8, 4, 4.0, PsiWeight("tn"))
+    rep0 = energy_report(st0, asm8, 4, 4.0, PsiWeight("tn"), MacroProjector(g, mw))
     high_zero = all(
         v == 0.0 for k, v in rep0.summands.items()
         if not k.startswith("D_") and _order_of(k) > 3)

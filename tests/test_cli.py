@@ -274,6 +274,25 @@ def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
     assert len(r.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("args, body, key", [
+    (["decay", "--gamma", "0"],
+     {"decay": {"l": 400.0, "n_y": 4, "t_end": 20, "fit_lo": 5, "fit_hi": 20}}, "decay.l"),
+    (["simulate", "--nx", "4"], {"physics": {"l": 500.0}}, "physics.l"),
+])
+def test_overflowing_weight_exit1_naming_key(tmp_path, args, body, key):
+    # w^l overflows at the box corners: a non-finite functional is refused,
+    # not fitted or written; no -W here, so no warning may reach stderr
+    (tmp_path / "c.json").write_text(json.dumps(body))
+    r = subprocess.run([sys.executable, "-m", "vplab.cli"] + args
+                       + ["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and f"{key} = " in lines[0] and "RuntimeError" in lines[0]
+    assert not (tmp_path / "o" / "decay_report.json").exists()
+    assert not (tmp_path / "o" / "energy.csv").exists()
+
+
 def test_inequality_monitor_uses_snapshot_times(tmp_path):
     # snapshots at t = 0, 0.25, 0.5, 0.75, 1.0, 1.1: the last interval is short
     assert run_cli(["energy-report", "--nx", "8", "--t-end", "1.1",

@@ -202,6 +202,25 @@ def test_gamma_bilinearity(asm8):
     assert np.abs(GammaOp(asm8)(0 * f1, gf)).max() == 0.0
 
 
+def test_batched_species_calls_match_per_species(asm8):
+    # apply_L and GammaOp take both species in one call; the per-species
+    # stacking they replaced is the reference
+    grid, smu = asm8.grid, asm8.maxw.sqrt_mu
+    rng = np.random.default_rng(23)
+    f, g = (rng.standard_normal((2, 4, grid.n)) * smu for _ in range(2))
+    ksum = asm8.apply_K(f[0] + f[1])
+    L_ref = np.stack([asm8.apply_A(f[0]) + ksum, asm8.apply_A(f[1]) + ksum])
+    L = asm8.apply_L(f)
+    assert L.shape == L_ref.shape
+    assert np.abs(L - L_ref).max() <= 1e-14 * np.abs(L_ref).max()
+    op = GammaOp(asm8)
+    U, W = op.coefficients(f[0] + f[1])
+    G_ref = np.stack([op.apply(U, W, g[0]), op.apply(U, W, g[1])])
+    G = op(f, g)
+    assert G.shape == G_ref.shape
+    assert np.abs(G - G_ref).max() <= 1e-14 * np.abs(G_ref).max()
+
+
 def test_gamma_collision_invariance(asm8):
     # (Gamma(f,f), sqrt_mu) = 0 by the divergence form
     rng = np.random.default_rng(13)

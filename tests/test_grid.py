@@ -8,14 +8,39 @@ from vplab import build_grid, maxwellian, NormSuite, VelocityWeight
 def test_constructor_echo():
     g = build_grid(nv=16, vmax=6.0, nx=32, lx=np.pi)
     assert g.n == 16 ** 3
-    assert g.kx.size == 32
+    assert g.kx_r.size == 32 // 2 + 1
     # quadrature weights sum to the box volume
     assert np.isclose(g.n * g.wv, (2 * 6.0) ** 3)
-    # zero mode present and +/- k pairs for k = 1..15
-    ks = np.round(g.kx * g.lx / np.pi).astype(int)
-    assert 0 in ks
-    for k in range(1, 16):
-        assert k in ks and -k in ks
+    # the rfft wavenumbers are 0, 1, ..., 16 in units of pi / lx
+    ks = np.round(g.kx_r * g.lx / np.pi).astype(int)
+    np.testing.assert_array_equal(ks, np.arange(17))
+
+
+def test_dx_powers_match_trig_polynomial_derivatives():
+    # every rfft mode below Nyquist, with random amplitudes and phases; the
+    # a-th derivative of cos(k x + p) is k^a cos(k x + p + a pi / 2)
+    g = build_grid(nv=8, vmax=6.0, nx=32, lx=2.5)
+    rng = np.random.default_rng(5)
+    amp, phase = rng.standard_normal(16), rng.uniform(0, 2 * np.pi, 16)
+    k = g.kx_r[:16]
+    f = (amp[:, None] * np.cos(k[:, None] * g.x + phase[:, None])).sum(axis=0)
+    got = g.dx_powers(f, 3, -1)
+    assert got[0] is f
+    for a in range(4):
+        exact = (amp[:, None] * k[:, None] ** a
+                 * np.cos(k[:, None] * g.x + phase[:, None] + a * np.pi / 2)).sum(axis=0)
+        assert np.abs(got[a] - exact).max() <= 1e-12 * np.abs(exact).max()
+    # the same ladder along another axis of a stacked field, and ddx is its first rung
+    F = np.stack([f, 2 * f])[:, :, None] * np.ones(3)
+    np.testing.assert_allclose(g.dx_powers(F, 2, 1)[2][1, :, 2], 2 * got[2],
+                               rtol=0, atol=1e-12 * np.abs(got[2]).max())
+    np.testing.assert_array_equal(g.ddx(F, axis=1), g.dx_powers(F, 1, 1)[1])
+
+
+def test_dx_of_nyquist_mode_is_zero():
+    g = build_grid(nv=8, vmax=6.0, nx=32, lx=2.5)
+    nyq = np.cos(g.kx_r[-1] * g.x)             # (-1)^j on the grid
+    assert np.abs(g.ddx(nyq)).max() <= 1e-12 * g.kx_r[-1]
 
 
 def test_grid_validation():
@@ -76,13 +101,18 @@ def test_velocity_weight_branches(grid8):
         VelocityWeight(grid8, -3.5)
 
 
+def _sigma(ns, g, l):
+    """|g|_{sigma,l} of one velocity field, through the batched evaluator."""
+    return float(np.sqrt(ns.sigma_sq_batch(g, l)))
+
+
 def test_sigma_norm_zero_and_homogeneity(grid8, maxw8):
     ns = NormSuite(grid8, VelocityWeight(grid8, 0.0))
-    assert ns.sigma(np.zeros(grid8.n), 0.0) == 0.0
+    assert _sigma(ns, np.zeros(grid8.n), 0.0) == 0.0
     rng = np.random.default_rng(1)
     gfield = rng.standard_normal(grid8.n) * maxw8.sqrt_mu
-    s1 = ns.sigma(gfield, 1.0)
-    s2 = ns.sigma(-2.5 * gfield, 1.0)
+    s1 = _sigma(ns, gfield, 1.0)
+    s2 = _sigma(ns, -2.5 * gfield, 1.0)
     assert s2 == pytest.approx(2.5 * s1, rel=1e-12)
 
 
@@ -90,7 +120,7 @@ def test_sigma_norm_dominates_weighted_l2(grid8, maxw8):
     # gamma = 0, l = 0: the zeroth term alone is ||<v> g||^2
     ns = NormSuite(grid8, VelocityWeight(grid8, 0.0))
     gfield = (1 + grid8.vsq) * maxw8.sqrt_mu
-    val = ns.sigma(gfield, 0.0)
+    val = _sigma(ns, gfield, 0.0)
     low = np.sqrt(np.sum((1 + grid8.vsq) * gfield ** 2) * grid8.wv)
     assert val >= low
 
@@ -100,7 +130,7 @@ def test_sigma_norm_sqrt_mu_against_radial_quadrature():
     g = build_grid(nv=24, vmax=6.0, nx=8)
     mw = maxwellian(g)
     ns = NormSuite(g, VelocityWeight(g, -3.0))
-    val = ns.sigma(mw.sqrt_mu, 0.0)
+    val = _sigma(ns, mw.sqrt_mu, 0.0)
     mu_r = lambda r: (2 * np.pi) ** -1.5 * np.exp(-r * r / 2)
     t1, _ = quad(lambda r: 4 * np.pi * r ** 2 * (1 + r * r) ** -1.5
                  * (r * r / 4) * mu_r(r), 0, 6.0)
@@ -116,7 +146,7 @@ def test_sigma_norm_second_order_refinement():
         g = build_grid(nv=nv, vmax=6.0, nx=8)
         ns = NormSuite(g, VelocityWeight(g, 0.0))
         gfield = np.exp(-g.vsq / 3.0) * (1 + g.v[0])
-        vals[nv] = ns.sigma(gfield, 0.0)
+        vals[nv] = _sigma(ns, gfield, 0.0)
     d1 = abs(vals[16] - vals[24])
     d2 = abs(vals[24] - vals[32])
     expected = (1 / 16 ** 2 - 1 / 24 ** 2) / (1 / 24 ** 2 - 1 / 32 ** 2)

@@ -1,0 +1,55 @@
+"""Every import in src/vplab is used, checked with the compiler's symbol tables.
+
+A name counts as used where its own scope references it, or where a nested
+scope references it as a global or free name. A parameter or local of the
+same name in a nested scope shadows it, so a text search would count that
+as a use while this check does not. Names listed in a module's `__all__`
+are re-exports and count as used.
+"""
+
+import importlib
+import symtable
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vplab"
+
+
+def _outer_uses(table):
+    """Names the scopes nested in `table` reference from outside themselves."""
+    names = set()
+    for child in table.get_children():
+        names |= {s.get_name() for s in child.get_symbols()
+                  if s.is_referenced() and (s.is_global() or s.is_free())}
+        names |= _outer_uses(child)
+    return names
+
+
+def unused_imports(table, exported=()):
+    """(scope name, imported name) pairs of `table` and its nested scopes never used."""
+    used = ({s.get_name() for s in table.get_symbols() if s.is_referenced()}
+            | _outer_uses(table) | set(exported))
+    out = [(table.get_name(), s.get_name()) for s in table.get_symbols()
+           if s.is_imported() and s.get_name() not in used]
+    for child in table.get_children():
+        out += unused_imports(child)
+    return out
+
+
+def test_no_unused_imports_in_package():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("vplab" if path.stem == "__init__"
+                                         else f"vplab.{path.stem}")
+        table = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+        bad = unused_imports(table, getattr(module, "__all__", ()))
+        if bad:
+            found[path.name] = bad
+    assert found == {}
+
+
+def test_parameter_shadowing_an_import_is_not_a_use():
+    src = ("from dataclasses import field\n"
+           "import numpy as np\n\n"
+           "def f(field):\n"
+           "    return np.asarray(field)\n")
+    assert unused_imports(symtable.symtable(src, "m.py", "exec")) == [("top", "field")]

@@ -2,9 +2,23 @@ import numpy as np
 import pytest
 
 from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
-                               default_mode_data, from_real, real_matvec, to_real)
+                               default_mode_data, from_real, real_matvec, sectors,
+                               to_real)
 from vplab.macroscopic import MacroProjector, null_basis_raw
+from vplab import solver
 from vplab.solver import Simulation
+
+
+def test_sectors_orthogonal_and_self_inverse():
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal((2, 5, 7)) + 1j * rng.standard_normal((2, 5, 7))
+    s = sectors(f)
+    np.testing.assert_allclose(s[0], (f[0] + f[1]) / np.sqrt(2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(s[1], (f[0] - f[1]) / np.sqrt(2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sectors(s), f, rtol=0, atol=1e-15 * np.abs(f).max())
+    M = sectors(np.eye(2))                     # the map as a 2 x 2 matrix
+    np.testing.assert_allclose(M @ M.T, np.eye(2), rtol=0, atol=1e-15)
+    assert np.linalg.norm(s) == pytest.approx(np.linalg.norm(f), rel=1e-15)
 
 
 def test_B_at_zero_is_L(asm8):
@@ -171,10 +185,12 @@ def test_real_form_matches_complex_reference(asm8, y):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_propagator_budget_boundary(asm8):
+def test_propagator_budget_boundary(asm8, monkeypatch):
     # two real n x n float64 propagators per retained Fourier mode
     g = asm8.grid
     need = g.kx_r.size * 2 * g.n ** 2 * 8
-    Simulation(asm8, dt=0.05, store_budget_bytes=need)
+    monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", need)
+    Simulation(asm8, dt=0.05)
+    monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", need - 1)
     with pytest.raises(MemoryError):
-        Simulation(asm8, dt=0.05, store_budget_bytes=need - 1)
+        Simulation(asm8, dt=0.05)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly
+from vplab import solver
 from vplab.macroscopic import div_E_residual
 from vplab.solver import (Simulation, TwoSpeciesField, PsiWeight,
                           make_initial_data, energy_report,
-                          energy_inequality_monitor, running_X, dealias_x)
+                          energy_inequality_monitor, running_X, dealias_x,
+                          dt_phi_sup)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +177,18 @@ def test_dealias_removes_top_modes(sim_env):
     assert np.abs(fh[:, np.abs(g.kx_r) > cutoff + 1e-12, :]).max() < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_dt_phi_sup_single_mode_current(sim_env, m):
+    # G_1 = A sin(k x): -Lap d_t phi = -d_x G_1 gives d_t phi = -(A / k) cos(k x)
+    g, mw, _, _ = sim_env
+    k, A = m * np.pi / g.lx, 0.3
+    dirn = g.v[0] * mw.sqrt_mu / (np.sum((g.v[0] * mw.sqrt_mu) ** 2) * g.wv)
+    half = 0.5 * A * np.sin(k * g.x)[:, None] * dirn
+    IPf = np.stack([half, -half])
+    st = TwoSpeciesField(np.zeros_like(IPf), g, mw)
+    assert dt_phi_sup(st, IPf) == pytest.approx(A / k, rel=1e-12)
+
+
 def test_inequality_monitor_trivial_and_structure(sim_env):
     g, mw, asm, sim = sim_env
 
@@ -202,10 +216,11 @@ def test_running_X_monotone(sim_env):
     assert np.all(np.diff(X) >= -1e-15)
 
 
-def test_propagator_budget_guard(sim_env):
+def test_propagator_budget_guard(sim_env, monkeypatch):
     g, mw, asm, _ = sim_env
+    monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", 1000)
     with pytest.raises(MemoryError):
-        Simulation(asm, dt=0.05, store_budget_bytes=1000)
+        Simulation(asm, dt=0.05)
 
 
 def test_smoothing_smooth_data_bounded(sim_env):
