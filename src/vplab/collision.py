@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import VelocityWeight, NormSuite
+from .lineardecay import fold
 from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -178,8 +179,9 @@ class CollisionAssembly:
         Kernel exponent in [-3, 1].
 
     The kernel table is transformed once and its spectra serve sigma, K and
-    the bilinear term. The dense sectors (A + 2K, A) are built on the first
-    `dense_sectors` call and kept; the dense K they come from is not.
+    the bilinear term. The sectors (A + 2K, A) are kept only as their parity
+    blocks, built on the first `sector_blocks` call; the dense matrices they
+    come from are not kept.
     """
 
     def __init__(self, grid, maxw, gamma):
@@ -217,7 +219,7 @@ class CollisionAssembly:
         A = A - STAB * pen
         self.A = ((A + A.T) * 0.5).tocsr()
 
-        self._sectors = None
+        self._blocks = None
 
     # -- K: integral part ---------------------------------------------------
 
@@ -270,12 +272,26 @@ class CollisionAssembly:
         return ks, kd
 
     def dense_sectors(self):
-        """Dense (L_sum, L_diff) = (A + 2K, A) for spectral work."""
-        if self._sectors is None:
-            K = self.build_K_dense()
-            A = self.A.toarray()
-            self._sectors = (A + 2.0 * K, A)
-        return self._sectors
+        """Dense (L_sum, L_diff) = (A + 2K, A), built afresh on every call."""
+        K = self.build_K_dense()
+        A = self.A.toarray()
+        return A + 2.0 * K, A
+
+    def sector_blocks(self):
+        """(L_sum, L_diff) as (4, m, m) stacks of their `lineardecay.fold` blocks.
+
+        Both sectors commute with v2 -> -v2 and v3 -> -v3, so Q^T L Q is block
+        diagonal for the fold Q^T; its off-block parts are roundoff and are
+        dropped. Built on the first call and kept.
+        """
+        if self._blocks is None:
+            n, p = self.grid.n, np.arange(4)
+            # folding the columns, then the rows, gives Q^T L^T Q
+            self._blocks = tuple(
+                fold(fold(L).reshape(n, n).T).reshape(4, n // 4, 4, n // 4)[p, :, p, :]
+                .transpose(0, 2, 1).copy()
+                for L in self.dense_sectors())
+        return self._blocks
 
     def null_residuals(self):
         """Relative residual |L xi| / |xi| for each raw null vector."""

@@ -20,19 +20,24 @@ INCREASE_TOL = 1e-11       # functional increase per sample counted as a violati
 
 
 class ModeOperator:
-    """Real sector operators for d/dt u = B(y) u at one spatial frequency.
+    """Real parity blocks of d/dt u = B(y) u at one spatial frequency.
 
-    y is a 3-vector with (by convention) only the first axis nonzero; the
-    Poisson coupling uses phi_hat = |y|^{-2} (sqrt_mu, u_+ - u_-) for y != 0
-    and vanishes at y = 0, where B reduces to L.
+    y is the frequency on the torus axis: a scalar or a 3-vector (y, 0, 0).
+    The Poisson coupling uses phi_hat = |y|^{-2} (sqrt_mu, u_+ - u_-) for
+    y != 0 and vanishes at y = 0, where B reduces to L.
 
     B = L - i Y, where Y = diag(v.y), plus (2 wv / |y|^2) outer(v.y sqrt_mu,
     sqrt_mu) in the difference sector. The velocity reversal R: v -> -v
     (`u[::-1]` on the cell-centred grid) commutes with L and anticommutes
     with Y, so the unitary map T = (I + R)/2 - i (I - R)/2 makes
-    T B T^{-1} = L - Y R real. `Bs`/`Bd` and every propagator are stored in
-    that real form: L with -v.y on the anti-diagonal, minus the rank-one
-    field term. `to_real`/`from_real` apply T and T^{-1} to a complex field.
+    T B T^{-1} = L - Y R real. `to_real`/`from_real` apply T and T^{-1}.
+
+    With v.y = v1 y, the real form and the field term also commute with the
+    reflections v2 -> -v2 and v3 -> -v3, so the parity fold (`fold`) splits
+    each sector into four independent m x m blocks, m = n/4. `Bs`/`Bd` and
+    every propagator are (4, m, m) real stacks in the block order of `fold`:
+    in block (s2, s3), R acts as s2 s3 times the reversal of i1, and the
+    field term lives in block (+,+) of the difference sector alone.
     """
 
     def __init__(self, y, assembly):
@@ -40,41 +45,45 @@ class ModeOperator:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.size == 1:
             y = np.array([float(y[0]), 0.0, 0.0])
+        if y[1] != 0 or y[2] != 0:
+            raise ValueError(f"ModeOperator: y = {y.tolist()} is off the torus axis; "
+                             "the parity blocks need y = (y, 0, 0)")
         self.y = y
         self.ynorm = float(np.linalg.norm(y))
         grid = assembly.grid
-        Ls, Ld = assembly.dense_sectors()
-        vy = grid.v[0] * y[0] + grid.v[1] * y[1] + grid.v[2] * y[2]
-        self.vy = vy
-        idx = np.arange(grid.n)
-        anti = (idx, idx[::-1])
+        Ls, Ld = assembly.sector_blocks()
+        # block rows (i1, j2, j3) and their i1-reversed partners, one row of i1 each
+        rows = np.arange(grid.n // 4).reshape(grid.nv, -1)
+        sign = np.array([1.0, -1.0, -1.0, 1.0])[:, None, None]       # s2 s3
+        at = (np.arange(4)[:, None, None], rows, rows[::-1])
+        vy = sign * (grid.v1d * y[0])[:, None]
         self.Bs = Ls.copy()
-        self.Bs[anti] -= vy
+        self.Bs[at] -= vy
         self.Bd = Ld.copy()
-        self.Bd[anti] -= vy
+        self.Bd[at] -= vy
         if self.ynorm > 0:
             smu = assembly.maxw.sqrt_mu
-            self.Bd -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(vy * smu, smu)
+            a, b = fold(np.stack([grid.v[0] * y[0] * smu, smu]))[:, 0]
+            self.Bd[0] -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(a, b)
         self._props = {}
 
     def propagators(self, dt):
         """One-step implicit-midpoint real propagators (P_sum, P_diff), cached per dt.
 
-        Both are n x n float64 (2 n^2 8 bytes per mode) and act on fields
-        mapped by `to_real`; apply them with `real_matvec`.
+        Each is a (4, m, m) float64 stack of parity blocks (2 n^2 8 / 4 bytes
+        per mode); apply them to fields mapped by `to_real` and `fold`.
         """
         key = float(dt)
         if key not in self._props:
-            I = np.eye(self.Bs.shape[0])
+            I = np.eye(self.Bs.shape[-1])
             self._props[key] = tuple(np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
                                      for B in (self.Bs, self.Bd))
         return self._props[key]
 
     def apply(self, u):
         """B(y) applied to a two-species mode field u (2, n)."""
-        w = to_real(sectors(u))
-        return sectors(from_real(np.stack([real_matvec(self.Bs, w[0]),
-                                           real_matvec(self.Bd, w[1])])))
+        w = fold(to_real(sectors(u)))
+        return sectors(from_real(unfold(block_matvec(np.stack([self.Bs, self.Bd]), w))))
 
     def energy_metric_symmetric_bound(self):
         """Largest Rayleigh quotient of B in the mode-energy inner product.
@@ -83,19 +92,22 @@ class ModeOperator:
         the symmetric part of B is negative semidefinite (the plain-L2
         symmetric part is not, the Poisson coupling is skew only against the
         field energy). The metric commutes with the unitary map to the real
-        form, so the bound is computed there, in real arithmetic.
+        form and with the parity fold, so the bound is the largest over the
+        eight real blocks; the field energy adds its rank-one term to block
+        (+,+) of the difference sector only.
         """
         grid = self.asm.grid
-        n = self.Bs.shape[0]
-        smu = self.asm.maxw.sqrt_mu
-        Ms = np.eye(n) * grid.wv
-        Md = Ms.copy()
+        m = self.Bs.shape[-1]
+        M = np.eye(m) * grid.wv
+        Md = M.copy()
         if self.ynorm > 0:
-            Md = Md + (2.0 * grid.wv ** 2 / self.ynorm ** 2) * np.outer(smu, smu)
+            c = fold(self.asm.maxw.sqrt_mu)[0]
+            Md = Md + (2.0 * grid.wv ** 2 / self.ynorm ** 2) * np.outer(c, c)
+        pairs = [(B, M) for B in self.Bs] + [(self.Bd[0], Md)] + [(B, M) for B in self.Bd[1:]]
         bounds = []
-        for B, M in ((self.Bs, Ms), (self.Bd, Md)):
-            H = 0.5 * (M @ B + B.T @ M)
-            w = sla.eigh(H, M, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+        for B, Mp in pairs:
+            H = 0.5 * (Mp @ B + B.T @ Mp)
+            w = sla.eigh(H, Mp, eigvals_only=True, subset_by_index=[m - 1, m - 1])
             bounds.append(float(w[-1]))
         return max(bounds)
 
@@ -117,6 +129,39 @@ def sectors(f):
     return np.stack([f[0] + f[1], f[0] - f[1]]) / _SQ2
 
 
+def fold(u):
+    """Parity fold (..., n) -> (..., 4, m) along the v2 and v3 axes, m = n/4.
+
+    With h = nv/2, the axis i2 and then the axis i3 each map u to the pair
+    (u[h+j] + u[h-1-j], u[h+j] - u[h-1-j]) / sqrt(2), j < h: the parts even
+    and odd under that reflection. The blocks come in the order (+,+), (+,-),
+    (-,+), (-,-), each indexed by (i1, j2, j3) in C order. The map is
+    orthogonal and `unfold` is its inverse; the two 1/sqrt(2) are one exact
+    factor 0.5.
+    """
+    nv = round(u.shape[-1] ** (1 / 3))
+    h = nv // 2
+    c = u.reshape(u.shape[:-1] + (nv, nv, nv))
+    up, lo = c[..., h:, :], c[..., h - 1::-1, :]
+    c = np.stack([up + lo, up - lo], axis=-4)              # (..., 2, nv, h, nv)
+    up, lo = c[..., h:], c[..., h - 1::-1]
+    c = np.stack([up + lo, up - lo], axis=-4)              # (..., 2, 2, nv, h, h)
+    return 0.5 * c.reshape(u.shape[:-1] + (4, -1))
+
+
+def unfold(w):
+    """Inverse (and transpose) of `fold`: (..., 4, m) -> (..., n)."""
+    lead = w.shape[:-2]
+    nv = round((4 * w.shape[-1]) ** (1 / 3))
+    h = nv // 2
+    c = w.reshape(lead + (2, 2, nv, h, h))
+    e, o = c[..., 0, :, :, :], c[..., 1, :, :, :]           # v3 parities
+    c = np.concatenate([(e - o)[..., ::-1], e + o], axis=-1)          # (..., 2, nv, h, nv)
+    e, o = c[..., 0, :, :, :], c[..., 1, :, :, :]           # v2 parities
+    c = np.concatenate([(e - o)[..., ::-1, :], e + o], axis=-2)       # (..., nv, nv, nv)
+    return 0.5 * c.reshape(lead + (-1,))
+
+
 _TC = 0.5 - 0.5j      # T = (I + R)/2 - i (I - R)/2 = _TC I + conj(_TC) R
 
 
@@ -130,13 +175,14 @@ def from_real(w):
     return np.conj(_TC) * w + _TC * w[..., ::-1]
 
 
-def real_matvec(M, w):
-    """Real M times a contiguous complex vector w, without a complex copy of M.
+def block_matvec(P, w):
+    """Real blocks P (..., m, m) times complex w (..., m), without a complex copy of P.
 
-    The (n, 2) float view of w holds its real and imaginary parts as columns,
-    so one real product advances both.
+    The (..., m, 2) float view of w holds its real and imaginary parts as
+    columns, so one real product per block advances both.
     """
-    return (M @ w.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+    w = np.ascontiguousarray(w)
+    return (P @ w.view(np.float64).reshape(w.shape + (2,))).view(np.complex128)[..., 0]
 
 
 @dataclass
@@ -156,12 +202,15 @@ class ModeTrajectory:
 def _sector_samples(P, u, steps, samp):
     """Sector states (samples, n) from u, every samp steps and at the last step.
 
-    A stride is one product with P^samp, built by repeated squaring, when it is
-    taken at least twice, else samp products with P; leftover steps use P.
+    P is the sector's (4, m, m) stack of block propagators; the state stays
+    folded from the first step to the last sample. A stride is one product
+    with P^samp, built by repeated squaring, when it is taken at least twice,
+    else samp products with P; leftover steps use P.
     """
     strides, rem = divmod(steps, samp)
     Q, k = (np.linalg.matrix_power(P, samp), 1) if strides >= 2 and samp > 1 else (P, samp)
-    w = to_real(u).view(np.float64).reshape(-1, 2)      # step T u as (n, 2) floats
+    w = fold(to_real(u))
+    w = w.view(np.float64).reshape(w.shape + (2,))      # step folded T u as (4, m, 2) floats
     out = [w]
     for _ in range(strides):
         for _ in range(k):
@@ -171,7 +220,7 @@ def _sector_samples(P, u, steps, samp):
         w = P @ w
     if rem:
         out.append(w)
-    return from_real(np.stack(out).view(np.complex128)[..., 0])
+    return from_real(unfold(np.stack(out).view(np.complex128)[..., 0]))
 
 
 def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import GammaOp
-from .lineardecay import ModeOperator, from_real, real_matvec, sectors, to_real
+from .lineardecay import (ModeOperator, block_matvec, fold, from_real, sectors, to_real,
+                          unfold)
 from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
 
@@ -147,18 +148,23 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
     return amplitude * f
 
 
+def propagator_bytes(grid):
+    """Bytes of the per-mode propagators of `grid`: per retained Fourier mode,
+    two sectors of four m x m float64 parity blocks, m = n/4."""
+    return grid.kx_r.size * 2 * 4 * (grid.n // 4) ** 2 * 8
+
+
 def check_propagator_budget(grid):
     """Raise MemoryError when the per-mode propagators of `grid` exceed the budget.
 
     Depends on nv and nx only, so it can run before any operator is built.
     The budget is PROPAGATOR_BUDGET_BYTES as it stands when the check runs.
     """
-    nxr = grid.kx_r.size
-    need = nxr * 2 * grid.n ** 2 * 8
+    need = propagator_bytes(grid)
     if need > PROPAGATOR_BUDGET_BYTES:
         raise MemoryError(
             f"per-mode propagator storage {need/1e9:.1f} GB "
-            f"({nxr} modes x 2 real {grid.n}^2 float64 matrices) "
+            f"({grid.kx_r.size} modes x 2 sectors x 4 real {grid.n // 4}^2 float64 blocks) "
             f"exceeds the budget of {PROPAGATOR_BUDGET_BYTES/1e9:.1f} GB; "
             "reduce nv or nx"
         )
@@ -182,9 +188,12 @@ class Simulation:
         self.gamma_op = GammaOp(assembly)
         self.projector = MacroProjector(self.grid, self.maxw)
         check_propagator_budget(self.grid)
-        # only the propagators are kept; each ModeOperator is freed once built
-        self._props = [ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt)
-                       for y in self.grid.kx_r]
+        # only the propagators are kept, as one (sector, mode, block, m, m)
+        # stack; each ModeOperator is freed once built
+        m = self.grid.n // 4
+        self._props = np.empty((2, self.grid.kx_r.size, 4, m, m))
+        for k, y in enumerate(self.grid.kx_r):
+            self._props[:, k] = ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt)
         smu = self.maxw.sqrt_mu
         self._mass_dir = smu / np.sqrt(np.sum(smu ** 2) * self.grid.wv)
 
@@ -237,10 +246,8 @@ class Simulation:
         state.f += inc
 
     def _linear_step(self, state):
-        h = to_real(np.fft.rfft(sectors(state.f), axis=1))       # (2 sectors, modes, n)
-        for k, props in enumerate(self._props):
-            for s, P in enumerate(props):
-                h[s, k] = real_matvec(P, h[s, k])
+        h = fold(to_real(np.fft.rfft(sectors(state.f), axis=1)))    # (2 sectors, modes, 4, m)
+        h = unfold(block_matvec(self._props, h))
         state.f = sectors(np.fft.irfft(from_real(h), n=self.grid.nx, axis=1))
 
     def step(self, state):

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
-    coercivity_probe
+    coercivity_probe, ModeOperator
 from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index, \
     PROBE_MAXITER, PROBE_TOL
 from vplab.macroscopic import MacroProjector
@@ -142,13 +142,15 @@ def test_K_matrix_free_matches_dense(grid8, maxw8):
 
 
 def test_dense_sectors_hold_two_matrices(asm8):
-    # (A + 2K, A) are kept; the dense K they are built from is not
-    asm8.dense_sectors()
+    # once a mode operator is built, (A + 2K, A) are kept as two stacks of
+    # parity blocks; no dense n x n matrix is
+    ModeOperator([0.5, 0, 0], asm8)
     n = asm8.grid.n
     held = [a for v in vars(asm8).values()
             for a in (v if isinstance(v, tuple) else (v,))
-            if isinstance(a, np.ndarray) and a.shape == (n, n)]
-    assert len(held) == 2
+            if isinstance(a, np.ndarray)]
+    assert not [a for a in held if a.shape == (n, n)]
+    assert [a.shape for a in held if a.ndim == 3] == [(4, n // 4, n // 4)] * 2
 
 
 def test_coercivity_probe(asm8):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
-                               default_mode_data, from_real, real_matvec, sectors,
-                               to_real)
+                               default_mode_data, block_matvec, fold, from_real,
+                               sectors, to_real, unfold)
 from vplab.macroscopic import MacroProjector, null_basis_raw
 from vplab import solver
 from vplab.solver import Simulation
@@ -100,16 +100,16 @@ def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
     steps = int(round(t_end / dt))
     assert (steps // n_samples, steps % samp) == (samp, rem)
     w2l = asm8.weight.pow(0.0) ** 2
-    ws = [to_real((u0[0] + s * u0[1]) / np.sqrt(2)) for s in (1, -1)]
+    ws = [fold(to_real((u0[0] + s * u0[1]) / np.sqrt(2))) for s in (1, -1)]
     t, ts, Es, Ds = 0.0, [], [], []
     for k in range(steps + 1):
         if k % samp == 0 or k == steps:
-            us, ud = (from_real(w) for w in ws)
+            us, ud = (from_real(unfold(w)) for w in ws)
             ts.append(t)
             Es.append(op.mode_energy(us, ud, w2l))
             Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0).sum())
         if k < steps:
-            ws = [real_matvec(P, w) for P, w in zip(op.propagators(dt), ws)]
+            ws = [block_matvec(P, w) for P, w in zip(op.propagators(dt), ws)]
             t += dt
     tr = evolve_mode(op, u0, dt, t_end, n_samples=n_samples)
     assert np.array_equal(tr.t, ts)
@@ -158,7 +158,7 @@ def test_sectors_commute_with_velocity_reversal(asm_name, request):
         assert np.linalg.norm(RLR - L) <= 1e-14 * np.linalg.norm(L)
 
 
-@pytest.mark.parametrize("y", [[0.0, 0, 0], [0.8, 0, 0], [0.3, -0.2, 0.7]])
+@pytest.mark.parametrize("y", [[0.0, 0, 0], [0.8, 0, 0], [1.7, 0, 0]])
 def test_real_form_matches_complex_reference(asm8, y):
     # reference: the complex operator B = L - i v.y (+ field term), stepped
     # with dense complex implicit-midpoint propagators
@@ -186,11 +186,87 @@ def test_real_form_matches_complex_reference(asm8, y):
 
 
 def test_propagator_budget_boundary(asm8, monkeypatch):
-    # two real n x n float64 propagators per retained Fourier mode
+    # two sectors of four real (n/4) x (n/4) float64 blocks per retained Fourier mode
     g = asm8.grid
-    need = g.kx_r.size * 2 * g.n ** 2 * 8
+    need = g.kx_r.size * 2 * 4 * (g.n // 4) ** 2 * 8
+    assert need == solver.propagator_bytes(g)
     monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", need)
     Simulation(asm8, dt=0.05)
     monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", need - 1)
     with pytest.raises(MemoryError):
         Simulation(asm8, dt=0.05)
+
+
+def test_mode_operator_rejects_off_axis_frequency(asm8):
+    for y in ([0.3, -0.2, 0.7], [1.0, 0.0, 1e-3]):
+        with pytest.raises(ValueError, match="off the torus axis") as err:
+            ModeOperator(y, asm8)
+        assert str(y) in str(err.value)
+
+
+def test_fold_orthogonal_and_unfold_inverts_it():
+    nv = 8
+    n = nv ** 3
+    Q = fold(np.eye(n)).reshape(n, n)             # row k: the fold of the k-th unit vector
+    np.testing.assert_allclose(Q @ Q.T, np.eye(n), rtol=0, atol=1e-15)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+    w = fold(u)
+    assert w.shape == (3, 2, 4, n // 4)
+    np.testing.assert_allclose(unfold(w), u, rtol=0, atol=1e-15 * np.abs(u).max())
+    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(u), rel=1e-15)
+
+
+def _dense_real_form(asm, y):
+    """Dense real-form sector operators (Bs, Bd) at frequency (y, 0, 0)."""
+    g, smu = asm.grid, asm.maxw.sqrt_mu
+    vy = g.v[0] * y
+    anti = (np.arange(g.n), np.arange(g.n)[::-1])
+    Bs, Bd = asm.dense_sectors()
+    Bs[anti] -= vy
+    Bd[anti] -= vy
+    if y > 0:
+        Bd -= (2.0 * g.wv / y ** 2) * np.outer(vy * smu, smu)
+    return Bs, Bd
+
+
+def _folded(M):
+    """Q^T M Q for the fold Q^T, as a (4, m, 4, m) array."""
+    n = M.shape[0]
+    return (fold(fold(M).reshape(n, n).T).reshape(n, n).T).reshape(4, n // 4, 4, n // 4)
+
+
+@pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
+@pytest.mark.parametrize("y", [0.0, 0.7])
+def test_folded_sectors_block_diagonal(asm_name, y, request):
+    asm = request.getfixturevalue(asm_name)
+    op = ModeOperator([y, 0, 0], asm)
+    # the sectors (A + 2K, A), then the real-form operators Bs, Bd
+    for M, blocks in zip((*asm.dense_sectors(), *_dense_real_form(asm, y)),
+                         (*asm.sector_blocks(), op.Bs, op.Bd)):
+        F = _folded(M)
+        on = np.zeros_like(F)
+        for p in range(4):
+            on[p, :, p, :] = F[p, :, p, :]
+        assert np.linalg.norm(F - on) <= 1e-15 * np.linalg.norm(F)
+        # the stored blocks are the diagonal blocks of the fold
+        scale = np.abs(M).max()
+        for p in range(4):
+            assert np.abs(blocks[p] - F[p, :, p, :]).max() <= 1e-15 * scale
+
+
+def test_block_propagators_match_dense_oracle(asm8):
+    # oracle: dense real-form implicit-midpoint propagators, stepped unfolded
+    g, dt, y = asm8.grid, 0.05, 0.7
+    op = ModeOperator([y, 0, 0], asm8)
+    I = np.eye(g.n)
+    u0 = default_mode_data(asm8, "mixed", 1e-3, seed=6)
+    for B, P, u in zip(_dense_real_form(asm8, y), op.propagators(dt), sectors(u0)):
+        Pd = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
+        ref = w = to_real(u)
+        blk = fold(w)
+        for k in range(200):
+            ref, blk = Pd @ ref, block_matvec(P, blk)
+            if k == 0:
+                assert np.linalg.norm(unfold(blk) - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(unfold(blk) - ref) <= 1e-12 * np.linalg.norm(ref)
