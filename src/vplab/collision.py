@@ -93,21 +93,34 @@ class _ConvKit:
         pad[:, :s, :s, :s] = kernel.phi
         self.khat = np.fft.rfftn(pad, axes=(-3, -2, -1))
 
+    # The 3-D transforms run axis by axis in numpy's own rfftn/irfftn order
+    # (numpy >= 2: forward axes -1, -2, -3; inverse -3, -2, -1), so every 1-D
+    # line sees the same values as in the full padded cube and the results
+    # are bit-identical; what is pruned is the lines that are all zero on
+    # input (forward) or discarded on output (inverse). The inverse's complex
+    # passes write into their input (`out=`, new in numpy 2.0): fresh output
+    # arrays took about half of `components` time (nv 12, 4 fields) in page
+    # faults.
+
     def _forward(self, g):
         """Spectra of the zero-padded real fields g (..., nv^3)."""
         nv, m = self.nv, self.m
-        lead = g.shape[:-1]
-        padded = np.zeros(lead + (m, m, m))
-        padded[..., :nv, :nv, :nv] = g.reshape(lead + (nv, nv, nv))
-        return np.fft.rfftn(padded, axes=(-3, -2, -1))
+        a = g.reshape(g.shape[:-1] + (nv, nv, nv))
+        a = np.fft.rfftn(a, s=(m,), axes=(-1,))     # the nv^2 nonzero lines
+        a = np.fft.fft(a, n=m, axis=-2)             # the nv (nv + 1) nonzero lines
+        return np.fft.fft(a, n=m, axis=-3)
 
     def _inverse(self, gh):
-        """Fields (..., nv^3) on the velocity grid from product spectra gh."""
+        """Fields (..., nv^3) on the velocity grid from product spectra gh.
+
+        Overwrites gh.
+        """
         nv, m = self.nv, self.m
-        out = np.fft.irfftn(gh, s=(m, m, m), axes=(-3, -2, -1))
-        s = nv - 1
-        res = out[..., s:s + nv, s:s + nv, s:s + nv] * self.grid.wv
-        return res.reshape(gh.shape[:-3] + (nv ** 3,))
+        keep = slice(nv - 1, 2 * nv - 1)
+        a = np.fft.ifft(gh, axis=-3, out=gh)[..., keep, :, :]
+        a = np.fft.ifft(a, axis=-2, out=a)[..., keep, :]
+        a = np.fft.irfftn(a, s=(m,), axes=(-1,))[..., keep]
+        return (a * self.grid.wv).reshape(gh.shape[:-3] + (nv ** 3,))
 
     def components(self, g):
         """All six Phi^{ij} * g in PAIRS order, (..., 6, n), for real g (..., n)."""
@@ -126,11 +139,10 @@ def _pair_difference_index(nv):
     base = 2 * nv - 1
     idx = np.arange(nv)
     d = (idx[:, None] - idx[None, :] + (nv - 1)).astype(np.int64)
-    one = np.ones((nv, nv), dtype=np.int64)
-    a = np.kron(np.kron(d, one), one)
-    b = np.kron(np.kron(one, d), one)
-    c = np.kron(np.kron(one, one), d)
-    return (a * base + b) * base + c
+    # axes (a1, a2, a3, b1, b2, b3) of row (a1, a2, a3) and column (b1, b2, b3)
+    t = ((d[:, None, None, :, None, None] * base + d[None, :, None, None, :, None])
+         * base + d[None, None, :, None, None, :])
+    return t.reshape(nv ** 3, nv ** 3)
 
 
 def _check_psd(sigma):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe, ModeOperator
 from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index, \
-    PROBE_MAXITER, PROBE_TOL
+    _ConvKit, PROBE_MAXITER, PROBE_TOL
 from vplab.macroscopic import MacroProjector
 
 
@@ -317,6 +317,69 @@ def test_assembly_transforms_kernel_once(grid8, maxw8, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     CollisionAssembly(grid8, maxw8, 0.0)
     assert len(calls) == 3
+
+
+def test_gamma_and_K_transform_counts(asm8, monkeypatch):
+    # each 3-D transform is one counted numpy call (the pruned passes keep the
+    # other axes in np.fft.fft/ifft): Gamma transforms u and du forward and
+    # U and W back, K transforms q forward and its contraction back
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    h = np.random.default_rng(23).standard_normal((2, asm8.grid.n))
+    GammaOp(asm8).coefficients(h)
+    assert len(calls) == 4
+    asm8.apply_K(h)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("nv", [8, 10, 12])
+def test_pruned_transforms_bit_identical_to_full_cube(nv):
+    # the pruned axis passes against numpy's rfftn/irfftn over the full
+    # zero-padded (2nv)^3 cube, which they replace
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    kit = _ConvKit(g, KernelTable(g, -1.0))
+    m, s = 2 * nv, slice(nv - 1, 2 * nv - 1)
+
+    def forward(x):
+        pad = np.zeros(x.shape[:-1] + (m, m, m))
+        pad[..., :nv, :nv, :nv] = x.reshape(x.shape[:-1] + (nv, nv, nv))
+        return np.fft.rfftn(pad, axes=(-3, -2, -1))
+
+    def inverse(xh):
+        out = np.fft.irfftn(xh, s=(m, m, m), axes=(-3, -2, -1))[..., s, s, s] * g.wv
+        return out.reshape(xh.shape[:-3] + (g.n,))
+
+    rng = np.random.default_rng(nv)
+    for lead in [(), (3,), (2, 4)]:
+        x = rng.standard_normal(lead + (g.n,))
+        xh = forward(x)
+        assert np.array_equal(kit._forward(x), xh)
+        assert np.array_equal(kit._inverse(xh.copy()), inverse(xh))
+        assert np.array_equal(kit.components(x),
+                              inverse(kit.khat * xh[..., None, :, :, :]))
+        q = rng.standard_normal(lead + (3, g.n))
+        qh = forward(q)
+        ref = inverse(np.stack([
+            sum(kit.khat[pair_of(i, j)] * qh[..., j, :, :, :] for j in range(3))
+            for i in range(3)], axis=-4))
+        assert np.array_equal(kit.contract(q), ref)
+
+
+@pytest.mark.parametrize("nv", [8, 10, 12])
+def test_pair_difference_index_matches_kron_form(nv):
+    # the Kronecker-product construction of the block-Toeplitz table
+    base = 2 * nv - 1
+    idx = np.arange(nv)
+    d = (idx[:, None] - idx[None, :] + (nv - 1)).astype(np.int64)
+    one = np.ones((nv, nv), dtype=np.int64)
+    a = np.kron(np.kron(d, one), one)
+    b = np.kron(np.kron(one, d), one)
+    c = np.kron(np.kron(one, one), d)
+    assert np.array_equal(_pair_difference_index(nv), (a * base + b) * base + c)
 
 
 # Operator invariants over nv in {8, 10, 12} and gamma in [-3, 1], each at
