@@ -24,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import VelocityWeight, NormSuite
-from .lineardecay import fold
 from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -145,6 +144,20 @@ def _pair_difference_index(nv):
     return t.reshape(nv ** 3, nv ** 3)
 
 
+def _fold_blocks(S, nv, flip=0):
+    """Sparse m x m blocks Q_{p ^ flip}^T S Q_p, p = 0..3, of a sparse n x n S.
+
+    Q^T is `lineardecay.fold` as a sparse matrix, from the fold F of one axis.
+    """
+    h, m = nv // 2, nv ** 3 // 4
+    E = np.eye(nv)[h:]                      # row j: the unit vector at h + j
+    F = sp.csr_matrix(np.vstack([E + E[:, ::-1], E - E[:, ::-1]]))
+    Qt = 0.5 * sp.kron(sp.identity(nv), sp.kron(F, F), format="csr")  # rows (i1, s2, j2, s3, j3)
+    Qt = Qt[np.arange(nv ** 3).reshape(nv, 2, h, 2, h).transpose(1, 3, 0, 2, 4).ravel()]
+    SQ = (Qt @ S @ Qt.T).tocsr()
+    return [SQ[(p ^ flip) * m:((p ^ flip) + 1) * m, p * m:(p + 1) * m] for p in range(4)]
+
+
 def _check_psd(sigma):
     """Raise ValueError unless the 3x3 matrix sigma^{ij} is PSD at every node."""
     mats = np.empty((sigma.shape[1], 3, 3))
@@ -191,9 +204,8 @@ class CollisionAssembly:
         Kernel exponent in [-3, 1].
 
     The kernel table is transformed once and its spectra serve sigma, K and
-    the bilinear term. The sectors (A + 2K, A) are kept only as their parity
-    blocks, built on the first `sector_blocks` call; the dense matrices they
-    come from are not kept.
+    the bilinear term. The sectors (A + 2K, A) exist only as their parity
+    blocks, assembled in the folded basis on the first `sector_blocks` call.
     """
 
     def __init__(self, grid, maxw, gamma):
@@ -243,20 +255,35 @@ class CollisionAssembly:
         return sum(self._apply_sp(self.CT[i], g[..., i, :]) for i in range(3))
 
     def build_K_dense(self):
-        """Materialize K as a dense matrix (feasible up to nv = 16)."""
-        grid = self.grid
-        smu = self.maxw.sqrt_mu
-        idx = _pair_difference_index(grid.nv)
-        K = np.zeros((grid.n, grid.n))
-        for (i, j) in PAIRS:
-            Y = self.kernel.phi[pair_of(i, j)].ravel()[idx] * grid.wv
-            Y *= smu[:, None]
-            Y *= smu[None, :]
-            T = self.CT[i] @ (Y @ self.C[j])
-            if i != j:
-                T = T + T.T
-            K += T
-        return (K + K.T) * 0.5
+        """K as the (4, m, m) stack of its `lineardecay.fold` blocks, m = n/4.
+
+        No n x n array is formed. Block p is sum_ij Cb_i^T Y_ij Cb_j: Cb_j are
+        the folded sparse blocks of M^{1/2} C_j (C_2 and C_3 flip the parity of
+        their own axis), and Y_ij, as Phi^{ij} has a parity in each axis, is a
+        gather along the v1 difference of a table holding, per folded axis,
+        Phi(j - k) + s Phi(j + k + 1), s the column parity.
+        """
+        nv, h, m = self.grid.nv, self.grid.nv // 2, self.grid.n // 4
+        flip = (0, 2, 1)            # C_j maps block p = 2 s2 + s3 to p ^ flip[j]
+        CbT = [[b.T.tocsr() for b in _fold_blocks(sp.diags(self.maxw.sqrt_mu) @ Cj, nv, f)]
+               for Cj, f in zip(self.C, flip)]
+        k = np.arange(h)
+        near, far = np.subtract.outer(k, k) + nv - 1, np.add.outer(k, k) + nv
+        d1 = np.subtract.outer(range(nv), range(nv)) + nv - 1
+        K = np.empty((4, m, m))
+        for p in range(4):
+            RT = np.zeros((3, m, m))    # RT_j = (sum_i Cb_i^T Y_ij)^T over the pairs (i, j)
+            for (i, j) in PAIRS:
+                c = p ^ flip[j]     # the column parity of Y_ij
+                phi = self.kernel.phi[pair_of(i, j)]
+                G = phi[:, near] + (-1.0 if c & 2 else 1.0) * phi[:, far]
+                G = G[..., near] + (-1.0 if c & 1 else 1.0) * G[..., far]   # (2nv-1, h, h, h, h)
+                Y = G[d1].transpose(0, 2, 4, 1, 3, 5).reshape(m, m)
+                Y *= self.grid.wv * (1.0 if i == j else 2.0)  # (j, i): transpose, via Kp.T
+                RT[j] += (CbT[i][p] @ Y).T
+            Kp = sp.hstack([CbT[j][p] for j in range(3)], format="csr") @ RT.reshape(3 * m, m)
+            K[p] = (Kp + Kp.T) * 0.5
+        return K
 
     # -- application helpers -------------------------------------------------
 
@@ -283,26 +310,19 @@ class CollisionAssembly:
         kd = orthonormalize(raw[:1], self.grid.wv)
         return ks, kd
 
-    def dense_sectors(self):
-        """Dense (L_sum, L_diff) = (A + 2K, A), built afresh on every call."""
-        K = self.build_K_dense()
-        A = self.A.toarray()
-        return A + 2.0 * K, A
-
     def sector_blocks(self):
-        """(L_sum, L_diff) as (4, m, m) stacks of their `lineardecay.fold` blocks.
+        """(L_sum, L_diff) = (A + 2K, A) as (4, m, m) stacks of their fold blocks.
 
         Both sectors commute with v2 -> -v2 and v3 -> -v3, so Q^T L Q is block
-        diagonal for the fold Q^T; its off-block parts are roundoff and are
-        dropped. Built on the first call and kept.
+        diagonal for the fold Q^T (`lineardecay.fold`). Built on the first call
+        and kept.
         """
         if self._blocks is None:
-            n, p = self.grid.n, np.arange(4)
-            # folding the columns, then the rows, gives Q^T L^T Q
-            self._blocks = tuple(
-                fold(fold(L).reshape(n, n).T).reshape(4, n // 4, 4, n // 4)[p, :, p, :]
-                .transpose(0, 2, 1).copy()
-                for L in self.dense_sectors())
+            K = self.build_K_dense()
+            A = np.stack([b.toarray() for b in _fold_blocks(self.A, self.grid.nv)])
+            K *= 2.0
+            K += A
+            self._blocks = (K, A)
         return self._blocks
 
     def null_residuals(self):

@@ -2,6 +2,38 @@ import numpy as np
 import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly
+from vplab.collision import PAIRS, pair_of, _pair_difference_index
+from vplab.lineardecay import fold
+
+
+def dense_K(asm):
+    """Oracle: K as a dense n x n matrix, sum_ij C_i^T M^{1/2} Xi_ij M^{1/2} C_j."""
+    grid = asm.grid
+    smu = asm.maxw.sqrt_mu
+    idx = _pair_difference_index(grid.nv)
+    K = np.zeros((grid.n, grid.n))
+    for (i, j) in PAIRS:
+        Y = asm.kernel.phi[pair_of(i, j)].ravel()[idx] * grid.wv
+        Y *= smu[:, None]
+        Y *= smu[None, :]
+        T = asm.CT[i] @ (Y @ asm.C[j])
+        if i != j:
+            T = T + T.T
+        K += T
+    return (K + K.T) * 0.5
+
+
+def folded(M):
+    """Q^T M Q for the fold Q^T, as a (4, m, 4, m) array."""
+    n = M.shape[0]
+    return (fold(fold(M).reshape(n, n).T).reshape(n, n).T).reshape(4, n // 4, 4, n // 4)
+
+
+def dense_sectors(asm):
+    """Oracle: the dense sector operators (L_sum, L_diff) = (A + 2K, A)."""
+    K = dense_K(asm)
+    A = asm.A.toarray()
+    return A + 2.0 * K, A
 
 
 @pytest.fixture(scope="session")

@@ -72,7 +72,7 @@ def test_collision_check_dispatch(tmp_path):
     rep = json.loads((tmp_path / "collision_report.json").read_text())
     assert rep["passed"]
     assert rep["lambda_h"] > 0
-    assert rep["K_fft_vs_dense"] <= rep["thresholds"]["K_fft_vs_dense"]
+    assert rep["K_fft_vs_blocks"] <= rep["thresholds"]["K_fft_vs_blocks"]
     assert "config_hash" in rep
 
 

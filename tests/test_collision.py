@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,6 +10,8 @@ from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
 from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index, \
     _ConvKit, PROBE_MAXITER, PROBE_TOL
 from vplab.macroscopic import MacroProjector
+
+from conftest import dense_K, dense_sectors, folded
 
 
 def kernel_matrix_at(z, gamma):
@@ -93,7 +97,7 @@ def test_null_basis_orthonormal(asm8):
 
 
 def test_L_symmetric_and_negative_semidefinite(asm8):
-    Ls, Ld = asm8.dense_sectors()
+    Ls, Ld = dense_sectors(asm8)
     assert np.abs(Ls - Ls.T).max() < 1e-11
     assert np.abs(Ld - Ld.T).max() < 1e-11
     ws = np.linalg.eigvalsh(-(Ls + Ls.T) / 2)
@@ -119,7 +123,7 @@ def test_negative_definite_off_kernel(asm8):
 def test_apply_L_matches_dense_sectors(asm8):
     rng = np.random.default_rng(5)
     f = rng.standard_normal((2, asm8.grid.n)) * asm8.maxw.sqrt_mu
-    Ls, Ld = asm8.dense_sectors()
+    Ls, Ld = dense_sectors(asm8)
     s = (f[0] + f[1]) / np.sqrt(2)
     d = (f[0] - f[1]) / np.sqrt(2)
     rs, rd = Ls @ s, Ld @ d
@@ -133,7 +137,7 @@ def test_K_matrix_free_matches_dense(grid8, maxw8):
     rng = np.random.default_rng(7)
     h = rng.standard_normal(grid8.n) * maxw8.sqrt_mu
     k_mf = asm.apply_K(h)
-    Kd = asm.build_K_dense()
+    Kd = dense_K(asm)
     assert np.abs(k_mf - Kd @ h).max() < 1e-12 * np.abs(Kd @ h).max()
     # a batch, applied once the dense K exists
     H = rng.standard_normal((4, grid8.n)) * maxw8.sqrt_mu
@@ -143,7 +147,7 @@ def test_K_matrix_free_matches_dense(grid8, maxw8):
 
 def test_dense_sectors_hold_two_matrices(asm8):
     # once a mode operator is built, (A + 2K, A) are kept as two stacks of
-    # parity blocks; no dense n x n matrix is
+    # parity blocks, 2 K apart; no dense n x n matrix is
     ModeOperator([0.5, 0, 0], asm8)
     n = asm8.grid.n
     held = [a for v in vars(asm8).values()
@@ -151,6 +155,41 @@ def test_dense_sectors_hold_two_matrices(asm8):
             if isinstance(a, np.ndarray)]
     assert not [a for a in held if a.shape == (n, n)]
     assert [a.shape for a in held if a.ndim == 3] == [(4, n // 4, n // 4)] * 2
+    Ls, Ld = asm8.sector_blocks()
+    assert np.abs(Ls - Ld - 2.0 * asm8.build_K_dense()).max() <= 1e-14 * np.abs(Ls).max()
+
+
+@pytest.mark.parametrize("nv", [8, 10, 12])          # nv 10: odd half-width 5
+@pytest.mark.parametrize("gamma", [0.0, -2.5, 1.0])
+def test_K_blocks_match_dense_oracle(nv, gamma):
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    asm = CollisionAssembly(g, maxwellian(g), gamma)
+    p = np.arange(4)
+    F = folded(dense_K(asm))[p, :, p, :]           # the diagonal blocks of Q^T K Q
+    assert np.abs(asm.build_K_dense() - F).max() <= 1e-14 * np.abs(F).max()
+
+
+def test_L_blocks_symmetric_and_negative_semidefinite(asm8):
+    # twin of the dense test on the parity blocks: the 5 + 1 kernel
+    # directions are spread over the four blocks of each sector
+    for L, kdim in zip(asm8.sector_blocks(), (5, 1)):
+        assert np.abs(L - L.transpose(0, 2, 1)).max() < 1e-11
+        w = np.sort(np.linalg.eigvalsh(-L).ravel())
+        assert w.min() > -1e-10
+        assert w[kdim] > 1e-3 and w[kdim - 1] < 1e-10
+
+
+def test_sector_blocks_allocate_less_than_one_dense_matrix():
+    # the fold-first assembly never holds an n x n array, nor anything as large
+    g = build_grid(nv=12, vmax=6.0, nx=4)
+    asm = CollisionAssembly(g, maxwellian(g), 0.0)
+    tracemalloc.start()
+    try:
+        asm.sector_blocks()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n ** 2 * 8
 
 
 def test_coercivity_probe(asm8):
@@ -173,7 +212,7 @@ def dense_probe_eigs(asm):
     S = asm.norms.sigma_form(0.0).toarray()
     ks, kd = asm.sector_kernels()
     out = {}
-    for tag, L, kern in zip(("sum", "diff"), asm.dense_sectors(), (ks, kd)):
+    for tag, L, kern in zip(("sum", "diff"), dense_sectors(asm), (ks, kd)):
         Q, _ = np.linalg.qr(kern.T, mode="complete")
         U = Q[:, kern.shape[0]:]
         out[tag] = sla.eigh(U.T @ (-L @ U), U.T @ (S @ U), subset_by_index=[0, 2],

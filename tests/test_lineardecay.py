@@ -8,6 +8,8 @@ from vplab.macroscopic import MacroProjector, null_basis_raw
 from vplab import solver
 from vplab.solver import Simulation
 
+from conftest import dense_sectors, folded
+
 
 def test_sectors_orthogonal_and_self_inverse():
     rng = np.random.default_rng(2)
@@ -153,7 +155,7 @@ def test_low_frequency_dominance(asm8):
 @pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
 def test_sectors_commute_with_velocity_reversal(asm_name, request):
     # R: u -> u[::-1] is v -> -v on the cell-centred grid
-    for L in request.getfixturevalue(asm_name).dense_sectors():
+    for L in dense_sectors(request.getfixturevalue(asm_name)):
         RLR = L[::-1, ::-1]
         assert np.linalg.norm(RLR - L) <= 1e-14 * np.linalg.norm(L)
 
@@ -163,7 +165,7 @@ def test_real_form_matches_complex_reference(asm8, y):
     # reference: the complex operator B = L - i v.y (+ field term), stepped
     # with dense complex implicit-midpoint propagators
     g, smu = asm8.grid, asm8.maxw.sqrt_mu
-    Ls, Ld = asm8.dense_sectors()
+    Ls, Ld = dense_sectors(asm8)
     vy = g.v[0] * y[0] + g.v[1] * y[1] + g.v[2] * y[2]
     yn = np.linalg.norm(y)
     Bs = Ls - 1j * np.diag(vy)
@@ -222,18 +224,12 @@ def _dense_real_form(asm, y):
     g, smu = asm.grid, asm.maxw.sqrt_mu
     vy = g.v[0] * y
     anti = (np.arange(g.n), np.arange(g.n)[::-1])
-    Bs, Bd = asm.dense_sectors()
+    Bs, Bd = dense_sectors(asm)
     Bs[anti] -= vy
     Bd[anti] -= vy
     if y > 0:
         Bd -= (2.0 * g.wv / y ** 2) * np.outer(vy * smu, smu)
     return Bs, Bd
-
-
-def _folded(M):
-    """Q^T M Q for the fold Q^T, as a (4, m, 4, m) array."""
-    n = M.shape[0]
-    return (fold(fold(M).reshape(n, n).T).reshape(n, n).T).reshape(4, n // 4, 4, n // 4)
 
 
 @pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
@@ -242,9 +238,9 @@ def test_folded_sectors_block_diagonal(asm_name, y, request):
     asm = request.getfixturevalue(asm_name)
     op = ModeOperator([y, 0, 0], asm)
     # the sectors (A + 2K, A), then the real-form operators Bs, Bd
-    for M, blocks in zip((*asm.dense_sectors(), *_dense_real_form(asm, y)),
+    for M, blocks in zip((*dense_sectors(asm), *_dense_real_form(asm, y)),
                          (*asm.sector_blocks(), op.Bs, op.Bd)):
-        F = _folded(M)
+        F = folded(M)
         on = np.zeros_like(F)
         for p in range(4):
             on[p, :, p, :] = F[p, :, p, :]
