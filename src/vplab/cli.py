@@ -238,15 +238,6 @@ def write_snapshots(path, arrays, cfg_h):
             zf.writestr(info, data)
 
 
-def read_snapshots(path):
-    out = {}
-    with zipfile.ZipFile(path) as zf:
-        for name in zf.namelist():
-            if name.endswith(".npy"):
-                out[name[:-4]] = np.load(_io.BytesIO(zf.read(name)))
-    return out
-
-
 def _assembly_from(cfg, g):
     mw = maxwellian(g)
     asm = CollisionAssembly(g, mw, cfg["physics"]["gamma"])

@@ -133,17 +133,6 @@ class _ConvKit:
             for i in range(3)], axis=-4))
 
 
-def _pair_difference_index(nv):
-    """n x n table of flattened difference-grid indices (block Toeplitz)."""
-    base = 2 * nv - 1
-    idx = np.arange(nv)
-    d = (idx[:, None] - idx[None, :] + (nv - 1)).astype(np.int64)
-    # axes (a1, a2, a3, b1, b2, b3) of row (a1, a2, a3) and column (b1, b2, b3)
-    t = ((d[:, None, None, :, None, None] * base + d[None, :, None, None, :, None])
-         * base + d[None, None, :, None, None, :])
-    return t.reshape(nv ** 3, nv ** 3)
-
-
 def _fold_blocks(S, nv, flip=0):
     """Sparse m x m blocks Q_{p ^ flip}^T S Q_p, p = 0..3, of a sparse n x n S.
 
@@ -175,7 +164,7 @@ def assemble_sigma(grid, maxw, gamma, method="fft", kit=None):
     """Diffusion coefficients sigma^{ij}(v) = int Phi^{ij}(v - v*) mu(v*) dv*.
 
     Returns the (6, n) table in PAIRS order. `method` selects the zero-padded
-    FFT path or the direct dense sum; the two agree to roundoff. `kit` is
+    FFT path or the direct windowed sum; the two agree to roundoff. `kit` is
     the convolution kit of the kernel table (built for `gamma` when omitted).
     Raises if the 3x3 matrix at any node fails positive semidefiniteness.
     """
@@ -184,10 +173,14 @@ def assemble_sigma(grid, maxw, gamma, method="fft", kit=None):
     if method == "fft":
         sigma = kit.components(maxw.mu)
     elif method == "direct":
-        idx = _pair_difference_index(grid.nv)
-        sigma = np.stack([
-            (kit.kernel.phi[k].ravel()[idx] * grid.wv) @ maxw.mu for k in range(6)
-        ])
+        # win[k, a, w] = Phi^k(a + w) is a strided view of the table, so
+        # sigma(a) = sum_b Phi(a - b + nv - 1) mu(b) runs over it with mu
+        # reversed, and nothing of size n x n is formed
+        nv = grid.nv
+        win = np.lib.stride_tricks.sliding_window_view(kit.kernel.phi, (nv,) * 3,
+                                                       axis=(1, 2, 3))
+        mu3 = maxw.mu.reshape(nv, nv, nv)[::-1, ::-1, ::-1]
+        sigma = np.einsum("kabcdef,def->kabc", win, mu3).reshape(6, -1) * grid.wv
     else:
         raise ValueError(f"unknown sigma assembly method: {method!r}")
     _check_psd(sigma)

@@ -119,10 +119,6 @@ class PhaseGrid:
         """Midpoint quadrature of g over the velocity box (last axis)."""
         return np.sum(g, axis=-1) * self.wv
 
-    def inner_v(self, f, g):
-        """L^2_v inner product along the last axis."""
-        return np.sum(np.conj(f) * g, axis=-1) * self.wv
-
     def dx_powers(self, field, kmax, axis):
         """[d_x^a field for a = 0..kmax] of a real field along `axis`.
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 
 _SQ2 = np.sqrt(2.0)
@@ -84,32 +83,6 @@ class ModeOperator:
         """B(y) applied to a two-species mode field u (2, n)."""
         w = fold(to_real(sectors(u)))
         return sectors(from_real(unfold(block_matvec(np.stack([self.Bs, self.Bd]), w))))
-
-    def energy_metric_symmetric_bound(self):
-        """Largest Rayleigh quotient of B in the mode-energy inner product.
-
-        The energy metric adds |E_hat|^2 to the plain L2 norm; in that metric
-        the symmetric part of B is negative semidefinite (the plain-L2
-        symmetric part is not, the Poisson coupling is skew only against the
-        field energy). The metric commutes with the unitary map to the real
-        form and with the parity fold, so the bound is the largest over the
-        eight real blocks; the field energy adds its rank-one term to block
-        (+,+) of the difference sector only.
-        """
-        grid = self.asm.grid
-        m = self.Bs.shape[-1]
-        M = np.eye(m) * grid.wv
-        Md = M.copy()
-        if self.ynorm > 0:
-            c = fold(self.asm.maxw.sqrt_mu)[0]
-            Md = Md + (2.0 * grid.wv ** 2 / self.ynorm ** 2) * np.outer(c, c)
-        pairs = [(B, M) for B in self.Bs] + [(self.Bd[0], Md)] + [(B, M) for B in self.Bd[1:]]
-        bounds = []
-        for B, Mp in pairs:
-            H = 0.5 * (Mp @ B + B.T @ Mp)
-            w = sla.eigh(H, Mp, eigvals_only=True, subset_by_index=[m - 1, m - 1])
-            bounds.append(float(w[-1]))
-        return max(bounds)
 
     def mode_energy(self, us, ud, w2l):
         grid = self.asm.grid

@@ -387,22 +387,6 @@ def energy_report(state, assembly, K, l, psi, projector):
     )
 
 
-def running_X(reports, gamma):
-    """The decay-weighted running supremum functional (monitored only).
-
-    Weights (1 + t)^{3/2} on E and (1 + t)^{5/2} on E_h, (1 + t)^{9/4} for soft potentials.
-    """
-    hard = gamma + 2.0 >= 0.0
-    out = []
-    s1 = s2 = 0.0
-    for r in reports:
-        tau = r.t
-        s1 = max(s1, (1.0 + tau) ** 1.5 * r.E_total)
-        s2 = max(s2, (1.0 + tau) ** (2.5 if hard else 2.25) * r.Eh_total)
-        out.append(s1 + s2)
-    return np.array(out)
-
-
 def energy_inequality_monitor(reports, lam):
     """Discrete check of d_t E + lam D <= C ||d_t phi||_inf E along a run.
 

@@ -2,18 +2,28 @@ import numpy as np
 import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly
-from vplab.collision import PAIRS, pair_of, _pair_difference_index
+from vplab.collision import PAIRS, pair_of
 from vplab.lineardecay import fold
+
+
+def kernel_matrix(asm, k):
+    """Oracle: the n x n block-Toeplitz matrix Phi^k(v_a - v_b) wv of component k.
+
+    win[a, w] = Phi^k(a + w) is a window view of the table; reversing w
+    gives column b = nv - 1 - w, i.e. Phi^k(a - b + nv - 1).
+    """
+    grid = asm.grid
+    win = np.lib.stride_tricks.sliding_window_view(asm.kernel.phi[k], (grid.nv,) * 3)
+    return win[..., ::-1, ::-1, ::-1].reshape(grid.n, grid.n) * grid.wv
 
 
 def dense_K(asm):
     """Oracle: K as a dense n x n matrix, sum_ij C_i^T M^{1/2} Xi_ij M^{1/2} C_j."""
     grid = asm.grid
     smu = asm.maxw.sqrt_mu
-    idx = _pair_difference_index(grid.nv)
     K = np.zeros((grid.n, grid.n))
     for (i, j) in PAIRS:
-        Y = asm.kernel.phi[pair_of(i, j)].ravel()[idx] * grid.wv
+        Y = kernel_matrix(asm, pair_of(i, j))
         Y *= smu[:, None]
         Y *= smu[None, :]
         T = asm.CT[i] @ (Y @ asm.C[j])

@@ -11,8 +11,8 @@ import pytest
 import scipy.sparse.linalg
 
 from vplab import build_grid, cli, collision, maxwellian, make_initial_data
-from vplab.cli import main, config_hash, resolve_config, build_parser, \
-    read_snapshots, _validate, ConfigError, DEFAULTS
+from vplab.cli import main, config_hash, resolve_config, build_parser, _validate, \
+    ConfigError, DEFAULTS
 
 
 def run_cli(args):
@@ -102,9 +102,9 @@ def test_simulate_outputs_and_snapshots(tmp_path):
     assert rc == 0
     files = {p.name for p in tmp_path.iterdir()}
     assert {"snapshots.npz", "energy.csv", "simulate_report.json"} <= files
-    snaps = read_snapshots(tmp_path / "snapshots.npz")
-    assert snaps["f"].ndim == 4 and snaps["f"].shape[1] == 2
-    assert snaps["t"].shape[0] == snaps["f"].shape[0]
+    with np.load(tmp_path / "snapshots.npz") as snaps:
+        assert snaps["f"].ndim == 4 and snaps["f"].shape[1] == 2
+        assert snaps["t"].shape[0] == snaps["f"].shape[0]
     header = (tmp_path / "energy.csv").read_text().splitlines()
     assert header[0].startswith("# config_hash=")
     assert header[1].split(",")[0] == "t"

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe, ModeOperator
-from vplab.collision import GammaOp, KernelTable, pair_of, _pair_difference_index, \
-    _ConvKit, PROBE_MAXITER, PROBE_TOL
+from vplab.collision import GammaOp, KernelTable, pair_of, _ConvKit, PROBE_MAXITER, \
+    PROBE_TOL
 from vplab.macroscopic import MacroProjector
 
-from conftest import dense_K, dense_sectors, folded
+from conftest import dense_K, dense_sectors, folded, kernel_matrix
 
 
 def kernel_matrix_at(z, gamma):
@@ -74,11 +74,29 @@ def test_sigma_against_fine_quadrature():
     assert abs(sig[pair_of(0, 0)][node] - oracle) / oracle < 0.005
 
 
-def test_sigma_fft_vs_direct(grid8, maxw8):
-    for gamma in (0.0, -2.5):
-        s_fft = assemble_sigma(grid8, maxw8, gamma, method="fft")
-        s_dir = assemble_sigma(grid8, maxw8, gamma, method="direct")
-        assert np.abs(s_fft - s_dir).max() < 1e-10
+def test_sigma_fft_vs_direct():
+    for nv in (8, 12):
+        g = build_grid(nv=nv, vmax=6.0, nx=4)
+        mw = maxwellian(g)
+        for gamma in (0.0, -2.5):
+            s_fft = assemble_sigma(g, mw, gamma, method="fft")
+            s_dir = assemble_sigma(g, mw, gamma, method="direct")
+            assert np.abs(s_fft - s_dir).max() < 1e-10
+
+
+def test_direct_sigma_allocates_no_pair_table():
+    # the windowed sum reads the kernel table as a view: no n x n index
+    # table or gather (2 n^2 8 B = 47.8 MB at nv 12) is formed
+    g = build_grid(nv=12, vmax=6.0, nx=4)
+    mw = maxwellian(g)
+    kit = _ConvKit(g, KernelTable(g, 0.0))
+    tracemalloc.start()
+    try:
+        assemble_sigma(g, mw, 0.0, method="direct", kit=kit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_null_space_machine_level(asm8):
@@ -270,18 +288,17 @@ def test_gamma_collision_invariance(asm8):
     ga = GammaOp(asm8)(f, f)
     scale = np.abs(ga).max()
     for s in range(2):
-        assert abs(asm8.grid.inner_v(smu, ga[s])) < 1e-13 * max(scale, 1.0)
+        assert abs(asm8.grid.integrate_v(smu * ga[s])) < 1e-13 * max(scale, 1.0)
 
 
 def test_gamma_coefficients_match_direct_sums(asm8):
     # U^{ij} = Phi^{ij} * u and W^i = sum_j Phi^{ij} * (D_j u + v_j u / 2),
-    # u = sqrt_mu h, summed directly over the pair-difference gather
+    # u = sqrt_mu h, summed directly over the n x n kernel matrices
     grid, maxw = asm8.grid, asm8.maxw
     rng = np.random.default_rng(19)
     h = rng.standard_normal((3, grid.n)) * maxw.sqrt_mu
     U, W = GammaOp(asm8).coefficients(h)
-    idx = _pair_difference_index(grid.nv)
-    Y = [asm8.kernel.phi[k].ravel()[idx] * grid.wv for k in range(6)]
+    Y = [kernel_matrix(asm8, k) for k in range(6)]
     u = maxw.sqrt_mu * h
     du = [(Dj @ u.T).T + 0.5 * grid.v[j] * u for j, Dj in enumerate(grid.dv_ops())]
     U_ref = np.stack([u @ Y[k].T for k in range(6)], axis=-2)
@@ -408,19 +425,6 @@ def test_pruned_transforms_bit_identical_to_full_cube(nv):
         assert np.array_equal(kit.contract(q), ref)
 
 
-@pytest.mark.parametrize("nv", [8, 10, 12])
-def test_pair_difference_index_matches_kron_form(nv):
-    # the Kronecker-product construction of the block-Toeplitz table
-    base = 2 * nv - 1
-    idx = np.arange(nv)
-    d = (idx[:, None] - idx[None, :] + (nv - 1)).astype(np.int64)
-    one = np.ones((nv, nv), dtype=np.int64)
-    a = np.kron(np.kron(d, one), one)
-    b = np.kron(np.kron(one, d), one)
-    c = np.kron(np.kron(one, one), d)
-    assert np.array_equal(_pair_difference_index(nv), (a * base + b) * base + c)
-
-
 # Operator invariants over nv in {8, 10, 12} and gamma in [-3, 1], each at
 # the bound of the fixed-case test above it.
 _invariant_cases = settings(max_examples=20, deadline=None, derandomize=True)
@@ -460,4 +464,4 @@ def test_property_gamma_collision_invariance(nv, gamma, seed):
     ga = GammaOp(asm)(f, f)
     scale = np.abs(ga).max()
     for s in range(2):
-        assert abs(asm.grid.inner_v(smu, ga[s])) < 1e-13 * max(scale, 1.0)
+        assert abs(asm.grid.integrate_v(smu * ga[s])) < 1e-13 * max(scale, 1.0)

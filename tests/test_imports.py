@@ -5,10 +5,14 @@ scope references it as a global or free name. A parameter or local of the
 same name in a nested scope shadows it, so a text search would count that
 as a use while this check does not. Names listed in a module's `__all__`
 are re-exports and count as used.
+
+Importing the package and its CLI does not load `scipy.linalg`.
 """
 
 import importlib
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vplab"
@@ -45,6 +49,14 @@ def test_no_unused_imports_in_package():
         if bad:
             found[path.name] = bad
     assert found == {}
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is loaded only where a solve needs it (the coercivity
+    # probe), not by importing the package or the CLI
+    code = ("import sys, vplab, vplab.cli; "
+            "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_parameter_shadowing_an_import_is_not_a_use():

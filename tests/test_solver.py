@@ -6,7 +6,7 @@ from vplab import solver
 from vplab.macroscopic import div_E_residual
 from vplab.solver import (Simulation, TwoSpeciesField, PsiWeight,
                           make_initial_data, energy_report,
-                          energy_inequality_monitor, running_X, dealias_x,
+                          energy_inequality_monitor, dealias_x,
                           dt_phi_sup)
 
 
@@ -204,16 +204,6 @@ def test_inequality_monitor_trivial_and_structure(sim_env):
     assert np.isfinite(mon["C_cov"]) and mon["C_cov"] > 0
     with pytest.raises(ValueError):
         energy_inequality_monitor(rows[:2], 1.0)
-
-
-def test_running_X_monotone(sim_env):
-    class R:
-        def __init__(s, t, E, Eh):
-            s.t, s.E_total, s.Eh_total = t, E, Eh
-
-    rows = [R(t, np.exp(-t), np.exp(-t)) for t in np.linspace(0, 5, 20)]
-    X = running_X(rows, 0.0)
-    assert np.all(np.diff(X) >= -1e-15)
 
 
 def test_propagator_budget_guard(sim_env, monkeypatch):
