@@ -32,24 +32,6 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULTS = {
-    "grid": {"nv": 8, "vmax": 6.0, "nx": 32, "lx": float(np.pi)},
-    "physics": {"gamma": 0.0, "K": 3, "l": 3.0, "psi_mode": "one",
-                "lambda_h": None},
-    "scheme": {"dt": 0.05, "t_end": 5.0, "snapshot_every": 5,
-               "disable_gamma": False, "disable_field_nl": False},
-    "io": {"out_dir": "."},
-    "decay": {"m": 0, "l": 0.0, "l_star": None, "y_min": 0.02, "y_max": None,
-              "n_y": 48, "t_end": 100.0, "fit_lo": 10.0, "fit_hi": 100.0,
-              "data": "macroscopic"},
-    "initial_data": {"kind": "macroscopic", "amplitude": 1e-3, "mode": 1,
-                     "asym": 0.25, "path": None},
-    "seed": 0,
-}
-
-_SCALAR_BLOCKS = {"seed"}
-
-
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -66,39 +48,57 @@ def _is_str(v):
     return isinstance(v, str) and v != ""
 
 
-# (block, key, type check, range check, what the value must be); a key
-# whose default is null also takes null
-_RULES = [
-    ("grid", "nv", _is_int, lambda v: v >= 8 and v % 2 == 0, "an even integer >= 8"),
-    ("grid", "vmax", _is_number, lambda v: v > 0, "a positive number"),
-    ("grid", "nx", _is_int, lambda v: v >= 1 and v & (v - 1) == 0,
+# The run-file schema, one row per key: (block, key, default, flag or None,
+# type check, range check, what the value must be). A key whose default is
+# null also takes null. DEFAULTS, the checks of _validate and the flags of
+# build_parser are all read from this table.
+_KEYS = [
+    ("grid", "nv", 8, "--nv", _is_int, lambda v: v >= 8 and v % 2 == 0,
+     "an even integer >= 8"),
+    ("grid", "vmax", 6.0, None, _is_number, lambda v: v > 0, "a positive number"),
+    ("grid", "nx", 32, "--nx", _is_int, lambda v: v >= 1 and v & (v - 1) == 0,
      "a power of two"),
-    ("grid", "lx", _is_number, lambda v: v > 0, "a positive number"),
-    ("physics", "gamma", _is_number, lambda v: -3.0 <= v <= 1.0,
+    ("grid", "lx", float(np.pi), None, _is_number, lambda v: v > 0, "a positive number"),
+    ("physics", "gamma", 0.0, "--gamma", _is_number, lambda v: -3.0 <= v <= 1.0,
      "a number in [-3, 1]"),
-    ("physics", "K", _is_int, lambda v: v >= 0, "a nonnegative integer"),
-    ("physics", "l", _is_number, lambda v: True, "a finite number"),
-    ("physics", "lambda_h", _is_number, lambda v: v > 0, "null or a positive number"),
-    ("scheme", "dt", _is_number, lambda v: v > 0, "a positive number"),
-    ("scheme", "t_end", _is_number, lambda v: v > 0, "a positive number"),
-    ("scheme", "snapshot_every", _is_int, lambda v: v >= 1, "an integer >= 1"),
-    ("scheme", "disable_gamma", _is_bool, lambda v: True, "true or false"),
-    ("scheme", "disable_field_nl", _is_bool, lambda v: True, "true or false"),
-    ("io", "out_dir", _is_str, lambda v: True, "a non-empty string"),
-    ("decay", "m", _is_int, lambda v: v >= 0, "a nonnegative integer"),
-    ("decay", "l", _is_number, lambda v: True, "a finite number"),
-    ("decay", "l_star", _is_number, lambda v: v >= 0, "null or a nonnegative number"),
-    ("decay", "y_min", _is_number, lambda v: v > 0, "a positive number"),
-    ("decay", "y_max", _is_number, lambda v: v > 0, "null or a positive number"),
-    ("decay", "n_y", _is_int, lambda v: v >= 2, "an integer >= 2"),
-    ("decay", "t_end", _is_number, lambda v: v > 0, "a positive number"),
-    ("decay", "fit_lo", _is_number, lambda v: v > 0, "a positive number"),
-    ("decay", "fit_hi", _is_number, lambda v: v > 0, "a positive number"),
-    ("initial_data", "amplitude", _is_number, lambda v: True, "a finite number"),
-    ("initial_data", "mode", _is_int, lambda v: v >= 1, "a positive integer"),
-    ("initial_data", "asym", _is_number, lambda v: True, "a finite number"),
-    ("initial_data", "path", _is_str, lambda v: True, "null or a non-empty string"),
+    ("physics", "K", 3, "--K", _is_int, lambda v: v >= 0, "a nonnegative integer"),
+    ("physics", "l", 3.0, "--l", _is_number, lambda v: True, "a finite number"),
+    ("physics", "psi_mode", "one", "--psi", _is_str, lambda v: v in ("one", "tn"),
+     "'one' or 'tn'"),
+    ("physics", "lambda_h", None, None, _is_number, lambda v: v > 0,
+     "null or a positive number"),
+    ("scheme", "dt", 0.05, "--dt", _is_number, lambda v: v > 0, "a positive number"),
+    ("scheme", "t_end", 5.0, "--t-end", _is_number, lambda v: v > 0, "a positive number"),
+    ("scheme", "snapshot_every", 5, None, _is_int, lambda v: v >= 1, "an integer >= 1"),
+    ("scheme", "disable_gamma", False, "--disable-gamma", _is_bool, lambda v: True,
+     "true or false"),
+    ("scheme", "disable_field_nl", False, None, _is_bool, lambda v: True, "true or false"),
+    ("io", "out_dir", ".", "--out", _is_str, lambda v: True, "a non-empty string"),
+    ("decay", "m", 0, "--m", _is_int, lambda v: v >= 0, "a nonnegative integer"),
+    ("decay", "l", 0.0, None, _is_number, lambda v: True, "a finite number"),
+    ("decay", "l_star", None, None, _is_number, lambda v: v >= 0,
+     "null or a nonnegative number"),
+    ("decay", "y_min", 0.02, None, _is_number, lambda v: v > 0, "a positive number"),
+    ("decay", "y_max", None, None, _is_number, lambda v: v > 0, "null or a positive number"),
+    ("decay", "n_y", 48, None, _is_int, lambda v: v >= 2, "an integer >= 2"),
+    ("decay", "t_end", 100.0, None, _is_number, lambda v: v > 0, "a positive number"),
+    ("decay", "fit_lo", 10.0, None, _is_number, lambda v: v > 0, "a positive number"),
+    ("decay", "fit_hi", 100.0, None, _is_number, lambda v: v > 0, "a positive number"),
+    ("decay", "data", "macroscopic", None, _is_str,
+     lambda v: v in ("macroscopic", "mixed"), "'macroscopic' or 'mixed'"),
+    ("initial_data", "kind", "macroscopic", None, _is_str,
+     lambda v: v in ("macroscopic", "noise", "file"), "'macroscopic', 'noise' or 'file'"),
+    ("initial_data", "amplitude", 1e-3, None, _is_number, lambda v: True, "a finite number"),
+    ("initial_data", "mode", 1, None, _is_int, lambda v: v >= 1, "a positive integer"),
+    ("initial_data", "asym", 0.25, None, _is_number, lambda v: True, "a finite number"),
+    ("initial_data", "path", None, None, _is_str, lambda v: True,
+     "null or a non-empty string"),
 ]
+
+DEFAULTS = {}
+for _block, _key, _default, *_ in _KEYS:
+    DEFAULTS.setdefault(_block, {})[_key] = _default
+DEFAULTS["seed"] = 0
 
 
 def _validate(cfg, overrides=()):
@@ -111,7 +111,7 @@ def _validate(cfg, overrides=()):
         raise ConfigError("run file must hold a JSON object")
     out = json.loads(json.dumps(DEFAULTS))
     for block, val in cfg.items():
-        if block in _SCALAR_BLOCKS:
+        if block == "seed":
             out[block] = val
             continue
         if block not in DEFAULTS:
@@ -129,9 +129,9 @@ def _validate(cfg, overrides=()):
         node[dest[-1]] = val
     if not _is_int(out["seed"]) or out["seed"] < 0:
         raise ConfigError("config key 'seed' must be a nonnegative integer")
-    for block, key, is_type, in_range, what in _RULES:
+    for block, key, default, _, is_type, in_range, what in _KEYS:
         v = out[block][key]
-        if v is None and DEFAULTS[block][key] is None:
+        if v is None and default is None:
             continue
         if not (is_type(v) and in_range(v)):
             raise ConfigError(f"config key '{block}.{key}' must be {what}, got {v!r}")
@@ -148,13 +148,6 @@ def _validate(cfg, overrides=()):
         raise ConfigError("config key 'decay.fit_hi' must be > decay.fit_lo")
     if dc["fit_lo"] >= dc["t_end"]:
         raise ConfigError("config key 'decay.fit_lo' must be < decay.t_end")
-    if out["physics"]["psi_mode"] not in ("one", "tn"):
-        raise ConfigError("config key 'physics.psi_mode' must be 'one' or 'tn'")
-    if out["decay"]["data"] not in ("macroscopic", "mixed"):
-        raise ConfigError("config key 'decay.data' must be 'macroscopic' or 'mixed'")
-    if out["initial_data"]["kind"] not in ("macroscopic", "noise", "file"):
-        raise ConfigError(
-            "config key 'initial_data.kind' must be 'macroscopic', 'noise' or 'file'")
     return out
 
 
@@ -221,21 +214,18 @@ def write_csv(path, header, rows, cfg_h):
 
 def write_snapshots(path, arrays, cfg_h):
     """Deterministic array container: zip of .npy members, fixed timestamps."""
+    stamp = (1980, 1, 1, 0, 0, 0)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         meta = {"config_hash": cfg_h,
                 "members": {k: {"shape": list(np.asarray(v).shape),
                                 "dtype": str(np.asarray(v).dtype)}
                             for k, v in arrays.items()}}
-        for name, arr in list(arrays.items()) + [("__meta__", None)]:
-            if name == "__meta__":
-                data = json.dumps(meta, sort_keys=True).encode("utf-8")
-            else:
-                buf = _io.BytesIO()
-                np.save(buf, np.asarray(arr))
-                data = buf.getvalue()
-            info = zipfile.ZipInfo(name + (".json" if name == "__meta__" else ".npy"),
-                                   date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, data)
+        for name, arr in arrays.items():
+            buf = _io.BytesIO()
+            np.save(buf, np.asarray(arr))
+            zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=stamp), buf.getvalue())
+        zf.writestr(zipfile.ZipInfo("__meta__.json", date_time=stamp),
+                    json.dumps(meta, sort_keys=True).encode("utf-8"))
 
 
 def _assembly_from(cfg, g):
@@ -489,30 +479,17 @@ def build_parser():
         description="Vlasov-Poisson-Landau numerical laboratory")
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", type=str, default=None)
-    ap.add_argument("--out", type=str, default=None)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--gamma", type=float, default=None)
-    ap.add_argument("--nv", type=int, default=None)
-    ap.add_argument("--nx", type=int, default=None)
-    ap.add_argument("--dt", type=float, default=None)
-    ap.add_argument("--t-end", type=float, default=None)
-    ap.add_argument("--psi", choices=["one", "tn"], default=None)
-    ap.add_argument("--m", type=int, default=None)
-    ap.add_argument("--K", type=int, default=None)
-    ap.add_argument("--l", type=float, default=None)
-    ap.add_argument("--disable-gamma", action="store_true", default=None)
+    # a flag sets one key, named by its dest; _validate checks the value
+    for block, key, _, flag, is_type, *_ in _KEYS:
+        if flag is None:
+            continue
+        if is_type is _is_bool:
+            ap.add_argument(flag, dest=f"{block}.{key}", action="store_true", default=None)
+        else:
+            ap.add_argument(flag, dest=f"{block}.{key}", default=None,
+                            type={_is_int: int, _is_number: float, _is_str: str}[is_type])
     return ap
-
-
-_FLAG_MAP = {
-    "seed": ("seed",), "gamma": ("physics", "gamma"),
-    "nv": ("grid", "nv"), "nx": ("grid", "nx"),
-    "dt": ("scheme", "dt"), "t_end": ("scheme", "t_end"),
-    "psi": ("physics", "psi_mode"), "m": ("decay", "m"),
-    "K": ("physics", "K"), "l": ("physics", "l"),
-    "disable_gamma": ("scheme", "disable_gamma"),
-    "out": ("io", "out_dir"),
-}
 
 
 def resolve_config(args):
@@ -524,8 +501,11 @@ def resolve_config(args):
             raise ConfigError(f"run file not found: {args.config}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"run file is not valid JSON: {e}")
-    overrides = [(dest, getattr(args, flag)) for flag, dest in _FLAG_MAP.items()
-                 if getattr(args, flag, None) is not None]
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"run file {args.config} cannot be read: "
+                              f"{type(e).__name__}: {e}")
+    overrides = [(dest.split("."), v) for dest, v in vars(args).items()
+                 if dest not in ("command", "config") and v is not None]
     return _validate(raw, overrides)
 
 

@@ -54,7 +54,6 @@ class KernelTable:
     """
 
     def __init__(self, grid, gamma):
-        self.gamma = float(gamma)
         nv, h = grid.nv, grid.hv
         self.eps_reg = float(np.sqrt(3.0) * h / 2.0)
         zd = np.arange(-(nv - 1), nv) * h

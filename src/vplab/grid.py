@@ -149,7 +149,6 @@ class Maxwellian:
     """Normalized Maxwellian tabulated on the velocity grid."""
 
     def __init__(self, grid):
-        self.grid = grid
         self.mu = (2.0 * np.pi) ** -1.5 * np.exp(-grid.vsq / 2.0)
         self.sqrt_mu = np.sqrt(self.mu)
         self.mass = float(grid.integrate_v(self.mu))

@@ -27,11 +27,26 @@ def test_unknown_key_named(tmp_path):
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
-def test_malformed_json_exit2(tmp_path):
+def test_malformed_json_exit2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("{nope")
     rc = run_cli(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not valid JSON" in err[0]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: p.mkdir(), "IsADirectoryError"),
+    (lambda p: p.write_bytes(b"\xff\xfe{}"), "UnicodeDecodeError"),
+], ids=["directory", "not-utf8"])
+def test_unreadable_config_exit2(tmp_path, capsys, make, message):
+    cfg = tmp_path / "run.json"
+    make(cfg)
+    rc = run_cli(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
 
 
 def test_bad_values_exit2(tmp_path):
@@ -216,6 +231,7 @@ def test_moments_check_frees_spin_up_before_study(tmp_path, monkeypatch):
     (["decay"], '{"physics": {"gamma": -2.5}, "decay": {"y_min": 1.1}}', "decay.y_min"),
     (["simulate"], '{"initial_data": {"kind": "file", "path": "no_such_f0.npz"}}',
      "initial_data.path"),
+    (["simulate", "--psi", "weird"], None, "physics.psi_mode"),
 ])
 def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
     # flags are checked after the merge, like run-file values
@@ -225,6 +241,17 @@ def test_bad_merged_values_exit2_naming_key(tmp_path, capsys, args, body, key):
     assert run_cli(args + ["--out", str(tmp_path / "o")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_one_flag_per_flagged_key():
+    flags = {a.option_strings[0]: a.dest for a in build_parser()._actions if "." in a.dest}
+    assert flags == {flag: f"{b}.{k}" for b, k, _, flag, *_ in cli._KEYS if flag}
+
+
+def test_readme_defaults_match_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Blocks and defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == DEFAULTS
 
 
 @pytest.mark.parametrize("block, key", [(b, k) for b, keys in DEFAULTS.items()
