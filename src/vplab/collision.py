@@ -73,52 +73,57 @@ class KernelTable:
 
 
 class _ConvKit:
-    """Zero-padded FFT convolution with the six kernel components.
+    """Zero-padded (2nv)^3 DFT convolution with the six kernel components.
 
     Each input field is transformed once; the kernel acts on its spectrum
     through the precomputed component spectra Phi^{ij}-hat (the structure of
     the fast spectral Landau solvers of Pareschi, Russo and Toscani), so the
-    only per-component work is a pointwise product.
+    only per-component work is a pointwise product. Each 1-D pass is one
+    matrix product with a small dense DFT matrix over all lines at once (the
+    matrix view of the DFT, Van Loan 1992), pruned to the nv nonzero inputs
+    (forward) or the nv returned outputs (inverse). Spectra are held in
+    (k3, k2, k1) order, k3 the rfft half axis.
     """
 
     def __init__(self, grid, kernel):
-        self.grid = grid
         self.kernel = kernel
-        self.nv = grid.nv
-        self.m = 2 * grid.nv
-        pad = np.zeros((6, self.m, self.m, self.m))
+        self.nv = nv = grid.nv
+        m = 2 * nv
+        pad = np.zeros((6, m, m, m))
         s = kernel.side
         pad[:, :s, :s, :s] = kernel.phi
-        self.khat = np.fft.rfftn(pad, axes=(-3, -2, -1))
-
-    # The 3-D transforms run axis by axis in numpy's own rfftn/irfftn order
-    # (numpy >= 2: forward axes -1, -2, -3; inverse -3, -2, -1), so every 1-D
-    # line sees the same values as in the full padded cube and the results
-    # are bit-identical; what is pruned is the lines that are all zero on
-    # input (forward) or discarded on output (inverse). The inverse's complex
-    # passes write into their input (`out=`, new in numpy 2.0): fresh output
-    # arrays took about half of `components` time (nv 12, 4 fields) in page
-    # faults.
+        self.khat = np.fft.rfftn(pad, axes=(-3, -2, -1)).transpose(0, 3, 2, 1).copy()
+        # every twiddle from one table, indexed by (j k) mod 2nv: np.exp of the
+        # raw product j k put the FFT sigma up to 4x farther from the direct sum
+        w = np.exp(-2j * np.pi * np.arange(m) / m)
+        j, k = np.arange(nv), np.arange(m)
+        self.F = w[np.outer(j, k) % m]                                  # (nv, m)
+        self.Fint = self.F[:, :nv + 1].copy().view(float)              # cos, -sin
+        keep = np.outer(k, j + nv - 1) % m
+        self.G = w.conj()[keep] / m                                     # (m, nv)
+        # the c2r pass: Re(X conj w) = Re X Re w + Im X Im w, weighted 1, 2, ...,
+        # 2, 1 and by wv; irfft ignores Im X at k = 0 and nv
+        c = np.full(nv + 1, 2.0)
+        c[[0, nv]] = 1.0
+        wk = w[keep[:nv + 1]] * (c * grid.wv / m)[:, None]
+        wk.imag[[0, nv]] = 0.0
+        self.Gint = np.stack([wk.real, wk.imag], axis=1).reshape(-1, nv)  # (2(nv+1), nv)
 
     def _forward(self, g):
-        """Spectra of the zero-padded real fields g (..., nv^3)."""
-        nv, m = self.nv, self.m
-        a = g.reshape(g.shape[:-1] + (nv, nv, nv))
-        a = np.fft.rfftn(a, s=(m,), axes=(-1,))     # the nv^2 nonzero lines
-        a = np.fft.fft(a, n=m, axis=-2)             # the nv (nv + 1) nonzero lines
-        return np.fft.fft(a, n=m, axis=-3)
+        """Spectra (..., nv+1, 2nv, 2nv) of the zero-padded real fields g (..., nv^3)."""
+        nv = self.nv
+        a = (g.reshape(g.shape[:-1] + (nv, nv, nv)) @ self.Fint).view(complex)
+        a = a.swapaxes(-1, -2) @ self.F                  # (..., j1, k3, k2)
+        return np.moveaxis(a, -3, -1) @ self.F           # (..., k3, k2, k1)
 
     def _inverse(self, gh):
         """Fields (..., nv^3) on the velocity grid from product spectra gh.
 
-        Overwrites gh.
+        The quadrature weight wv is folded into the last pass.
         """
-        nv, m = self.nv, self.m
-        keep = slice(nv - 1, 2 * nv - 1)
-        a = np.fft.ifft(gh, axis=-3, out=gh)[..., keep, :, :]
-        a = np.fft.ifft(a, axis=-2, out=a)[..., keep, :]
-        a = np.fft.irfftn(a, s=(m,), axes=(-1,))[..., keep]
-        return (a * self.grid.wv).reshape(gh.shape[:-3] + (nv ** 3,))
+        a = (gh @ self.G).swapaxes(-1, -2) @ self.G      # (..., k3, j1, j2)
+        a = np.ascontiguousarray(np.moveaxis(a, -3, -1))  # (..., j1, j2, k3)
+        return (a.view(float) @ self.Gint).reshape(gh.shape[:-3] + (self.nv ** 3,))
 
     def components(self, g):
         """All six Phi^{ij} * g in PAIRS order, (..., 6, n), for real g (..., n)."""
