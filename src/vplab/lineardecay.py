@@ -19,7 +19,7 @@ INCREASE_TOL = 1e-11       # functional increase per sample counted as a violati
 
 
 class ModeOperator:
-    """Real parity blocks of d/dt u = B(y) u at one spatial frequency.
+    """Real swap-split blocks of d/dt u = B(y) u at one spatial frequency.
 
     y is the frequency on the torus axis: a scalar or a 3-vector (y, 0, 0).
     The Poisson coupling uses phi_hat = |y|^{-2} (sqrt_mu, u_+ - u_-) for
@@ -33,10 +33,17 @@ class ModeOperator:
 
     With v.y = v1 y, the real form and the field term also commute with the
     reflections v2 -> -v2 and v3 -> -v3, so the parity fold (`fold`) splits
-    each sector into four independent m x m blocks, m = n/4. `Bs`/`Bd` and
-    every propagator are (4, m, m) real stacks in the block order of `fold`:
-    in block (s2, s3), R acts as s2 s3 times the reversal of i1, and the
-    field term lives in block (+,+) of the difference sector alone.
+    each sector into four m x m blocks, m = n/4; in block (s2, s3), R acts
+    as s2 s3 times the reversal of i1. They commute with the swap v2 <-> v3
+    as well, which maps block (s2, s3) onto block (s3, s2) and (j2, j3) onto
+    (j3, j2) (Fassler & Stiefel 1992). So the swap fold (`swap_fold`) splits
+    blocks (+,+) and (-,-) into their swap-even (s x s) and swap-odd (a x a)
+    parts, and block (-,+) is the swapped block (+,-): one m x m matrix
+    serves both. `Bs`/`Bd` and every propagator hold, per sector, these
+    2 s^2 + 2 a^2 + m^2 entries in one flat float64 buffer (`split_blocks`
+    views it as three stacks). `sector_blocks` are projected onto them once;
+    the field term lives in the swap-even (+,+) block of the difference
+    sector alone.
     """
 
     def __init__(self, y, assembly):
@@ -50,39 +57,48 @@ class ModeOperator:
         self.y = y
         self.ynorm = float(np.linalg.norm(y))
         grid = assembly.grid
-        Ls, Ld = assembly.sector_blocks()
-        # block rows (i1, j2, j3) and their i1-reversed partners, one row of i1 each
-        rows = np.arange(grid.n // 4).reshape(grid.nv, -1)
-        sign = np.array([1.0, -1.0, -1.0, 1.0])[:, None, None]       # s2 s3
-        at = (np.arange(4)[:, None, None], rows, rows[::-1])
-        vy = sign * (grid.v1d * y[0])[:, None]
-        self.Bs = Ls.copy()
-        self.Bs[at] -= vy
-        self.Bd = Ld.copy()
-        self.Bd[at] -= vy
+        self.nv = nv = grid.nv
+        self.B = np.empty((2, split_entries(nv)))
+        self.Bs, self.Bd = self.B
+        vy = grid.v1d * y[0]
+        for L, buf in zip(assembly.sector_blocks(), self.B):
+            E, O, M = split_blocks(buf, nv)
+            for k, p in enumerate((0, 3)):                      # blocks (+,+), (-,-)
+                ce, co = _swap_parts(L[p])                      # L Se^T, L So^T
+                E[k] = _swap_parts(ce.T)[0].T
+                O[k] = _swap_parts(co.T)[1].T
+            M[...] = L[1]                                  # block (-,+) is its swap
+            # -s2 s3 v1 y on the i1-reversed anti-diagonal, one row of i1 each
+            for X, sign in ((E, 1.0), (O, 1.0), (M, -1.0)):
+                rows = np.arange(X.shape[-1]).reshape(nv, -1)
+                X[..., rows, rows[::-1]] -= sign * vy[:, None]
         if self.ynorm > 0:
             smu = assembly.maxw.sqrt_mu
-            a, b = fold(np.stack([grid.v[0] * y[0] * smu, smu]))[:, 0]
-            self.Bd[0] -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(a, b)
+            a, b = _swap_parts(fold(np.stack([grid.v[0] * y[0] * smu, smu]))[:, 0])[0]
+            split_blocks(self.Bd, nv)[0][0] -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(a, b)
         self._props = {}
 
     def propagators(self, dt):
-        """One-step implicit-midpoint real propagators (P_sum, P_diff), cached per dt.
+        """One-step implicit-midpoint real propagators, cached per dt.
 
-        Each is a (4, m, m) float64 stack of parity blocks (2 n^2 8 / 4 bytes
-        per mode); apply them to fields mapped by `to_real` and `fold`.
+        A (2, L) float64 buffer, rows (P_sum, P_diff), each the swap-split
+        blocks of `split_blocks` (2 L 8 bytes per mode); apply them with
+        `split_matvec` to fields mapped by `to_real`, `fold` and `swap_fold`.
         """
         key = float(dt)
         if key not in self._props:
-            I = np.eye(self.Bs.shape[-1])
-            self._props[key] = tuple(np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
-                                     for B in (self.Bs, self.Bd))
+            P = np.empty_like(self.B)
+            for b, p in zip(self.B, P):         # one sector at a time: half the temporaries
+                for B, Q in zip(split_blocks(b, self.nv), split_blocks(p, self.nv)):
+                    I = np.eye(B.shape[-1])
+                    Q[...] = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
+            self._props[key] = P
         return self._props[key]
 
     def apply(self, u):
         """B(y) applied to a two-species mode field u (2, n)."""
-        w = fold(to_real(sectors(u)))
-        return sectors(from_real(unfold(block_matvec(np.stack([self.Bs, self.Bd]), w))))
+        w = swap_fold(fold(to_real(sectors(u))))
+        return sectors(from_real(unfold(swap_unfold(split_matvec(self.B, w)))))
 
     def mode_energy(self, us, ud, w2l):
         grid = self.asm.grid
@@ -135,6 +151,133 @@ def unfold(w):
     return 0.5 * c.reshape(lead + (-1,))
 
 
+def split_sizes(nv):
+    """Swap-split sizes (s, a, m): m = nv h^2 rows per parity block, h = nv/2,
+    of which s = nv h (h + 1)/2 are swap-even (j2 <= j3) and a = nv h (h - 1)/2
+    swap-odd (j2 < j3)."""
+    h = nv // 2
+    return nv * h * (h + 1) // 2, nv * h * (h - 1) // 2, nv * h * h
+
+
+def split_entries(nv):
+    """Entries 2 s^2 + 2 a^2 + m^2 of one sector's swap-split blocks."""
+    s, a, m = split_sizes(nv)
+    return 2 * s * s + 2 * a * a + m * m
+
+
+def split_blocks(P, nv):
+    """Views (E, O, M) of swap-split block buffers P (..., L), L = `split_entries`.
+
+    E (..., 2, s, s): the swap-even parts of parity blocks (+,+) and (-,-);
+    O (..., 2, a, a): their swap-odd parts; M (..., m, m): block (+,-),
+    which serves block (-,+) as well.
+    """
+    s, a, m = split_sizes(nv)
+    lead, e, o = P.shape[:-1], 2 * s * s, 2 * (s * s + a * a)
+    return (P[..., :e].reshape(lead + (2, s, s)), P[..., e:o].reshape(lead + (2, a, a)),
+            P[..., o:].reshape(lead + (m, m)))
+
+
+def _swap_parts(x):
+    """Swap-even and swap-odd parts of parity-block vectors (..., m).
+
+    Over the rows (i1, j2, j3) in C order, the even part holds
+    (x[i1, j2, j3] + x[i1, j3, j2]) / sqrt(2) for j2 < j3 and x[i1, j, j] on
+    the diagonal, (..., s); the odd part holds the differences / sqrt(2) for
+    j2 < j3, (..., a). The map is orthogonal; `_swap_join` is its inverse.
+    """
+    lead = x.shape[:-1]
+    nv = round((4 * x.shape[-1]) ** (1 / 3))
+    h = nv // 2
+    c = x.reshape(lead + (nv, h, h))
+    iu, ju = np.triu_indices(h)
+    even = c[..., iu, ju] + c[..., ju, iu]
+    even *= np.where(iu == ju, 0.5, np.sqrt(0.5))
+    il, jl = np.triu_indices(h, 1)
+    odd = c[..., il, jl] - c[..., jl, il]
+    odd *= np.sqrt(0.5)
+    return even.reshape(lead + (-1,)), odd.reshape(lead + (-1,))
+
+
+def _swap_join(even, odd):
+    """Inverse (and transpose) of `_swap_parts`: (..., s), (..., a) -> (..., m)."""
+    lead = even.shape[:-1]
+    nv = round((4 * (even.shape[-1] + odd.shape[-1])) ** (1 / 3))
+    h = nv // 2
+    iu, ju = np.triu_indices(h)
+    c = np.zeros(lead + (nv, h, h), dtype=np.result_type(even, odd))
+    c[..., iu, ju] = even.reshape(lead + (nv, -1)) * np.where(iu == ju, 0.5, np.sqrt(0.5))
+    c = c + c.swapaxes(-1, -2)                         # the diagonal doubles to x[i1, j, j]
+    il, jl = np.triu_indices(h, 1)
+    o = odd.reshape(lead + (nv, -1)) * np.sqrt(0.5)
+    c[..., il, jl] += o
+    c[..., jl, il] -= o
+    return c.reshape(lead + (-1,))
+
+
+def _swapped(x):
+    """x[(i1, j3, j2)] for parity-block vectors x (..., m): the swap v2 <-> v3."""
+    lead = x.shape[:-1]
+    nv = round((4 * x.shape[-1]) ** (1 / 3))
+    return x.reshape(lead + (nv, nv // 2, nv // 2)).swapaxes(-1, -2).reshape(lead + (-1,))
+
+
+def _state_views(x, nv):
+    """Views (E, O, M) of swap-split states x (..., n) (see `swap_fold`).
+
+    Complex x gives E (..., 2, s), O (..., 2, a), M (..., m, 2). Its float64
+    view (..., 2n) gives the real matrices E (..., 2, s, 2), O (..., 2, a, 2)
+    and M (..., m, 4), real and imaginary parts as columns, which the blocks
+    of `split_blocks` advance with one real product each.
+    """
+    s, a, m = split_sizes(nv)
+    k = x.shape[-1] // (4 * m)             # 1 complex or 2 float64 entries per state entry
+    lead, tail, e, o = x.shape[:-1], (2,) * (k - 1), 2 * s * k, 2 * (s + a) * k
+    return (x[..., :e].reshape(lead + (2, s) + tail), x[..., e:o].reshape(lead + (2, a) + tail),
+            x[..., o:].reshape(lead + (m, 2 * k)))
+
+
+def swap_fold(w):
+    """Swap fold (..., 4, m) -> (..., n) of parity blocks, for `split_blocks`.
+
+    The state is laid out as E (2, s), the swap-even parts of blocks (+,+)
+    and (-,-) (`_swap_parts`), then O (2, a), their swap-odd parts, then
+    M (m, 2), whose columns are block (+,-) and the swapped block (-,+),
+    w[(i1, j3, j2)]. The map is orthogonal; `swap_unfold` is its inverse.
+    """
+    x = np.empty(w.shape[:-2] + (4 * w.shape[-1],), dtype=w.dtype)
+    E, O, M = _state_views(x, round(x.shape[-1] ** (1 / 3)))
+    E[...], O[...] = _swap_parts(w[..., ::3, :])
+    M[..., 0] = w[..., 1, :]
+    M[..., 1] = _swapped(w[..., 2, :])
+    return x
+
+
+def swap_unfold(x):
+    """Inverse (and transpose) of `swap_fold`: (..., n) -> (..., 4, m)."""
+    E, O, M = _state_views(x, round(x.shape[-1] ** (1 / 3)))
+    w = np.empty(x.shape[:-1] + (4, x.shape[-1] // 4), dtype=x.dtype)
+    w[..., ::3, :] = _swap_join(E, O)
+    w[..., 1, :] = M[..., 0]
+    w[..., 2, :] = _swapped(M[..., 1])
+    return w
+
+
+def split_matvec(P, x):
+    """Swap-split blocks P (..., L) times complex swap-split states x (..., n).
+
+    One real product per block advances the real and imaginary parts (and
+    both columns of M) without a complex copy of P.
+    """
+    x = np.ascontiguousarray(x)
+    nv = round(x.shape[-1] ** (1 / 3))
+    out = np.empty_like(x)
+    for B, u, v in zip(split_blocks(P, nv), _state_views(x.view(np.float64), nv),
+                       _state_views(out.view(np.float64), nv)):
+        np.matmul(B, u, out=v)
+    return out
+
+
 _TC = 0.5 - 0.5j      # T = (I + R)/2 - i (I - R)/2 = _TC I + conj(_TC) R
 
 
@@ -146,16 +289,6 @@ def to_real(u):
 def from_real(w):
     """T^{-1} w = T^H w: back from the real-form coordinates."""
     return np.conj(_TC) * w + _TC * w[..., ::-1]
-
-
-def block_matvec(P, w):
-    """Real blocks P (..., m, m) times complex w (..., m), without a complex copy of P.
-
-    The (..., m, 2) float view of w holds its real and imaginary parts as
-    columns, so one real product per block advances both.
-    """
-    w = np.ascontiguousarray(w)
-    return (P @ w.view(np.float64).reshape(w.shape + (2,))).view(np.complex128)[..., 0]
 
 
 @dataclass
@@ -175,25 +308,38 @@ class ModeTrajectory:
 def _sector_samples(P, u, steps, samp):
     """Sector states (samples, n) from u, every samp steps and at the last step.
 
-    P is the sector's (4, m, m) stack of block propagators; the state stays
-    folded from the first step to the last sample. A stride is one product
-    with P^samp, built by repeated squaring, when it is taken at least twice,
+    P is the sector's (L,) buffer of swap-split block propagators; the state
+    stays split from the first step to the last sample, and every product
+    writes into one preallocated sample stack. A stride is one product with
+    P^samp, built by repeated squaring, when it is taken at least twice,
     else samp products with P; leftover steps use P.
     """
+    nv = round(u.shape[-1] ** (1 / 3))
     strides, rem = divmod(steps, samp)
-    Q, k = (np.linalg.matrix_power(P, samp), 1) if strides >= 2 and samp > 1 else (P, samp)
-    w = fold(to_real(u))
-    w = w.view(np.float64).reshape(w.shape + (2,))      # step folded T u as (4, m, 2) floats
-    out = [w]
-    for _ in range(strides):
-        for _ in range(k):
-            w = Q @ w
-        out.append(w)
-    for _ in range(rem):
-        w = P @ w
+    P = split_blocks(P, nv)
+    Q, k = P, samp
+    if strides >= 2 and samp > 1:
+        Q, k = [np.linalg.matrix_power(B, samp) for B in P], 1
+    out = np.empty((strides + 1 + (rem > 0), u.shape[-1]), dtype=complex)
+    out[0] = swap_fold(fold(to_real(u)))
+    samples = _state_views(out.view(np.float64), nv)
+    spare = _state_views(np.empty(2 * u.shape[-1]), nv)
+
+    def advance(blocks, j, count):
+        # sample j + 1 = blocks^count sample j, alternating with the spare
+        # state so that no product writes into its own input
+        src = [X[j] for X in samples]
+        for c in range(count, 0, -1):
+            dst = [X[j + 1] for X in samples] if c % 2 else spare
+            for B, x, y in zip(blocks, src, dst):
+                np.matmul(B, x, out=y)
+            src = dst
+
+    for j in range(strides):
+        advance(Q, j, k)
     if rem:
-        out.append(w)
-    return from_real(unfold(np.stack(out).view(np.complex128)[..., 0]))
+        advance(P, strides, rem)
+    return from_real(unfold(swap_unfold(out)))
 
 
 def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):

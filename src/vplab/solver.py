@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import GammaOp
-from .lineardecay import (ModeOperator, block_matvec, fold, from_real, sectors, to_real,
+from .lineardecay import (ModeOperator, fold, from_real, sectors, split_entries,
+                          split_matvec, split_sizes, swap_fold, swap_unfold, to_real,
                           unfold)
 from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
@@ -150,8 +151,9 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
 
 def propagator_bytes(grid):
     """Bytes of the per-mode propagators of `grid`: per retained Fourier mode,
-    two sectors of four m x m float64 parity blocks, m = n/4."""
-    return grid.kx_r.size * 2 * 4 * (grid.n // 4) ** 2 * 8
+    two sectors of swap-split float64 blocks, 2 s^2 + 2 a^2 + m^2 entries each
+    (`lineardecay.split_sizes`)."""
+    return grid.kx_r.size * 2 * split_entries(grid.nv) * 8
 
 
 def check_propagator_budget(grid):
@@ -162,9 +164,11 @@ def check_propagator_budget(grid):
     """
     need = propagator_bytes(grid)
     if need > PROPAGATOR_BUDGET_BYTES:
+        s, a, m = split_sizes(grid.nv)
         raise MemoryError(
             f"per-mode propagator storage {need/1e9:.1f} GB "
-            f"({grid.kx_r.size} modes x 2 sectors x 4 real {grid.n // 4}^2 float64 blocks) "
+            f"({grid.kx_r.size} modes x 2 sectors of swap-split float64 blocks "
+            f"2 x {s}^2 + 2 x {a}^2 + {m}^2) "
             f"exceeds the budget of {PROPAGATOR_BUDGET_BYTES/1e9:.1f} GB; "
             "reduce nv or nx"
         )
@@ -188,10 +192,9 @@ class Simulation:
         self.gamma_op = GammaOp(assembly)
         self.projector = MacroProjector(self.grid, self.maxw)
         check_propagator_budget(self.grid)
-        # only the propagators are kept, as one (sector, mode, block, m, m)
-        # stack; each ModeOperator is freed once built
-        m = self.grid.n // 4
-        self._props = np.empty((2, self.grid.kx_r.size, 4, m, m))
+        # only the propagators are kept, as one (sector, mode, L) stack of
+        # swap-split blocks; each ModeOperator is freed once built
+        self._props = np.empty((2, self.grid.kx_r.size, split_entries(self.grid.nv)))
         for k, y in enumerate(self.grid.kx_r):
             self._props[:, k] = ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt)
         smu = self.maxw.sqrt_mu
@@ -246,8 +249,8 @@ class Simulation:
         state.f += inc
 
     def _linear_step(self, state):
-        h = fold(to_real(np.fft.rfft(sectors(state.f), axis=1)))    # (2 sectors, modes, 4, m)
-        h = unfold(block_matvec(self._props, h))
+        h = swap_fold(fold(to_real(np.fft.rfft(sectors(state.f), axis=1))))   # (2 sectors, modes, n)
+        h = unfold(swap_unfold(split_matvec(self._props, h)))
         state.f = sectors(np.fft.irfft(from_real(h), n=self.grid.nx, axis=1))
 
     def step(self, state):

@@ -271,7 +271,7 @@ def test_list_value_exit2_naming_key(tmp_path, capsys, block, key):
 
 
 @pytest.mark.parametrize("args, body, message", [
-    (["simulate", "--nv", "16", "--nx", "64"], None, "per-mode propagator storage"),
+    (["simulate", "--nv", "16", "--nx", "128"], None, "per-mode propagator storage"),
     (["simulate"], {"grid": {"nx": 4}, "initial_data": {"amplitude": 50.0},
                     "scheme": {"t_end": 0.1}}, "nonlinear half-step blow-up at t = 0:"),
     # no sample of the largest-y mode in the dissipation-rate window t in [2, t_end/2]
@@ -340,7 +340,7 @@ def test_propagator_budget_checked_before_assembly(tmp_path, monkeypatch, capsys
     def refuse(*args, **kwargs):
         pytest.fail("CollisionAssembly built for a grid over the propagator budget")
     monkeypatch.setattr("vplab.cli.CollisionAssembly", refuse)
-    assert run_cli([command, "--nv", "16", "--nx", "64",
+    assert run_cli([command, "--nv", "16", "--nx", "128",
                     "--out", str(tmp_path / "o")]) == 1
     assert "per-mode propagator storage" in capsys.readouterr().err
 

@@ -1,10 +1,12 @@
+import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
-                               default_mode_data, block_matvec, fold, from_real,
-                               sectors, to_real, unfold)
+                               default_mode_data, fold, from_real, sectors,
+                               split_blocks, split_matvec, swap_fold, swap_unfold,
+                               to_real, unfold)
 from vplab.macroscopic import MacroProjector, null_basis_raw
 from vplab import solver
 from vplab.solver import Simulation
@@ -52,23 +54,24 @@ def energy_metric_symmetric_bound(op):
     the symmetric part of B is negative semidefinite (the plain-L2
     symmetric part is not, the Poisson coupling is skew only against the
     field energy). The metric commutes with the unitary map to the real
-    form and with the parity fold, so the bound is the largest over the
-    eight real blocks; the field energy adds its rank-one term to block
-    (+,+) of the difference sector only.
+    form, with the parity fold and with the swap fold, so the bound is the
+    largest over the ten real swap-split blocks; the field energy adds its
+    rank-one term to the swap-even (+,+) block of the difference sector only.
     """
     grid = op.asm.grid
-    m = op.Bs.shape[-1]
-    M = np.eye(m) * grid.wv
-    Md = M.copy()
-    if op.ynorm > 0:
-        c = fold(op.asm.maxw.sqrt_mu)[0]
-        Md = Md + (2.0 * grid.wv ** 2 / op.ynorm ** 2) * np.outer(c, c)
-    pairs = [(B, M) for B in op.Bs] + [(op.Bd[0], Md)] + [(B, M) for B in op.Bd[1:]]
+    s = split_blocks(op.Bs, grid.nv)[0].shape[-1]
+    c = swap_fold(fold(op.asm.maxw.sqrt_mu))[:s]         # swap-even (+,+) part
     bounds = []
-    for B, Mp in pairs:
-        H = 0.5 * (Mp @ B + B.T @ Mp)
-        w = sla.eigh(H, Mp, eigvals_only=True, subset_by_index=[m - 1, m - 1])
-        bounds.append(float(w[-1]))
+    for sector, buf in enumerate((op.Bs, op.Bd)):
+        E, O, M = split_blocks(buf, grid.nv)
+        for k, B in enumerate([*E, *O, M]):
+            m = B.shape[-1]
+            Mp = np.eye(m) * grid.wv
+            if sector == 1 and k == 0 and op.ynorm > 0:
+                Mp = Mp + (2.0 * grid.wv ** 2 / op.ynorm ** 2) * np.outer(c, c)
+            H = 0.5 * (Mp @ B + B.T @ Mp)
+            w = sla.eigh(H, Mp, eigvals_only=True, subset_by_index=[m - 1, m - 1])
+            bounds.append(float(w[-1]))
     return max(bounds)
 
 
@@ -130,16 +133,16 @@ def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
     steps = int(round(t_end / dt))
     assert (steps // n_samples, steps % samp) == (samp, rem)
     w2l = asm8.weight.pow(0.0) ** 2
-    ws = [fold(to_real((u0[0] + s * u0[1]) / np.sqrt(2))) for s in (1, -1)]
+    ws = [swap_fold(fold(to_real((u0[0] + s * u0[1]) / np.sqrt(2)))) for s in (1, -1)]
     t, ts, Es, Ds = 0.0, [], [], []
     for k in range(steps + 1):
         if k % samp == 0 or k == steps:
-            us, ud = (from_real(unfold(w)) for w in ws)
+            us, ud = (from_real(unfold(swap_unfold(w))) for w in ws)
             ts.append(t)
             Es.append(op.mode_energy(us, ud, w2l))
             Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0).sum())
         if k < steps:
-            ws = [block_matvec(P, w) for P, w in zip(op.propagators(dt), ws)]
+            ws = [split_matvec(P, w) for P, w in zip(op.propagators(dt), ws)]
             t += dt
     tr = evolve_mode(op, u0, dt, t_end, n_samples=n_samples)
     assert np.array_equal(tr.t, ts)
@@ -216,15 +219,38 @@ def test_real_form_matches_complex_reference(asm8, y):
 
 
 def test_propagator_budget_boundary(asm8, monkeypatch):
-    # two sectors of four real (n/4) x (n/4) float64 blocks per retained Fourier mode
+    # per retained Fourier mode, two sectors of swap-split float64 blocks:
+    # 2 s x s, 2 a x a and one m x m, with h = nv/2
     g = asm8.grid
-    need = g.kx_r.size * 2 * 4 * (g.n // 4) ** 2 * 8
+    h = g.nv // 2
+    s, a, m = g.nv * h * (h + 1) // 2, g.nv * h * (h - 1) // 2, g.nv * h * h
+    need = g.kx_r.size * 2 * (2 * s ** 2 + 2 * a ** 2 + m ** 2) * 8
     assert need == solver.propagator_bytes(g)
     monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", need)
     Simulation(asm8, dt=0.05)
     monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", need - 1)
     with pytest.raises(MemoryError):
         Simulation(asm8, dt=0.05)
+
+
+def test_propagator_bytes_is_the_built_storage(asm8):
+    sim = Simulation(asm8, dt=0.05)
+    assert sim._props.nbytes == solver.propagator_bytes(asm8.grid)
+
+
+def test_simulation_forms_no_parity_propagator_stack(asm8):
+    # nv 8, nx 16 (9 modes): the swap-split propagators hold 4.87 MB, and the
+    # build peaked at 6.61 MB, the rest being one mode's operator, its
+    # propagators and one sector's solve temporaries (measured); the
+    # (2, modes, 4, m, m) parity-block stack alone took 9.44 MB
+    asm8.sector_blocks()                   # the collision layer's blocks, kept by asm8
+    tracemalloc.start()
+    try:
+        sim = Simulation(asm8, dt=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sim._props.nbytes + 2_000_000
 
 
 def test_mode_operator_rejects_off_axis_frequency(asm8):
@@ -247,6 +273,19 @@ def test_fold_orthogonal_and_unfold_inverts_it():
     assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(u), rel=1e-15)
 
 
+@pytest.mark.parametrize("nv", [8, 10])                # nv 10: odd half-width 5
+def test_swap_fold_orthogonal_and_swap_unfold_inverts_it(nv):
+    n = nv ** 3
+    G = swap_fold(np.eye(n).reshape(n, 4, n // 4))    # row k: the swap fold of unit vector k
+    np.testing.assert_allclose(G @ G.T, np.eye(n), rtol=0, atol=1e-15)
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal((3, 2, 4, n // 4)) + 1j * rng.standard_normal((3, 2, 4, n // 4))
+    x = swap_fold(w)
+    assert x.shape == (3, 2, n)
+    np.testing.assert_allclose(swap_unfold(x), w, rtol=0, atol=1e-15 * np.abs(w).max())
+    assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(w), rel=1e-15)
+
+
 def _dense_real_form(asm, y):
     """Dense real-form sector operators (Bs, Bd) at frequency (y, 0, 0)."""
     g, smu = asm.grid, asm.maxw.sqrt_mu
@@ -260,14 +299,35 @@ def _dense_real_form(asm, y):
     return Bs, Bd
 
 
+def _parity_blocks(M):
+    """The four diagonal (m, m) blocks of the fold of a dense operator M."""
+    p = np.arange(4)
+    return folded(M)[p, :, p, :]
+
+
+def _split_dense(M):
+    """G^T M G for the swap-split map G^T = swap_fold o fold, as an n x n array."""
+    n = M.shape[0]
+    G = swap_fold(fold(np.eye(n)))                     # row k: the split of unit vector k
+    return G.T @ M @ G
+
+
+def _split_block_diag(buf, nv):
+    """Swap-split blocks buf as the block-diagonal n x n matrix they apply.
+
+    The M columns of a split state are interleaved, so M acts as kron(M, I_2).
+    """
+    E, O, M = split_blocks(buf, nv)
+    return sla.block_diag(*E, *O, np.kron(M, np.eye(2)))
+
+
 @pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
 @pytest.mark.parametrize("y", [0.0, 0.7])
 def test_folded_sectors_block_diagonal(asm_name, y, request):
     asm = request.getfixturevalue(asm_name)
     op = ModeOperator([y, 0, 0], asm)
-    # the sectors (A + 2K, A), then the real-form operators Bs, Bd
-    for M, blocks in zip((*dense_sectors(asm), *_dense_real_form(asm, y)),
-                         (*asm.sector_blocks(), op.Bs, op.Bd)):
+    # the sectors (A + 2K, A): four parity blocks each
+    for M, blocks in zip(dense_sectors(asm), asm.sector_blocks()):
         F = folded(M)
         on = np.zeros_like(F)
         for p in range(4):
@@ -277,6 +337,31 @@ def test_folded_sectors_block_diagonal(asm_name, y, request):
         scale = np.abs(M).max()
         for p in range(4):
             assert np.abs(blocks[p] - F[p, :, p, :]).max() <= 1e-15 * scale
+    # the real-form operators Bs, Bd: the swap-split blocks
+    for M, buf in zip(_dense_real_form(asm, y), (op.Bs, op.Bd)):
+        S = _split_dense(M)
+        D = _split_block_diag(buf, asm.grid.nv)
+        on = _split_block_diag(np.ones_like(buf), asm.grid.nv) != 0
+        assert np.linalg.norm(S[~on]) <= 1e-15 * np.linalg.norm(S)
+        # the stored blocks are the diagonal blocks of the split
+        assert np.abs(S[on] - D[on]).max() <= 1e-15 * np.abs(M).max()
+
+
+@pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
+@pytest.mark.parametrize("y", [0.0, 0.7])
+def test_parity_blocks_commute_with_swap(asm_name, y, request):
+    # what the swap split discards: with P the swap (i1, j2, j3) -> (i1, j3, j2),
+    # B(-,+) = P B(+,-) P^T, and B(+,+), B(-,-) commute with P
+    asm = request.getfixturevalue(asm_name)
+    nv, h = asm.grid.nv, asm.grid.nv // 2
+    perm = np.arange(nv * h * h).reshape(nv, h, h).transpose(0, 2, 1).ravel()
+    for M in (*dense_sectors(asm), *_dense_real_form(asm, y)):
+        B = _parity_blocks(M)
+        swap = B[:, perm][:, :, perm]
+        scale = np.abs(M).max()
+        assert np.abs(B[2] - swap[1]).max() <= 1e-15 * scale
+        for p in (0, 3):
+            assert np.abs(B[p] - swap[p]).max() <= 1e-15 * scale
 
 
 def test_block_propagators_match_dense_oracle(asm8):
@@ -288,9 +373,26 @@ def test_block_propagators_match_dense_oracle(asm8):
     for B, P, u in zip(_dense_real_form(asm8, y), op.propagators(dt), sectors(u0)):
         Pd = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
         ref = w = to_real(u)
-        blk = fold(w)
+        blk = swap_fold(fold(w))
         for k in range(200):
-            ref, blk = Pd @ ref, block_matvec(P, blk)
+            ref, blk = Pd @ ref, split_matvec(P, blk)
             if k == 0:
-                assert np.linalg.norm(unfold(blk) - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert np.linalg.norm(unfold(blk) - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(unfold(swap_unfold(blk)) - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(unfold(swap_unfold(blk)) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_split_propagators_match_parity_block_propagators(asm8):
+    # oracle: implicit-midpoint propagators of the four parity blocks of each
+    # real-form sector, solved here and stepped folded
+    g, dt, y = asm8.grid, 0.05, 0.7
+    op = ModeOperator([y, 0, 0], asm8)
+    I = np.eye(g.n // 4)
+    u0 = default_mode_data(asm8, "mixed", 1e-3, seed=8)
+    for M, P, u in zip(_dense_real_form(asm8, y), op.propagators(dt), sectors(u0)):
+        B = _parity_blocks(M)
+        Pp = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
+        ref = fold(to_real(u))
+        x = swap_fold(ref)
+        for _ in range(200):
+            ref, x = (Pp @ ref[..., None])[..., 0], split_matvec(P, x)
+        assert np.linalg.norm(swap_unfold(x) - ref) <= 1e-12 * np.linalg.norm(ref)
