@@ -36,7 +36,7 @@ STAB = 0.5      # strength of the odd-even stabilization form
 PROBE_BLOCK = 6
 PROBE_TOL = 1e-9
 PROBE_MAXITER = 200
-PROBE_SHIFT = 1e-8  # makes -A, singular on its kernel, factorizable
+PROBE_SHIFT = 1e-10  # times max|A|: makes -A, singular on its kernel, factorizable
 PROBE_SEED = 0
 
 
@@ -333,6 +333,44 @@ class CollisionAssembly:
         return np.array(out)
 
 
+def _probe_preconditioner(A, nv):
+    """(shift I - A)^{-1} as a LinearOperator, with its report entry.
+
+    -A commutes with v2 -> -v2 and v3 -> -v3, so in the folded basis of
+    `lineardecay.fold` the shifted matrix is four m x m parity blocks, m = n/4
+    (symmetry blocking, Fassler & Stiefel 1992). Each is factored densely by
+    Cholesky in place, and a solve is fold, four triangular solve pairs,
+    unfold. The shift is PROBE_SHIFT max|A|, so it scales with the operator.
+    Raises RuntimeError if a block is not positive definite.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    from scipy.sparse.linalg import LinearOperator
+    from .lineardecay import fold, unfold
+
+    n = A.shape[0]
+    shift = PROBE_SHIFT * float(abs(A).max())
+    factors = []
+    for p, b in enumerate(_fold_blocks(shift * sp.identity(n) - A, nv)):
+        try:
+            # Fortran order: factored in place, and no copy per solve
+            factors.append(cho_factor(b.toarray(order="F"), lower=True,
+                                      overwrite_a=True))
+        except LinAlgError as e:
+            raise RuntimeError(
+                f"coercivity probe: Cholesky factor of parity block {p} of "
+                f"-A + {shift:.3e} I failed: {e}") from None
+
+    def solve(X):
+        # the factors are finite once factored: no rescan of them per solve
+        W = fold(X.T)
+        for p, c in enumerate(factors):
+            W[..., p, :] = cho_solve(c, W[..., p, :].T, check_finite=False).T
+        return unfold(W).T
+
+    info = {"blocks": len(factors), "block_size": n // 4, "shift": shift}
+    return LinearOperator((n, n), matvec=solve, matmat=solve, dtype=float), info
+
+
 def coercivity_probe(assembly):
     """Smallest generalized eigenvalues of (-L, sigma-form) off the kernel.
 
@@ -345,29 +383,28 @@ def coercivity_probe(assembly):
     where P = Y Y^T projects on the Euclidean-orthonormal sector kernel Y,
     which is also the constraint, and S is the sparse sigma form at l = 0.
     Off the kernel the pencil is (-L, S); B' Y = Y makes B'-orthogonality to
-    the constraint the Euclidean one. One sparse LU of -A + PROBE_SHIFT I
-    preconditions both sectors, and the start block is seeded.
+    the constraint the Euclidean one. Four dense Cholesky factors, one per
+    parity block of -A + PROBE_SHIFT max|A| I, precondition both sectors,
+    and the start block is seeded.
 
     Returns lambda_h and a report of the 3 smallest eigenvalues per sector,
-    with the iterations taken and the largest B'-residual of those pairs.
-    Raises RuntimeError if a residual exceeds PROBE_TOL or lambda_h <= 0.
+    with the iterations taken and the largest B'-residual of those pairs,
+    and the preconditioner's block count, block size and shift.
+    Raises RuntimeError if a residual exceeds PROBE_TOL, lambda_h <= 0 or a
+    preconditioner block fails to factor.
     """
     # imported here, not with the module: it adds 2 MB to the peak RSS of
     # every command, and only the probe uses it
-    from scipy.sparse.linalg import LinearOperator, lobpcg, splu
+    from scipy.sparse.linalg import LinearOperator, lobpcg
 
     grid = assembly.grid
     n = grid.n
     S = assembly.norms.sigma_form(0.0)
-    # -A is symmetric: a minimum-degree ordering of its pattern without row
-    # pivoting cuts the factor time of the default COLAMD by 27-44% at nv 12-16
-    lu = splu((PROBE_SHIFT * sp.identity(n) - assembly.A).tocsc(),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    M = LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve, dtype=float)
+    M, pre = _probe_preconditioner(assembly.A, grid.nv)
     start = np.random.default_rng(PROBE_SEED).standard_normal((n, PROBE_BLOCK))
     ks, kd = assembly.sector_kernels()
-    report = {"gamma": assembly.gamma, "nv": grid.nv, "sectors": {}}
+    report = {"gamma": assembly.gamma, "nv": grid.nv, "preconditioner": pre,
+              "sectors": {}}
     lams = []
     # sign: the species fields of a sector vector are (g, sign * g) / sqrt(2)
     for tag, kern, sign in (("sum", ks, 1.0), ("diff", kd, -1.0)):

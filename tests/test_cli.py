@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from vplab import build_grid, cli, collision, maxwellian, make_initial_data
@@ -107,6 +108,23 @@ def test_collision_check_unconverged_probe_exit1(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "RuntimeError" in err and "sum sector" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "collision_report.json").exists()
+
+
+def test_collision_check_failed_preconditioner_exit1(tmp_path, monkeypatch, capsys):
+    # a parity block of -A + shift I that is not positive definite: LAPACK's
+    # LinAlgError (a ValueError) leaves the probe as a RuntimeError
+    def not_definite(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("2-th leading minor of the array is not "
+                                       "positive definite")
+    monkeypatch.setattr(scipy.linalg, "cho_factor", not_definite)
+    rc = run_cli(["collision-check", "--nv", "8", "--gamma", "0",
+                  "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "RuntimeError" in err and "parity block 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "collision_report.json").exists()
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe, ModeOperator
 from vplab.collision import GammaOp, KernelTable, pair_of, _ConvKit, PROBE_MAXITER, \
-    PROBE_TOL
+    PROBE_SHIFT, PROBE_TOL, _probe_preconditioner
 from vplab.macroscopic import MacroProjector
 
 from conftest import dense_K, dense_sectors, folded, kernel_matrix
@@ -219,6 +219,44 @@ def test_coercivity_probe(asm8):
     for sector in rep["sectors"].values():
         assert 0 < sector["iterations"] <= PROBE_MAXITER
         assert sector["max_residual"] <= PROBE_TOL
+    assert rep["preconditioner"] == {
+        "blocks": 4, "block_size": asm8.grid.n // 4,
+        "shift": PROBE_SHIFT * np.abs(asm8.A.data).max()}
+
+
+@pytest.mark.parametrize("nv", [8, 10, 12])
+@pytest.mark.parametrize("gamma", [-3.0, 0.0, 1.0])
+def test_A_commutes_with_the_fold(nv, gamma):
+    # the probe's preconditioner factors only the diagonal parity blocks of
+    # Q^T (-A) Q: the off-diagonal ones must vanish to roundoff
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    A = CollisionAssembly(g, maxwellian(g), gamma).A.toarray()
+    F = folded(A)
+    p = np.arange(4)
+    F[p, :, p, :] = 0.0
+    assert np.abs(F).max() <= 1e-14 * np.abs(A).max()
+
+
+def test_probe_preconditioner_inverts_shifted_A(asm8):
+    M, pre = _probe_preconditioner(asm8.A, asm8.grid.nv)
+    X = np.random.default_rng(1).standard_normal((asm8.grid.n, 3))
+    Z = M.matmat(X)
+    R = pre["shift"] * Z - asm8.A @ Z - X
+    assert np.abs(R).max() <= 1e-8 * np.abs(X).max()
+    np.testing.assert_allclose(M.matvec(X[:, 0]), Z[:, 0], rtol=1e-12, atol=0)
+
+
+def test_probe_preconditioner_allocates_less_than_one_dense_matrix():
+    # four m x m factors, m = n/4, hold n^2/4 floats: 6 MB at nv 12
+    g = build_grid(nv=12, vmax=6.0, nx=4)
+    asm = CollisionAssembly(g, maxwellian(g), 0.0)
+    tracemalloc.start()
+    try:
+        _probe_preconditioner(asm.A, g.nv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n ** 2 * 8
 
 
 def dense_probe_eigs(asm):
@@ -238,7 +276,9 @@ def dense_probe_eigs(asm):
     return out
 
 
-@pytest.mark.parametrize("nv, gamma", [(8, 0.0), (8, -2.5), (12, 0.0)])
+# (8, 1.0): max|A| = 6e4, where an absolute shift of 1e-8 left the
+# difference sector unconverged
+@pytest.mark.parametrize("nv, gamma", [(8, 0.0), (8, -2.5), (8, 1.0), (8, -3.0), (12, 0.0)])
 def test_coercivity_probe_matches_dense_oracle(nv, gamma):
     g = build_grid(nv=nv, vmax=6.0, nx=4)
     asm = CollisionAssembly(g, maxwellian(g), gamma)
@@ -248,6 +288,15 @@ def test_coercivity_probe_matches_dense_oracle(nv, gamma):
         got = np.array(rep["sectors"][tag]["min_generalized_eigs"])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     assert lam == min(min(rep["sectors"][t]["min_generalized_eigs"]) for t in oracle)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_coercivity_probe_converges_hard_potentials(gamma):
+    g = build_grid(nv=10, vmax=6.0, nx=4)
+    lam, rep = coercivity_probe(CollisionAssembly(g, maxwellian(g), gamma))
+    assert lam > 0
+    for sector in rep["sectors"].values():
+        assert sector["max_residual"] <= PROBE_TOL
 
 
 def test_gamma_bilinearity(asm8):
