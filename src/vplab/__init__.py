@@ -1,5 +1,12 @@
 """Numerical laboratory for the two-species Vlasov-Poisson-Landau system."""
 
+import os
+
+# One BLAS thread unless the caller chose a count, set before numpy loads
+# OpenBLAS: outputs depend on the thread count, and two were no faster
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .grid import (
     PhaseGrid,
     build_grid,

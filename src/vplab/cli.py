@@ -21,7 +21,7 @@ import numpy as np
 from .grid import build_grid, maxwellian
 from .collision import CollisionAssembly, assemble_sigma, coercivity_probe
 from .macroscopic import moment_residuals
-from .lineardecay import default_y_max, fold, unfold, whole_space_decay
+from .lineardecay import default_y_max, symmetry_basis, whole_space_decay
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
                      energy_report, PsiWeight, energy_inequality_monitor,
                      check_propagator_budget)
@@ -327,10 +327,13 @@ def cmd_collision_check(cfg, out_dir, cfg_h, f_file):
     sig_agree = float(np.abs(sig_fft - sig_dir).max())
     lam, prob = coercivity_probe(asm)       # raises unless lambda_h > 0
     # the probe reads K through apply_K, the mode propagators through its
-    # parity blocks: compare the two on 4 seeded fields (the blocks are not kept)
+    # parity blocks Kb: compare apply_K(H) with P^T Kb P H, P the parity fold,
+    # on 4 seeded fields (the blocks are not kept)
     rng = np.random.default_rng(np.random.Philox(key=cfg["seed"]))
     H = rng.standard_normal((4, g.n)) * mw.sqrt_mu
-    k_ref = unfold((asm.build_K_dense() @ fold(H)[..., None])[..., 0])
+    P = symmetry_basis(g.nv)[0]
+    PH = (P @ H.T).reshape(4, g.n // 4, -1)             # (parity block, m, field)
+    k_ref = (P.T @ (asm.build_K_dense() @ PH).reshape(g.n, -1)).T
     k_agree = float(np.abs(asm.apply_K(H) - k_ref).max() / np.abs(k_ref).max())
     report = {
         "nv": g.nv, "gamma": cfg["physics"]["gamma"],

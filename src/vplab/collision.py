@@ -24,6 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import VelocityWeight, NormSuite
+from .lineardecay import (apply_sp, split_blocks, split_entries, split_sizes, split_sparse,
+                          split_states, symmetry_basis)
 from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -31,8 +33,8 @@ PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 STAB = 0.5      # strength of the odd-even stabilization form
 
 # LOBPCG settings of the coercivity probe. The lowest eigenvalue is triply
-# degenerate in both sectors, so the block holds twice that; 22-33
-# iterations reach the tolerance at nv 12-16 (scipy's default cap is 20).
+# degenerate in both sectors, so the block holds twice that; 22-52
+# iterations reach PROBE_TOL / 10 at nv 12-16 (scipy's default cap is 20).
 PROBE_BLOCK = 6
 PROBE_TOL = 1e-9
 PROBE_MAXITER = 200
@@ -137,20 +139,6 @@ class _ConvKit:
             for i in range(3)], axis=-4))
 
 
-def _fold_blocks(S, nv, flip=0):
-    """Sparse m x m blocks Q_{p ^ flip}^T S Q_p, p = 0..3, of a sparse n x n S.
-
-    Q^T is `lineardecay.fold` as a sparse matrix, from the fold F of one axis.
-    """
-    h, m = nv // 2, nv ** 3 // 4
-    E = np.eye(nv)[h:]                      # row j: the unit vector at h + j
-    F = sp.csr_matrix(np.vstack([E + E[:, ::-1], E - E[:, ::-1]]))
-    Qt = 0.5 * sp.kron(sp.identity(nv), sp.kron(F, F), format="csr")  # rows (i1, s2, j2, s3, j3)
-    Qt = Qt[np.arange(nv ** 3).reshape(nv, 2, h, 2, h).transpose(1, 3, 0, 2, 4).ravel()]
-    SQ = (Qt @ S @ Qt.T).tocsr()
-    return [SQ[(p ^ flip) * m:((p ^ flip) + 1) * m, p * m:(p + 1) * m] for p in range(4)]
-
-
 def _check_psd(sigma):
     """Raise ValueError unless the 3x3 matrix sigma^{ij} is PSD at every node."""
     mats = np.empty((sigma.shape[1], 3, 3))
@@ -201,8 +189,9 @@ class CollisionAssembly:
         Kernel exponent in [-3, 1].
 
     The kernel table is transformed once and its spectra serve sigma, K and
-    the bilinear term. The sectors (A + 2K, A) exist only as their parity
-    blocks, assembled in the folded basis on the first `sector_blocks` call.
+    the bilinear term. The sectors (A + 2K, A) exist only as their split
+    blocks, assembled in the symmetry-adapted basis on the first
+    `sector_blocks` call.
     """
 
     def __init__(self, grid, maxw, gamma):
@@ -247,23 +236,26 @@ class CollisionAssembly:
     def apply_K(self, h):
         """K applied to species-sum fields h (..., n) by FFT convolution."""
         smu = self.maxw.sqrt_mu
-        q = smu * np.stack([self._apply_sp(Cj, h) for Cj in self.C], axis=-2)
+        q = smu * np.stack([apply_sp(Cj, h) for Cj in self.C], axis=-2)
         g = smu * self._kit.contract(q)          # q_j = M^{1/2} C_j h
-        return sum(self._apply_sp(self.CT[i], g[..., i, :]) for i in range(3))
+        return sum(apply_sp(self.CT[i], g[..., i, :]) for i in range(3))
 
     def build_K_dense(self):
-        """K as the (4, m, m) stack of its `lineardecay.fold` blocks, m = n/4.
+        """K as the (4, m, m) diagonal blocks of P K P^T, m = n/4, P the parity
+        fold of `lineardecay.symmetry_basis`.
 
         No n x n array is formed. Block p is sum_ij Cb_i^T Y_ij Cb_j: Cb_j are
-        the folded sparse blocks of M^{1/2} C_j (C_2 and C_3 flip the parity of
+        the sparse blocks of P M^{1/2} C_j P^T (C_2 and C_3 flip the parity of
         their own axis), and Y_ij, as Phi^{ij} has a parity in each axis, is a
         gather along the v1 difference of a table holding, per folded axis,
         Phi(j - k) + s Phi(j + k + 1), s the column parity.
         """
         nv, h, m = self.grid.nv, self.grid.nv // 2, self.grid.n // 4
         flip = (0, 2, 1)            # C_j maps block p = 2 s2 + s3 to p ^ flip[j]
-        CbT = [[b.T.tocsr() for b in _fold_blocks(sp.diags(self.maxw.sqrt_mu) @ Cj, nv, f)]
-               for Cj, f in zip(self.C, flip)]
+        P = symmetry_basis(nv)[0]
+        Cf = ((P @ (sp.diags(self.maxw.sqrt_mu) @ Cj) @ P.T).tocsr() for Cj in self.C)
+        CbT = [[c[(p ^ f) * m:((p ^ f) + 1) * m, p * m:(p + 1) * m].T.tocsr() for p in range(4)]
+               for c, f in zip(Cf, flip)]
         k = np.arange(h)
         near, far = np.subtract.outer(k, k) + nv - 1, np.add.outer(k, k) + nv
         d1 = np.subtract.outer(range(nv), range(nv)) + nv - 1
@@ -284,14 +276,9 @@ class CollisionAssembly:
 
     # -- application helpers -------------------------------------------------
 
-    @staticmethod
-    def _apply_sp(S, g):
-        flat = g.reshape(-1, g.shape[-1])
-        return (S @ flat.T).T.reshape(g.shape)
-
     def apply_A(self, g):
         """Diffusion part A applied per species field (..., n)."""
-        return self._apply_sp(self.A, g)
+        return apply_sp(self.A, g)
 
     def apply_L(self, f):
         """L = (L_+, L_-) applied to a two-species field f (2, ..., n)."""
@@ -308,18 +295,29 @@ class CollisionAssembly:
         return ks, kd
 
     def sector_blocks(self):
-        """(L_sum, L_diff) = (A + 2K, A) as (4, m, m) stacks of their fold blocks.
+        """(L_sum, L_diff) = (A + 2K, A) as a (2, L) array of their split blocks.
 
-        Both sectors commute with v2 -> -v2 and v3 -> -v3, so Q^T L Q is block
-        diagonal for the fold Q^T (`lineardecay.fold`). Built on the first call
-        and kept.
+        The diagonal blocks of Q^T L Q (`lineardecay.symmetry_basis`), laid out
+        as `lineardecay.split_blocks` views them: A's from the sparse Q^T A Q,
+        K's from its parity blocks (`build_K_dense`) split by W. Built on the
+        first call and kept.
         """
         if self._blocks is None:
+            nv = self.grid.nv
+            s, a, m = split_sizes(nv)
+            W = symmetry_basis(nv)[1]
+            We, Wo = W[:s, :m], W[2 * s:2 * s + a, :m]     # alike on blocks (+,+) and (-,-)
             K = self.build_K_dense()
-            A = np.stack([b.toarray() for b in _fold_blocks(self.A, self.grid.nv)])
-            K *= 2.0
-            K += A
-            self._blocks = (K, A)
+            B = np.empty((2, split_entries(nv)))
+            E, O, M = split_blocks(B[0], nv)
+            for k, p in enumerate((0, 3)):
+                E[k] = We @ (We @ K[p]).T                 # W K W^T, as K is symmetric
+                O[k] = Wo @ (Wo @ K[p]).T
+            M[...] = K[1]
+            B[1] = split_sparse(self.A, nv)
+            B[0] *= 2.0
+            B[0] += B[1]
+            self._blocks = B
         return self._blocks
 
     def null_residuals(self):
@@ -336,38 +334,42 @@ class CollisionAssembly:
 def _probe_preconditioner(A, nv):
     """(shift I - A)^{-1} as a LinearOperator, with its report entry.
 
-    -A commutes with v2 -> -v2 and v3 -> -v3, so in the folded basis of
-    `lineardecay.fold` the shifted matrix is four m x m parity blocks, m = n/4
-    (symmetry blocking, Fassler & Stiefel 1992). Each is factored densely by
-    Cholesky in place, and a solve is fold, four triangular solve pairs,
-    unfold. The shift is PROBE_SHIFT max|A|, so it scales with the operator.
-    Raises RuntimeError if a block is not positive definite.
+    -A commutes with the v2 and v3 reflections and the v2 <-> v3 swap, so for
+    the split map Q^T of `lineardecay.symmetry_basis` (symmetry blocking,
+    Fassler & Stiefel 1992) Q^T (shift I - A) Q is five dense blocks: two
+    s x s, two a x a, and one m x m that serves both parity blocks (+,-) and
+    (-,+). Each is factored by Cholesky in place, and a solve is Q^T, five
+    triangular solve pairs, Q. The shift is PROBE_SHIFT max|A|, so it scales
+    with the operator. Raises RuntimeError if a block is not positive definite.
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
     from scipy.sparse.linalg import LinearOperator
-    from .lineardecay import fold, unfold
 
     n = A.shape[0]
     shift = PROBE_SHIFT * float(abs(A).max())
+    E, O, M = split_blocks(split_sparse(shift * sp.identity(n) - A, nv), nv)
     factors = []
-    for p, b in enumerate(_fold_blocks(shift * sp.identity(n) - A, nv)):
+    for b, Sb in enumerate((*E, *O, M)):
         try:
-            # Fortran order: factored in place, and no copy per solve
-            factors.append(cho_factor(b.toarray(order="F"), lower=True,
-                                      overwrite_a=True))
+            # the transpose of a symmetric block, in Fortran order: factored
+            # in place, and no copy per solve
+            factors.append(cho_factor(Sb.T, lower=True, overwrite_a=True))
         except LinAlgError as e:
             raise RuntimeError(
-                f"coercivity probe: Cholesky factor of parity block {p} of "
+                f"coercivity probe: Cholesky factor of split block {b} of "
                 f"-A + {shift:.3e} I failed: {e}") from None
+    _, _, Qt = symmetry_basis(nv)
 
     def solve(X):
-        # the factors are finite once factored: no rescan of them per solve
-        W = fold(X.T)
-        for p, c in enumerate(factors):
-            W[..., p, :] = cho_solve(c, W[..., p, :].T, check_finite=False).T
-        return unfold(W).T
+        # the factors are finite once factored: no rescan of them per solve;
+        # the M factor takes the columns of (+,-) and (-,+) in one call
+        Z = Qt @ X
+        E, O, M = split_states(Z.reshape(-1), nv)
+        for c, Zb in zip(factors, (*E, *O, M)):
+            Zb[...] = cho_solve(c, Zb, check_finite=False)
+        return Qt.T @ Z
 
-    info = {"blocks": len(factors), "block_size": n // 4, "shift": shift}
+    info = {"block_sizes": [len(c[0]) for c in factors], "shift": shift}
     return LinearOperator((n, n), matvec=solve, matmat=solve, dtype=float), info
 
 
@@ -383,13 +385,14 @@ def coercivity_probe(assembly):
     where P = Y Y^T projects on the Euclidean-orthonormal sector kernel Y,
     which is also the constraint, and S is the sparse sigma form at l = 0.
     Off the kernel the pencil is (-L, S); B' Y = Y makes B'-orthogonality to
-    the constraint the Euclidean one. Four dense Cholesky factors, one per
-    parity block of -A + PROBE_SHIFT max|A| I, precondition both sectors,
-    and the start block is seeded.
+    the constraint the Euclidean one. Five dense Cholesky factors, one per
+    split block of -A + PROBE_SHIFT max|A| I, precondition both sectors,
+    and the start block is seeded. LOBPCG stops at PROBE_TOL / 10, so the
+    reported pairs pass the PROBE_TOL check with margin.
 
     Returns lambda_h and a report of the 3 smallest eigenvalues per sector,
     with the iterations taken and the largest B'-residual of those pairs,
-    and the preconditioner's block count, block size and shift.
+    and the preconditioner's block sizes and shift.
     Raises RuntimeError if a residual exceeds PROBE_TOL, lambda_h <= 0 or a
     preconditioner block fails to factor.
     """
@@ -430,7 +433,7 @@ def coercivity_probe(assembly):
                 LinearOperator((n, n), matvec=a_mat, matmat=a_mat, dtype=float),
                 start.copy(),
                 B=LinearOperator((n, n), matvec=b_mat, matmat=b_mat, dtype=float),
-                M=M, Y=Y, tol=PROBE_TOL, maxiter=PROBE_MAXITER, largest=False,
+                M=M, Y=Y, tol=PROBE_TOL / 10, maxiter=PROBE_MAXITER, largest=False,
                 retResidualNormsHistory=True)
         its = len(hist) - 2                     # updates behind the returned block
         order = np.argsort(w)[:3]
@@ -482,7 +485,7 @@ class GammaOp:
         u = asm.maxw.sqrt_mu * hsum
         U = asm._kit.components(u)
         # sqrt_mu d_j f = D_j u + (v_j/2) u
-        du = np.stack([asm._apply_sp(Dj, u) + 0.5 * v[j] * u
+        du = np.stack([apply_sp(Dj, u) + 0.5 * v[j] * u
                        for j, Dj in enumerate(asm.grid.dv_ops())], axis=-2)
         return U, asm._kit.contract(du)
 
@@ -493,13 +496,13 @@ class GammaOp:
         """
         asm = self.asm
         D = asm.grid.dv_ops()
-        dg = np.stack([asm._apply_sp(Dj, g) for Dj in D], axis=-2)
+        dg = np.stack([apply_sp(Dj, g) for Dj in D], axis=-2)
         out = None
         for i in range(3):
             br = -W[..., i, :] * g
             for j in range(3):
                 br = br + U[..., pair_of(i, j), :] * dg[..., j, :]
-            t = asm._apply_sp(asm.CT[i], br)
+            t = apply_sp(asm.CT[i], br)
             out = t if out is None else out + t
         return -out
 

@@ -8,10 +8,12 @@ l = 0 decreases exactly along the flow; implicit-midpoint stepping
 preserves that decrease to roundoff.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 _SQ2 = np.sqrt(2.0)
@@ -32,18 +34,13 @@ class ModeOperator:
     T B T^{-1} = L - Y R real. `to_real`/`from_real` apply T and T^{-1}.
 
     With v.y = v1 y, the real form and the field term also commute with the
-    reflections v2 -> -v2 and v3 -> -v3, so the parity fold (`fold`) splits
-    each sector into four m x m blocks, m = n/4; in block (s2, s3), R acts
-    as s2 s3 times the reversal of i1. They commute with the swap v2 <-> v3
-    as well, which maps block (s2, s3) onto block (s3, s2) and (j2, j3) onto
-    (j3, j2) (Fassler & Stiefel 1992). So the swap fold (`swap_fold`) splits
-    blocks (+,+) and (-,-) into their swap-even (s x s) and swap-odd (a x a)
-    parts, and block (-,+) is the swapped block (+,-): one m x m matrix
-    serves both. `Bs`/`Bd` and every propagator hold, per sector, these
-    2 s^2 + 2 a^2 + m^2 entries in one flat float64 buffer (`split_blocks`
-    views it as three stacks). `sector_blocks` are projected onto them once;
-    the field term lives in the swap-even (+,+) block of the difference
-    sector alone.
+    v2 and v3 reflections and the swap v2 <-> v3, so each sector is five
+    blocks in the basis of `symmetry_basis` (Fassler & Stiefel 1992), held
+    in one flat float64 buffer (`split_blocks`) like every propagator:
+    `Bs`/`Bd` start as a copy of the assembly's `sector_blocks`. In parity
+    block (s2, s3), R acts as s2 s3 times the reversal of i1, so the
+    transport term lies on each block's i1-reversed anti-diagonal; the field
+    term lives in the swap-even (+,+) block of the difference sector alone.
     """
 
     def __init__(self, y, assembly):
@@ -58,23 +55,18 @@ class ModeOperator:
         self.ynorm = float(np.linalg.norm(y))
         grid = assembly.grid
         self.nv = nv = grid.nv
-        self.B = np.empty((2, split_entries(nv)))
+        self.B = assembly.sector_blocks().copy()
         self.Bs, self.Bd = self.B
         vy = grid.v1d * y[0]
-        for L, buf in zip(assembly.sector_blocks(), self.B):
+        for buf in self.B:
             E, O, M = split_blocks(buf, nv)
-            for k, p in enumerate((0, 3)):                      # blocks (+,+), (-,-)
-                ce, co = _swap_parts(L[p])                      # L Se^T, L So^T
-                E[k] = _swap_parts(ce.T)[0].T
-                O[k] = _swap_parts(co.T)[1].T
-            M[...] = L[1]                                  # block (-,+) is its swap
             # -s2 s3 v1 y on the i1-reversed anti-diagonal, one row of i1 each
             for X, sign in ((E, 1.0), (O, 1.0), (M, -1.0)):
                 rows = np.arange(X.shape[-1]).reshape(nv, -1)
                 X[..., rows, rows[::-1]] -= sign * vy[:, None]
         if self.ynorm > 0:
-            smu = assembly.maxw.sqrt_mu
-            a, b = _swap_parts(fold(np.stack([grid.v[0] * y[0] * smu, smu]))[:, 0])[0]
+            smu, s = assembly.maxw.sqrt_mu, split_sizes(nv)[0]
+            a, b = apply_sp(symmetry_basis(nv)[2], np.stack([grid.v[0] * y[0] * smu, smu]))[:, :s]
             split_blocks(self.Bd, nv)[0][0] -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(a, b)
         self._props = {}
 
@@ -83,7 +75,7 @@ class ModeOperator:
 
         A (2, L) float64 buffer, rows (P_sum, P_diff), each the swap-split
         blocks of `split_blocks` (2 L 8 bytes per mode); apply them with
-        `split_matvec` to fields mapped by `to_real`, `fold` and `swap_fold`.
+        `split_matvec` to fields mapped by `to_real` and Q^T (`symmetry_basis`).
         """
         key = float(dt)
         if key not in self._props:
@@ -97,8 +89,9 @@ class ModeOperator:
 
     def apply(self, u):
         """B(y) applied to a two-species mode field u (2, n)."""
-        w = swap_fold(fold(to_real(sectors(u))))
-        return sectors(from_real(unfold(swap_unfold(split_matvec(self.B, w)))))
+        _, _, Qt = symmetry_basis(self.nv)
+        w = apply_sp(Qt, to_real(sectors(u)))
+        return sectors(from_real(apply_sp(Qt.T, split_matvec(self.B, w))))
 
     def mode_energy(self, us, ud, w2l):
         grid = self.asm.grid
@@ -116,39 +109,6 @@ def sectors(f):
     its own inverse, so the same call maps sector fields back to species.
     """
     return np.stack([f[0] + f[1], f[0] - f[1]]) / _SQ2
-
-
-def fold(u):
-    """Parity fold (..., n) -> (..., 4, m) along the v2 and v3 axes, m = n/4.
-
-    With h = nv/2, the axis i2 and then the axis i3 each map u to the pair
-    (u[h+j] + u[h-1-j], u[h+j] - u[h-1-j]) / sqrt(2), j < h: the parts even
-    and odd under that reflection. The blocks come in the order (+,+), (+,-),
-    (-,+), (-,-), each indexed by (i1, j2, j3) in C order. The map is
-    orthogonal and `unfold` is its inverse; the two 1/sqrt(2) are one exact
-    factor 0.5.
-    """
-    nv = round(u.shape[-1] ** (1 / 3))
-    h = nv // 2
-    c = u.reshape(u.shape[:-1] + (nv, nv, nv))
-    up, lo = c[..., h:, :], c[..., h - 1::-1, :]
-    c = np.stack([up + lo, up - lo], axis=-4)              # (..., 2, nv, h, nv)
-    up, lo = c[..., h:], c[..., h - 1::-1]
-    c = np.stack([up + lo, up - lo], axis=-4)              # (..., 2, 2, nv, h, h)
-    return 0.5 * c.reshape(u.shape[:-1] + (4, -1))
-
-
-def unfold(w):
-    """Inverse (and transpose) of `fold`: (..., 4, m) -> (..., n)."""
-    lead = w.shape[:-2]
-    nv = round((4 * w.shape[-1]) ** (1 / 3))
-    h = nv // 2
-    c = w.reshape(lead + (2, 2, nv, h, h))
-    e, o = c[..., 0, :, :, :], c[..., 1, :, :, :]           # v3 parities
-    c = np.concatenate([(e - o)[..., ::-1], e + o], axis=-1)          # (..., 2, nv, h, nv)
-    e, o = c[..., 0, :, :, :], c[..., 1, :, :, :]           # v2 parities
-    c = np.concatenate([(e - o)[..., ::-1, :], e + o], axis=-2)       # (..., nv, nv, nv)
-    return 0.5 * c.reshape(lead + (-1,))
 
 
 def split_sizes(nv):
@@ -178,89 +138,76 @@ def split_blocks(P, nv):
             P[..., o:].reshape(lead + (m, m)))
 
 
-def _swap_parts(x):
-    """Swap-even and swap-odd parts of parity-block vectors (..., m).
+@functools.cache
+def symmetry_basis(nv):
+    """The parity fold P, the swap split W and the split map Q^T = W P.
 
-    Over the rows (i1, j2, j3) in C order, the even part holds
-    (x[i1, j2, j3] + x[i1, j3, j2]) / sqrt(2) for j2 < j3 and x[i1, j, j] on
-    the diagonal, (..., s); the odd part holds the differences / sqrt(2) for
-    j2 < j3, (..., a). The map is orthogonal; `_swap_join` is its inverse.
+    Orthogonal n x n CSR matrices, so Q = (Q^T)^T maps back. P maps a field
+    (..., n) to the parity blocks of the v2 and v3 reflections: with
+    h = nv/2, the axis i2 and then the axis i3 each map u to
+    (u[h+j] + u[h-1-j], u[h+j] - u[h-1-j]) / sqrt(2), j < h. Its rows are
+    (s2, s3, i1, j2, j3) in C order, blocks (+,+), (+,-), (-,+), (-,-).
+    W maps those to the parts `split_blocks` names, laid out as
+    `split_states` views them: (x[i1, j2, j3] +/- x[i1, j3, j2]) / sqrt(2)
+    for j2 < j3 and x[i1, j, j] in E and O, and x_{+-}[i1, j2, j3] and
+    x_{-+}[i1, j3, j2] as the two columns of M. Cached per nv: the matrices
+    are shared, and no caller may write into them.
     """
-    lead = x.shape[:-1]
-    nv = round((4 * x.shape[-1]) ** (1 / 3))
-    h = nv // 2
-    c = x.reshape(lead + (nv, h, h))
+    h, n = nv // 2, nv ** 3
+    s2, s3, i1, j2, j3, r2, r3 = np.indices((2, 2, nv, h, h, 2, 2)).reshape(7, -1)
+    # r2, r3: the entry from the reflected half of that axis
+    cols = (i1 * nv + np.where(r2, h - 1 - j2, h + j2)) * nv + np.where(r3, h - 1 - j3, h + j3)
+    sign = np.where((s2 & r2) ^ (s3 & r3), -0.5, 0.5)
+    P = sp.csr_matrix((sign, cols, np.arange(0, 4 * n + 1, 4)), shape=(n, n))
+    x = np.arange(n).reshape(4, nv, h, h)           # parity-block rows of P
+    xs = x.swapaxes(-1, -2)
     iu, ju = np.triu_indices(h)
-    even = c[..., iu, ju] + c[..., ju, iu]
-    even *= np.where(iu == ju, 0.5, np.sqrt(0.5))
     il, jl = np.triu_indices(h, 1)
-    odd = c[..., il, jl] - c[..., jl, il]
-    odd *= np.sqrt(0.5)
-    return even.reshape(lead + (-1,)), odd.reshape(lead + (-1,))
+    # the diagonal of E is entered twice, 0.5 + 0.5, and summed on conversion
+    e = np.broadcast_to(np.where(iu == ju, 0.5, np.sqrt(0.5)), (2, nv, iu.size)).ravel()
+    o = np.full(2 * nv * il.size, np.sqrt(0.5))
+    rows = np.r_[0:e.size, 0:e.size, e.size:e.size + o.size, e.size:e.size + o.size,
+                 e.size + o.size:n]
+    cols = np.concatenate([c.ravel() for c in (
+        x[::3][..., iu, ju], xs[::3][..., iu, ju], x[::3][..., il, jl], xs[::3][..., il, jl],
+        np.stack([x[1], xs[2]], axis=-1))])
+    W = sp.csr_matrix((np.r_[e, e, o, -o, np.ones(n // 2)], (rows, cols)), shape=(n, n))
+    return P, W, (W @ P).tocsr()
 
 
-def _swap_join(even, odd):
-    """Inverse (and transpose) of `_swap_parts`: (..., s), (..., a) -> (..., m)."""
-    lead = even.shape[:-1]
-    nv = round((4 * (even.shape[-1] + odd.shape[-1])) ** (1 / 3))
-    h = nv // 2
-    iu, ju = np.triu_indices(h)
-    c = np.zeros(lead + (nv, h, h), dtype=np.result_type(even, odd))
-    c[..., iu, ju] = even.reshape(lead + (nv, -1)) * np.where(iu == ju, 0.5, np.sqrt(0.5))
-    c = c + c.swapaxes(-1, -2)                         # the diagonal doubles to x[i1, j, j]
-    il, jl = np.triu_indices(h, 1)
-    o = odd.reshape(lead + (nv, -1)) * np.sqrt(0.5)
-    c[..., il, jl] += o
-    c[..., jl, il] -= o
-    return c.reshape(lead + (-1,))
+def apply_sp(S, g):
+    """Sparse S (n x n) applied along the last axis of g (..., n)."""
+    flat = g.reshape(-1, g.shape[-1])
+    return (S @ flat.T).T.reshape(g.shape)
 
 
-def _swapped(x):
-    """x[(i1, j3, j2)] for parity-block vectors x (..., m): the swap v2 <-> v3."""
-    lead = x.shape[:-1]
-    nv = round((4 * x.shape[-1]) ** (1 / 3))
-    return x.reshape(lead + (nv, nv // 2, nv // 2)).swapaxes(-1, -2).reshape(lead + (-1,))
-
-
-def _state_views(x, nv):
-    """Views (E, O, M) of swap-split states x (..., n) (see `swap_fold`).
-
-    Complex x gives E (..., 2, s), O (..., 2, a), M (..., m, 2). Its float64
-    view (..., 2n) gives the real matrices E (..., 2, s, 2), O (..., 2, a, 2)
-    and M (..., m, 4), real and imaginary parts as columns, which the blocks
-    of `split_blocks` advance with one real product each.
+def split_states(x, nv):
+    """Views E (..., 2, s, k), O (..., 2, a, k), M (..., m, 2 k) of swap-split
+    states x (..., n k), k reals per entry, which the blocks of `split_blocks`
+    advance with one real product each: k = 2 for the float64 view of complex
+    states, real and imaginary parts as columns; k for a raveled (n, k) stack.
     """
     s, a, m = split_sizes(nv)
-    k = x.shape[-1] // (4 * m)             # 1 complex or 2 float64 entries per state entry
-    lead, tail, e, o = x.shape[:-1], (2,) * (k - 1), 2 * s * k, 2 * (s + a) * k
-    return (x[..., :e].reshape(lead + (2, s) + tail), x[..., e:o].reshape(lead + (2, a) + tail),
+    k = x.shape[-1] // (4 * m)
+    lead, e, o = x.shape[:-1], 2 * s * k, 2 * (s + a) * k
+    return (x[..., :e].reshape(lead + (2, s, k)), x[..., e:o].reshape(lead + (2, a, k)),
             x[..., o:].reshape(lead + (m, 2 * k)))
 
 
-def swap_fold(w):
-    """Swap fold (..., 4, m) -> (..., n) of parity blocks, for `split_blocks`.
-
-    The state is laid out as E (2, s), the swap-even parts of blocks (+,+)
-    and (-,-) (`_swap_parts`), then O (2, a), their swap-odd parts, then
-    M (m, 2), whose columns are block (+,-) and the swapped block (-,+),
-    w[(i1, j3, j2)]. The map is orthogonal; `swap_unfold` is its inverse.
-    """
-    x = np.empty(w.shape[:-2] + (4 * w.shape[-1],), dtype=w.dtype)
-    E, O, M = _state_views(x, round(x.shape[-1] ** (1 / 3)))
-    E[...], O[...] = _swap_parts(w[..., ::3, :])
-    M[..., 0] = w[..., 1, :]
-    M[..., 1] = _swapped(w[..., 2, :])
-    return x
-
-
-def swap_unfold(x):
-    """Inverse (and transpose) of `swap_fold`: (..., n) -> (..., 4, m)."""
-    E, O, M = _state_views(x, round(x.shape[-1] ** (1 / 3)))
-    w = np.empty(x.shape[:-1] + (4, x.shape[-1] // 4), dtype=x.dtype)
-    w[..., ::3, :] = _swap_join(E, O)
-    w[..., 1, :] = M[..., 0]
-    w[..., 2, :] = _swapped(M[..., 1])
-    return w
+def split_sparse(S, nv):
+    """The split blocks of Q^T S Q for a sparse S (n x n) that commutes with
+    the symmetry, as one (L,) buffer laid out as `split_blocks` views it;
+    M from the rows of block (+,-), the even ones from 2 (s + a) on."""
+    s, a, _ = split_sizes(nv)
+    cuts = (0, s, 2 * s, 2 * s + a, 2 * (s + a))
+    rows = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])] + [slice(cuts[-1], None, 2)]
+    Qt = symmetry_basis(nv)[2]
+    SQ = (Qt @ S @ Qt.T).tocsr()
+    out = np.empty(split_entries(nv))
+    E, O, M = split_blocks(out, nv)
+    for X, r in zip((*E, *O, M), rows):
+        SQ[r, r].toarray(out=X)
+    return out
 
 
 def split_matvec(P, x):
@@ -272,8 +219,8 @@ def split_matvec(P, x):
     x = np.ascontiguousarray(x)
     nv = round(x.shape[-1] ** (1 / 3))
     out = np.empty_like(x)
-    for B, u, v in zip(split_blocks(P, nv), _state_views(x.view(np.float64), nv),
-                       _state_views(out.view(np.float64), nv)):
+    for B, u, v in zip(split_blocks(P, nv), split_states(x.view(np.float64), nv),
+                       split_states(out.view(np.float64), nv)):
         np.matmul(B, u, out=v)
     return out
 
@@ -321,9 +268,10 @@ def _sector_samples(P, u, steps, samp):
     if strides >= 2 and samp > 1:
         Q, k = [np.linalg.matrix_power(B, samp) for B in P], 1
     out = np.empty((strides + 1 + (rem > 0), u.shape[-1]), dtype=complex)
-    out[0] = swap_fold(fold(to_real(u)))
-    samples = _state_views(out.view(np.float64), nv)
-    spare = _state_views(np.empty(2 * u.shape[-1]), nv)
+    _, _, Qt = symmetry_basis(nv)
+    out[0] = Qt @ to_real(u)
+    samples = split_states(out.view(np.float64), nv)
+    spare = split_states(np.empty(2 * u.shape[-1]), nv)
 
     def advance(blocks, j, count):
         # sample j + 1 = blocks^count sample j, alternating with the spare
@@ -339,7 +287,7 @@ def _sector_samples(P, u, steps, samp):
         advance(Q, j, k)
     if rem:
         advance(P, strides, rem)
-    return from_real(unfold(swap_unfold(out)))
+    return from_real(apply_sp(Qt.T, out))
 
 
 def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):

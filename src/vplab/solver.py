@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import GammaOp
-from .lineardecay import (ModeOperator, fold, from_real, sectors, split_entries,
-                          split_matvec, split_sizes, swap_fold, swap_unfold, to_real,
-                          unfold)
+from .lineardecay import (ModeOperator, apply_sp, from_real, sectors, split_entries,
+                          split_matvec, split_sizes, symmetry_basis, to_real)
 from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
 
@@ -212,7 +211,7 @@ class Simulation:
         g = np.zeros_like(f)
         if not self.disable_field_nl:
             dphi = -fs.E                        # d_x phi
-            adv = self.asm._apply_sp(self.asm.Ct_tilde, f)
+            adv = apply_sp(self.asm.Ct_tilde, f)
             # one-sided stencils at the box faces leak a small mass moment;
             # the continuum term has none, so project it out per species
             mdir = self._mass_dir
@@ -249,8 +248,9 @@ class Simulation:
         state.f += inc
 
     def _linear_step(self, state):
-        h = swap_fold(fold(to_real(np.fft.rfft(sectors(state.f), axis=1))))   # (2 sectors, modes, n)
-        h = unfold(swap_unfold(split_matvec(self._props, h)))
+        _, _, Qt = symmetry_basis(self.grid.nv)
+        h = apply_sp(Qt, to_real(np.fft.rfft(sectors(state.f), axis=1)))   # (2 sectors, modes, n)
+        h = apply_sp(Qt.T, split_matvec(self._props, h))
         state.f = sectors(np.fft.irfft(from_real(h), n=self.grid.nx, axis=1))
 
     def step(self, state):
@@ -322,7 +322,7 @@ def energy_report(state, assembly, K, l, psi, projector):
         base = np.abs(IPf).max() + 1e-300
         probe = IPf
         for _ in range(K):
-            probe = assembly._apply_sp(D[0], probe)
+            probe = apply_sp(D[0], probe)
         if np.abs(probe).max() > 0.5 * ceiling * base:
             warnings.warn(
                 f"order-{K} velocity derivatives are at the grid noise ceiling",
@@ -361,7 +361,7 @@ def energy_report(state, assembly, K, l, psi, projector):
             continue
         j = next(i for i in range(3) if b[i] > 0)
         parent = tuple(b[i] - (1 if i == j else 0) for i in range(3))
-        dbeta[b] = assembly._apply_sp(D[j], dbeta[parent])
+        dbeta[b] = apply_sp(D[j], dbeta[parent])
     for b in betas:
         nb = sum(b)
         if nb > K:

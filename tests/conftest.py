@@ -1,9 +1,17 @@
+import os
+
+# One BLAS/OpenMP thread, the default `import vplab` sets: OpenBLAS reads the
+# variables once, when numpy loads it, and pytest loads no plugin that imports
+# numpy before this file, so the default holds for the whole test process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly
 from vplab.collision import PAIRS, pair_of
-from vplab.lineardecay import fold
+from vplab.lineardecay import symmetry_basis
 
 
 def kernel_matrix(asm, k):
@@ -34,9 +42,10 @@ def dense_K(asm):
 
 
 def folded(M):
-    """Q^T M Q for the fold Q^T, as a (4, m, 4, m) array."""
+    """P M P^T for the parity fold P, as a (4, m, 4, m) array."""
     n = M.shape[0]
-    return (fold(fold(M).reshape(n, n).T).reshape(n, n).T).reshape(4, n // 4, 4, n // 4)
+    P = symmetry_basis(round(n ** (1 / 3)))[0]
+    return (P @ (P @ M).T).T.reshape(4, n // 4, 4, n // 4)
 
 
 def dense_sectors(asm):
@@ -64,3 +73,9 @@ def asm8(grid8, maxw8):
 @pytest.fixture(scope="session")
 def asm8_soft(grid8, maxw8):
     return CollisionAssembly(grid8, maxw8, -2.5)
+
+
+@pytest.fixture(scope="session")
+def asm10():
+    grid = build_grid(nv=10, vmax=6.0, nx=4)
+    return CollisionAssembly(grid, maxwellian(grid), 0.0)

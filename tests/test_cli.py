@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -113,7 +114,7 @@ def test_collision_check_unconverged_probe_exit1(tmp_path, monkeypatch, capsys):
 
 
 def test_collision_check_failed_preconditioner_exit1(tmp_path, monkeypatch, capsys):
-    # a parity block of -A + shift I that is not positive definite: LAPACK's
+    # a split block of -A + shift I that is not positive definite: LAPACK's
     # LinAlgError (a ValueError) leaves the probe as a RuntimeError
     def not_definite(*args, **kwargs):
         raise scipy.linalg.LinAlgError("2-th leading minor of the array is not "
@@ -124,9 +125,28 @@ def test_collision_check_failed_preconditioner_exit1(tmp_path, monkeypatch, caps
     assert rc == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "RuntimeError" in err and "parity block 0" in err
+    assert "RuntimeError" in err and "split block 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "collision_report.json").exists()
+
+
+def test_outputs_independent_of_blas_thread_variables(tmp_path):
+    # `import vplab` defaults OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1,
+    # so runs with neither variable set write the bytes of runs with both at
+    # 1 (with two threads OpenBLAS splits the sums of a product differently)
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in threads}
+    for tag, env in (("unset", base), ("one", dict(base, **dict.fromkeys(threads, "1")))):
+        for args in (["simulate", "--nv", "8", "--nx", "16"], ["collision-check", "--nv", "8"]):
+            r = subprocess.run([sys.executable, "-W", "ignore", "-m", "vplab.cli"] + args
+                               + ["--out", str(tmp_path / tag / args[0])],
+                               env=env, capture_output=True, text=True)
+            assert r.returncode == 0, r.stderr
+    files = sorted(p.relative_to(tmp_path / "unset")
+                   for p in (tmp_path / "unset").rglob("*") if p.is_file())
+    assert len(files) == 4
+    for f in files:
+        assert (tmp_path / "unset" / f).read_bytes() == (tmp_path / "one" / f).read_bytes(), f
 
 
 def test_simulate_outputs_and_snapshots(tmp_path):

@@ -3,12 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe, ModeOperator
 from vplab.collision import GammaOp, KernelTable, pair_of, _ConvKit, PROBE_MAXITER, \
     PROBE_SHIFT, PROBE_TOL, _probe_preconditioner
+from vplab.lineardecay import (apply_sp, split_blocks, split_entries, split_sizes,
+                               split_sparse)
 from vplab.macroscopic import MacroProjector
 
 from conftest import dense_K, dense_sectors, folded, kernel_matrix
@@ -164,17 +167,16 @@ def test_K_matrix_free_matches_dense(grid8, maxw8):
 
 
 def test_dense_sectors_hold_two_matrices(asm8):
-    # once a mode operator is built, (A + 2K, A) are kept as two stacks of
-    # parity blocks, 2 K apart; no dense n x n matrix is
+    # once a mode operator is built, (A + 2K, A) are kept as one (2, L) array
+    # of split blocks, 2 K apart; no dense n x n matrix is
     ModeOperator([0.5, 0, 0], asm8)
-    n = asm8.grid.n
-    held = [a for v in vars(asm8).values()
-            for a in (v if isinstance(v, tuple) else (v,))
-            if isinstance(a, np.ndarray)]
+    nv, n = asm8.grid.nv, asm8.grid.n
+    held = [v for v in vars(asm8).values() if isinstance(v, np.ndarray)]
     assert not [a for a in held if a.shape == (n, n)]
-    assert [a.shape for a in held if a.ndim == 3] == [(4, n // 4, n // 4)] * 2
-    Ls, Ld = asm8.sector_blocks()
-    assert np.abs(Ls - Ld - 2.0 * asm8.build_K_dense()).max() <= 1e-14 * np.abs(Ls).max()
+    Ls, Ld = B = asm8.sector_blocks()
+    assert B.shape == (2, split_entries(nv)) and any(a is B for a in held)
+    want = split_sparse(sp.csr_matrix(dense_K(asm8)), nv)     # Q^T K Q, from the dense K
+    assert np.abs(Ls - Ld - 2.0 * want).max() <= 1e-14 * np.abs(Ls).max()
 
 
 @pytest.mark.parametrize("nv", [8, 10, 12])          # nv 10: odd half-width 5
@@ -188,11 +190,14 @@ def test_K_blocks_match_dense_oracle(nv, gamma):
 
 
 def test_L_blocks_symmetric_and_negative_semidefinite(asm8):
-    # twin of the dense test on the parity blocks: the 5 + 1 kernel
-    # directions are spread over the four blocks of each sector
-    for L, kdim in zip(asm8.sector_blocks(), (5, 1)):
-        assert np.abs(L - L.transpose(0, 2, 1)).max() < 1e-11
-        w = np.sort(np.linalg.eigvalsh(-L).ravel())
+    # twin of the dense test on the split blocks: the 5 + 1 kernel directions
+    # are spread over the blocks of each sector, and the M block counts twice,
+    # once for (+,-) and once for (-,+)
+    for buf, kdim in zip(asm8.sector_blocks(), (5, 1)):
+        E, O, M = split_blocks(buf, asm8.grid.nv)
+        L = [*E, *O, M, M]
+        assert max(np.abs(X - X.T).max() for X in L) < 1e-11
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(-X) for X in L]))
         assert w.min() > -1e-10
         assert w[kdim] > 1e-3 and w[kdim - 1] < 1e-10
 
@@ -219,8 +224,9 @@ def test_coercivity_probe(asm8):
     for sector in rep["sectors"].values():
         assert 0 < sector["iterations"] <= PROBE_MAXITER
         assert sector["max_residual"] <= PROBE_TOL
+    s, a, m = split_sizes(asm8.grid.nv)
     assert rep["preconditioner"] == {
-        "blocks": 4, "block_size": asm8.grid.n // 4,
+        "block_sizes": [s, s, a, a, m],
         "shift": PROBE_SHIFT * np.abs(asm8.A.data).max()}
 
 
@@ -288,6 +294,19 @@ def test_coercivity_probe_matches_dense_oracle(nv, gamma):
         got = np.array(rep["sectors"][tag]["min_generalized_eigs"])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     assert lam == min(min(rep["sectors"][t]["min_generalized_eigs"]) for t in oracle)
+
+
+@pytest.mark.parametrize("nv, gamma", [(nv, gamma) for nv in (8, 10, 12)
+                                       for gamma in (-3.0, -1.0, 0.0, 0.5, 1.0)]
+                         + [(16, 0.5)])
+def test_coercivity_probe_residuals_keep_margin(nv, gamma):
+    # LOBPCG stops at PROBE_TOL / 10, so every reported pair passes the
+    # PROBE_TOL check with at least a factor 2 to spare (nv 10, gamma 0.5
+    # read 9.93e-10 when LOBPCG stopped at PROBE_TOL itself)
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    _, rep = coercivity_probe(CollisionAssembly(g, maxwellian(g), gamma))
+    for sector in rep["sectors"].values():
+        assert sector["max_residual"] <= 0.5 * PROBE_TOL
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0])
@@ -370,9 +389,9 @@ def test_gamma_upper_bound_measured(asm8):
 
     def h_norms(gf):
         n0 = np.sqrt(np.sum(gf ** 2) * grid.wv)
-        d1 = [asm8._apply_sp(Dj, gf) for Dj in D]
+        d1 = [apply_sp(Dj, gf) for Dj in D]
         n1 = np.sqrt(n0 ** 2 + sum(np.sum(d ** 2) for d in d1) * grid.wv)
-        d2sq = sum(np.sum(asm8._apply_sp(Dj, d) ** 2) for d in d1 for Dj in D)
+        d2sq = sum(np.sum(apply_sp(Dj, d) ** 2) for d in d1 for Dj in D)
         n2 = np.sqrt(n1 ** 2 + d2sq * grid.wv)
         return n0, n1, n2
 
@@ -387,7 +406,7 @@ def test_gamma_upper_bound_measured(asm8):
         f0, f1n, f2n = h_norms(f[0] + f[1])
         _, g1w, g2w = h_norms(wl * br * gf)
         g2grad = np.sqrt(sum(
-            np.sum((wl * br * asm8._apply_sp(Di, asm8._apply_sp(Dj, gf))) ** 2)
+            np.sum((wl * br * apply_sp(Di, apply_sp(Dj, gf))) ** 2)
             for Di in D for Dj in D) * grid.wv)
         g0w = np.sqrt(np.sum((wl * br * gf) ** 2) * grid.wv)
         rhs = f1n * g1w + f0 * g2grad + f2n * g0w

@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
-                               default_mode_data, fold, from_real, sectors,
-                               split_blocks, split_matvec, swap_fold, swap_unfold,
-                               to_real, unfold)
+from vplab.lineardecay import (ModeOperator, apply_sp, evolve_mode, whole_space_decay,
+                               default_mode_data, from_real, sectors, split_blocks,
+                               split_matvec, split_sizes, symmetry_basis, to_real)
 from vplab.macroscopic import MacroProjector, null_basis_raw
 from vplab import solver
 from vplab.solver import Simulation
@@ -28,6 +27,9 @@ def test_sectors_orthogonal_and_self_inverse():
 
 def test_B_at_zero_is_L(asm8):
     op = ModeOperator([0.0, 0, 0], asm8)
+    # no transport and no field term: B is a copy of the assembly's blocks
+    assert np.array_equal(op.B, asm8.sector_blocks())
+    assert not np.shares_memory(op.B, asm8.sector_blocks())
     for xi in null_basis_raw(asm8.grid, asm8.maxw):
         r = op.apply(xi.astype(complex))
         assert np.abs(r).max() < 1e-10 * np.abs(xi).max()
@@ -54,13 +56,13 @@ def energy_metric_symmetric_bound(op):
     the symmetric part of B is negative semidefinite (the plain-L2
     symmetric part is not, the Poisson coupling is skew only against the
     field energy). The metric commutes with the unitary map to the real
-    form, with the parity fold and with the swap fold, so the bound is the
+    form and with the symmetry-adapted basis Q^T, so the bound is the
     largest over the ten real swap-split blocks; the field energy adds its
     rank-one term to the swap-even (+,+) block of the difference sector only.
     """
     grid = op.asm.grid
     s = split_blocks(op.Bs, grid.nv)[0].shape[-1]
-    c = swap_fold(fold(op.asm.maxw.sqrt_mu))[:s]         # swap-even (+,+) part
+    c = (symmetry_basis(grid.nv)[2] @ op.asm.maxw.sqrt_mu)[:s]     # swap-even (+,+) part
     bounds = []
     for sector, buf in enumerate((op.Bs, op.Bd)):
         E, O, M = split_blocks(buf, grid.nv)
@@ -133,11 +135,12 @@ def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
     steps = int(round(t_end / dt))
     assert (steps // n_samples, steps % samp) == (samp, rem)
     w2l = asm8.weight.pow(0.0) ** 2
-    ws = [swap_fold(fold(to_real((u0[0] + s * u0[1]) / np.sqrt(2)))) for s in (1, -1)]
+    _, _, Qt = symmetry_basis(asm8.grid.nv)
+    ws = [Qt @ to_real((u0[0] + s * u0[1]) / np.sqrt(2)) for s in (1, -1)]
     t, ts, Es, Ds = 0.0, [], [], []
     for k in range(steps + 1):
         if k % samp == 0 or k == steps:
-            us, ud = (from_real(unfold(swap_unfold(w))) for w in ws)
+            us, ud = (from_real(Qt.T @ w) for w in ws)
             ts.append(t)
             Es.append(op.mode_energy(us, ud, w2l))
             Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0).sum())
@@ -261,29 +264,56 @@ def test_mode_operator_rejects_off_axis_frequency(asm8):
 
 
 def test_fold_orthogonal_and_unfold_inverts_it():
-    nv = 8
-    n = nv ** 3
-    Q = fold(np.eye(n)).reshape(n, n)             # row k: the fold of the k-th unit vector
-    np.testing.assert_allclose(Q @ Q.T, np.eye(n), rtol=0, atol=1e-15)
+    """The parity fold P of `symmetry_basis` is orthogonal, P^T undoes it,
+    and each of its blocks has the reflection parity it is named for."""
     rng = np.random.default_rng(4)
-    u = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-    w = fold(u)
-    assert w.shape == (3, 2, 4, n // 4)
-    np.testing.assert_allclose(unfold(w), u, rtol=0, atol=1e-15 * np.abs(u).max())
-    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(u), rel=1e-15)
+    for nv in (8, 10):                                 # nv 10: odd half-width 5
+        n, m = nv ** 3, nv ** 3 // 4
+        P = symmetry_basis(nv)[0]
+        G = P.toarray()
+        np.testing.assert_allclose(G @ G.T, np.eye(n), rtol=0, atol=1e-15)
+        assert np.count_nonzero(G, axis=1).max() == 4
+        u = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+        w = apply_sp(P, u)
+        np.testing.assert_allclose(apply_sp(P.T, w), u, rtol=0, atol=1e-15 * np.abs(u).max())
+        assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(u), rel=1e-15)
+        # the reflection of one axis keeps the blocks even in it and negates
+        # the odd ones
+        x = u[:, 0].real
+        c = x.reshape(3, nv, nv, nv)
+        for axis, parity in ((2, np.repeat([1, 1, -1, -1], m)),
+                             (3, np.repeat([1, -1, 1, -1], m))):
+            ref = np.flip(c, axis).reshape(3, n)
+            assert np.abs((P @ ref.T).T - parity * (P @ x.T).T).max() <= 1e-15
 
 
 @pytest.mark.parametrize("nv", [8, 10])                # nv 10: odd half-width 5
 def test_swap_fold_orthogonal_and_swap_unfold_inverts_it(nv):
+    """The swap split W and the split map Q^T = W P are orthogonal, their
+    transposes undo them, Q^T is built once per nv, and W splits block (+,+)
+    into its swap-even and swap-odd parts."""
     n = nv ** 3
-    G = swap_fold(np.eye(n).reshape(n, 4, n // 4))    # row k: the swap fold of unit vector k
-    np.testing.assert_allclose(G @ G.T, np.eye(n), rtol=0, atol=1e-15)
+    s, a, _ = split_sizes(nv)
+    P, W, Qt = symmetry_basis(nv)
+    assert symmetry_basis(nv)[2] is Qt                 # built once per nv
+    for G, per_row in ((W, 2), (Qt, 8)):
+        G = G.toarray()
+        np.testing.assert_allclose(G @ G.T, np.eye(n), rtol=0, atol=1e-15)
+        assert np.count_nonzero(G, axis=1).max() == per_row
+    np.testing.assert_array_equal(Qt.toarray(), (W @ P).toarray())
     rng = np.random.default_rng(7)
-    w = rng.standard_normal((3, 2, 4, n // 4)) + 1j * rng.standard_normal((3, 2, 4, n // 4))
-    x = swap_fold(w)
-    assert x.shape == (3, 2, n)
-    np.testing.assert_allclose(swap_unfold(x), w, rtol=0, atol=1e-15 * np.abs(w).max())
+    w = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+    x = apply_sp(Qt, w)
+    np.testing.assert_allclose(apply_sp(Qt.T, x), w, rtol=0, atol=1e-15 * np.abs(w).max())
     assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(w), rel=1e-15)
+    # in block (+,+) the swap keeps the swap-even part and negates the odd one
+    h = nv // 2
+    x = np.zeros((3, 4, nv, h, h))
+    x[:, 0] = rng.standard_normal((3, nv, h, h))
+    sw = x.swapaxes(-1, -2).reshape(3, n)
+    y, ys = (W @ x.reshape(3, n).T).T, (W @ sw.T).T
+    np.testing.assert_allclose(ys[:, :s], y[:, :s], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ys[:, 2 * s:2 * s + a], -y[:, 2 * s:2 * s + a], rtol=0, atol=1e-15)
 
 
 def _dense_real_form(asm, y):
@@ -306,10 +336,9 @@ def _parity_blocks(M):
 
 
 def _split_dense(M):
-    """G^T M G for the swap-split map G^T = swap_fold o fold, as an n x n array."""
-    n = M.shape[0]
-    G = swap_fold(fold(np.eye(n)))                     # row k: the split of unit vector k
-    return G.T @ M @ G
+    """Q^T M Q for the swap-split map Q^T of `symmetry_basis`, as an n x n array."""
+    Qt = symmetry_basis(round(M.shape[0] ** (1 / 3)))[2]
+    return (Qt @ (Qt @ M).T).T
 
 
 def _split_block_diag(buf, nv):
@@ -321,37 +350,38 @@ def _split_block_diag(buf, nv):
     return sla.block_diag(*E, *O, np.kron(M, np.eye(2)))
 
 
-@pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
+# gamma 0, -2.5 at nv 8, and gamma 0 at nv 10 (odd half-width 5)
+@pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft", "asm10"])
 @pytest.mark.parametrize("y", [0.0, 0.7])
 def test_folded_sectors_block_diagonal(asm_name, y, request):
     asm = request.getfixturevalue(asm_name)
+    nv = asm.grid.nv
+    o = 2 * sum(split_sizes(nv)[:2])                   # the first M row
     op = ModeOperator([y, 0, 0], asm)
-    # the sectors (A + 2K, A): four parity blocks each
-    for M, blocks in zip(dense_sectors(asm), asm.sector_blocks()):
-        F = folded(M)
+    # the sectors (A + 2K, A) and the real-form operators (Bs, Bd)
+    for M, buf in zip((*dense_sectors(asm), *_dense_real_form(asm, y)),
+                      (*asm.sector_blocks(), op.Bs, op.Bd)):
+        scale = np.abs(M).max()
+        F = folded(M)                                  # four parity blocks
         on = np.zeros_like(F)
         for p in range(4):
             on[p, :, p, :] = F[p, :, p, :]
         assert np.linalg.norm(F - on) <= 1e-15 * np.linalg.norm(F)
-        # the stored blocks are the diagonal blocks of the fold
-        scale = np.abs(M).max()
-        for p in range(4):
-            assert np.abs(blocks[p] - F[p, :, p, :]).max() <= 1e-15 * scale
-    # the real-form operators Bs, Bd: the swap-split blocks
-    for M, buf in zip(_dense_real_form(asm, y), (op.Bs, op.Bd)):
-        S = _split_dense(M)
-        D = _split_block_diag(buf, asm.grid.nv)
-        on = _split_block_diag(np.ones_like(buf), asm.grid.nv) != 0
+        S = _split_dense(M)                            # five split blocks
+        D = _split_block_diag(buf, nv)
+        on = _split_block_diag(np.ones_like(buf), nv) != 0
         assert np.linalg.norm(S[~on]) <= 1e-15 * np.linalg.norm(S)
+        # block (-,+), on the odd M rows, is block (+,-) on the even ones
+        assert np.abs(S[o + 1::2, o + 1::2] - S[o::2, o::2]).max() <= 1e-15 * scale
         # the stored blocks are the diagonal blocks of the split
-        assert np.abs(S[on] - D[on]).max() <= 1e-15 * np.abs(M).max()
+        assert np.abs(S[on] - D[on]).max() <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
 @pytest.mark.parametrize("y", [0.0, 0.7])
 def test_parity_blocks_commute_with_swap(asm_name, y, request):
-    # what the swap split discards: with P the swap (i1, j2, j3) -> (i1, j3, j2),
-    # B(-,+) = P B(+,-) P^T, and B(+,+), B(-,-) commute with P
+    # what the swap split discards: with S the swap (i1, j2, j3) -> (i1, j3, j2),
+    # B(-,+) = S B(+,-) S^T, and B(+,+), B(-,-) commute with S
     asm = request.getfixturevalue(asm_name)
     nv, h = asm.grid.nv, asm.grid.nv // 2
     perm = np.arange(nv * h * h).reshape(nv, h, h).transpose(0, 2, 1).ravel()
@@ -369,16 +399,17 @@ def test_block_propagators_match_dense_oracle(asm8):
     g, dt, y = asm8.grid, 0.05, 0.7
     op = ModeOperator([y, 0, 0], asm8)
     I = np.eye(g.n)
+    _, _, Qt = symmetry_basis(g.nv)
     u0 = default_mode_data(asm8, "mixed", 1e-3, seed=6)
     for B, P, u in zip(_dense_real_form(asm8, y), op.propagators(dt), sectors(u0)):
         Pd = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
         ref = w = to_real(u)
-        blk = swap_fold(fold(w))
+        blk = Qt @ w
         for k in range(200):
             ref, blk = Pd @ ref, split_matvec(P, blk)
             if k == 0:
-                assert np.linalg.norm(unfold(swap_unfold(blk)) - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert np.linalg.norm(unfold(swap_unfold(blk)) - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(Qt.T @ blk - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(Qt.T @ blk - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_split_propagators_match_parity_block_propagators(asm8):
@@ -387,12 +418,13 @@ def test_split_propagators_match_parity_block_propagators(asm8):
     g, dt, y = asm8.grid, 0.05, 0.7
     op = ModeOperator([y, 0, 0], asm8)
     I = np.eye(g.n // 4)
+    Pf, W, _ = symmetry_basis(g.nv)
     u0 = default_mode_data(asm8, "mixed", 1e-3, seed=8)
     for M, P, u in zip(_dense_real_form(asm8, y), op.propagators(dt), sectors(u0)):
         B = _parity_blocks(M)
         Pp = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
-        ref = fold(to_real(u))
-        x = swap_fold(ref)
+        ref = (Pf @ to_real(u)).reshape(4, -1)
+        x = W @ ref.ravel()
         for _ in range(200):
             ref, x = (Pp @ ref[..., None])[..., 0], split_matvec(P, x)
-        assert np.linalg.norm(swap_unfold(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm((W.T @ x).reshape(4, -1) - ref) <= 1e-12 * np.linalg.norm(ref)

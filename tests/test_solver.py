@@ -3,6 +3,7 @@ import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly
 from vplab import solver
+from vplab.lineardecay import apply_sp
 from vplab.macroscopic import div_E_residual
 from vplab.solver import (Simulation, TwoSpeciesField, PsiWeight,
                           make_initial_data, energy_report,
@@ -251,7 +252,7 @@ def test_smoothing_rough_data_derivative_decreases_under_refinement():
         D = g.dv_ops()
 
         def dvnorm(f, asm=asm, g=g, D=D):
-            return float(np.sqrt(sum(np.sum(asm._apply_sp(Dj, f) ** 2)
+            return float(np.sqrt(sum(np.sum(apply_sp(Dj, f) ** 2)
                                      for Dj in D) * g.wv * g.dx))
 
         start = dvnorm(st.f)
