@@ -21,7 +21,8 @@ import numpy as np
 from .grid import build_grid, maxwellian
 from .collision import CollisionAssembly, assemble_sigma, coercivity_probe
 from .macroscopic import moment_residuals
-from .lineardecay import default_y_max, symmetry_basis, whole_space_decay
+from .lineardecay import (default_y_max, split_blocks, split_states, symmetry_basis,
+                          whole_space_decay)
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
                      energy_report, PsiWeight, energy_inequality_monitor,
                      check_propagator_budget)
@@ -326,14 +327,19 @@ def cmd_collision_check(cfg, out_dir, cfg_h, f_file):
                              kit=asm._kit)
     sig_agree = float(np.abs(sig_fft - sig_dir).max())
     lam, prob = coercivity_probe(asm)       # raises unless lambda_h > 0
-    # the probe reads K through apply_K, the mode propagators through its
-    # parity blocks Kb: compare apply_K(H) with P^T Kb P H, P the parity fold,
-    # on 4 seeded fields (the blocks are not kept)
+    # the probe and the mode propagators read K through the split blocks of
+    # (L_sum - L_diff)/2, the time steps through apply_K: compare apply_K(H)
+    # with Q Kb Q^T H on 4 seeded fields, from the blocks the probe built
     rng = np.random.default_rng(np.random.Philox(key=cfg["seed"]))
     H = rng.standard_normal((4, g.n)) * mw.sqrt_mu
-    P = symmetry_basis(g.nv)[0]
-    PH = (P @ H.T).reshape(4, g.n // 4, -1)             # (parity block, m, field)
-    k_ref = (P.T @ (asm.build_K_dense() @ PH).reshape(g.n, -1)).T
+    Qt = symmetry_basis(g.nv)[2]
+    Ls, Ld = asm.sector_blocks()
+    x = (Qt @ H.T).ravel()                  # Q^T H as a raveled (n, 4) stack
+    y = np.empty_like(x)
+    for B, u, v in zip(split_blocks(0.5 * (Ls - Ld), g.nv), split_states(x, g.nv),
+                       split_states(y, g.nv)):
+        np.matmul(B, u, out=v)
+    k_ref = (Qt.T @ y.reshape(g.n, 4)).T
     k_agree = float(np.abs(asm.apply_K(H) - k_ref).max() / np.abs(k_ref).max())
     report = {
         "nv": g.nv, "gamma": cfg["physics"]["gamma"],

@@ -18,8 +18,6 @@ conjugated fourth-difference form (exact zero on sqrt_mu times cubics)
 restores a physical dissipation rate at the grid scale.
 """
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -32,14 +30,7 @@ PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 STAB = 0.5      # strength of the odd-even stabilization form
 
-# LOBPCG settings of the coercivity probe. The lowest eigenvalue is triply
-# degenerate in both sectors, so the block holds twice that; 22-52
-# iterations reach PROBE_TOL / 10 at nv 12-16 (scipy's default cap is 20).
-PROBE_BLOCK = 6
-PROBE_TOL = 1e-9
-PROBE_MAXITER = 200
-PROBE_SHIFT = 1e-10  # times max|A|: makes -A, singular on its kernel, factorizable
-PROBE_SEED = 0
+PROBE_TOL = 1e-9  # bound on the residual of each reported coercivity pair
 
 
 def pair_of(i, j):
@@ -331,128 +322,73 @@ class CollisionAssembly:
         return np.array(out)
 
 
-def _probe_preconditioner(A, nv):
-    """(shift I - A)^{-1} as a LinearOperator, with its report entry.
-
-    -A commutes with the v2 and v3 reflections and the v2 <-> v3 swap, so for
-    the split map Q^T of `lineardecay.symmetry_basis` (symmetry blocking,
-    Fassler & Stiefel 1992) Q^T (shift I - A) Q is five dense blocks: two
-    s x s, two a x a, and one m x m that serves both parity blocks (+,-) and
-    (-,+). Each is factored by Cholesky in place, and a solve is Q^T, five
-    triangular solve pairs, Q. The shift is PROBE_SHIFT max|A|, so it scales
-    with the operator. Raises RuntimeError if a block is not positive definite.
-    """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-    from scipy.sparse.linalg import LinearOperator
-
-    n = A.shape[0]
-    shift = PROBE_SHIFT * float(abs(A).max())
-    E, O, M = split_blocks(split_sparse(shift * sp.identity(n) - A, nv), nv)
-    factors = []
-    for b, Sb in enumerate((*E, *O, M)):
-        try:
-            # the transpose of a symmetric block, in Fortran order: factored
-            # in place, and no copy per solve
-            factors.append(cho_factor(Sb.T, lower=True, overwrite_a=True))
-        except LinAlgError as e:
-            raise RuntimeError(
-                f"coercivity probe: Cholesky factor of split block {b} of "
-                f"-A + {shift:.3e} I failed: {e}") from None
-    _, _, Qt = symmetry_basis(nv)
-
-    def solve(X):
-        # the factors are finite once factored: no rescan of them per solve;
-        # the M factor takes the columns of (+,-) and (-,+) in one call
-        Z = Qt @ X
-        E, O, M = split_states(Z.reshape(-1), nv)
-        for c, Zb in zip(factors, (*E, *O, M)):
-            Zb[...] = cho_solve(c, Zb, check_finite=False)
-        return Qt.T @ Z
-
-    info = {"block_sizes": [len(c[0]) for c in factors], "shift": shift}
-    return LinearOperator((n, n), matvec=solve, matmat=solve, dtype=float), info
-
-
 def coercivity_probe(assembly):
     """Smallest generalized eigenvalues of (-L, sigma-form) off the kernel.
 
     Works sector by sector (the species sum/difference change of variables
-    block-diagonalizes L into A + 2K and A) and matrix-free: LOBPCG
-    (Knyazev 2001) on the L^2-deflated pencil
-
-        A' = (I - P)(-L)(I - P),   B' = (I - P) S (I - P) + P,
-
-    where P = Y Y^T projects on the Euclidean-orthonormal sector kernel Y,
-    which is also the constraint, and S is the sparse sigma form at l = 0.
-    Off the kernel the pencil is (-L, S); B' Y = Y makes B'-orthogonality to
-    the constraint the Euclidean one. Five dense Cholesky factors, one per
-    split block of -A + PROBE_SHIFT max|A| I, precondition both sectors,
-    and the start block is seeded. LOBPCG stops at PROBE_TOL / 10, so the
-    reported pairs pass the PROBE_TOL check with margin.
+    block-diagonalizes L into A + 2K and A) and split block by split block:
+    -L and the sparse sigma form S at l = 0 both commute with the v2 and v3
+    reflections and the v2 <-> v3 swap, so in the basis of
+    `lineardecay.symmetry_basis` (Fassler & Stiefel 1992) the pencil is five
+    dense blocks, the M block serving both parity blocks (+,-) and (-,+).
+    Each Euclidean-orthonormal sector kernel vector has column norm 1 in one
+    block and roundoff in the others, so a block holds those with norm above
+    1/2 there. A complete QR of them gives an orthonormal basis U of their
+    complement in the block, and LAPACK's gvx solves the reduced pencil
+    a x = lam s x, a = U^T (-L) U and s = U^T S U, for its 3 smallest pairs.
+    The eigenvalues of M count twice, and the 3 smallest of the union are
+    the sector's.
 
     Returns lambda_h and a report of the 3 smallest eigenvalues per sector,
-    with the iterations taken and the largest B'-residual of those pairs,
-    and the preconditioner's block sizes and shift.
-    Raises RuntimeError if a residual exceeds PROBE_TOL, lambda_h <= 0 or a
-    preconditioner block fails to factor.
+    with the kernel residuals and the largest residual |a x - lam s x|
+    (x^T s x = 1) of those pairs. Raises RuntimeError if a residual exceeds
+    PROBE_TOL, lambda_h <= 0 or LAPACK fails on a split block.
     """
+    grid = assembly.grid
+    nv = grid.nv
+    blocks = assembly.sector_blocks()   # before the import and S: a lower peak RSS
     # imported here, not with the module: it adds 2 MB to the peak RSS of
     # every command, and only the probe uses it
-    from scipy.sparse.linalg import LinearOperator, lobpcg
+    from scipy.linalg import LinAlgError, eigh
 
-    grid = assembly.grid
-    n = grid.n
-    S = assembly.norms.sigma_form(0.0)
-    M, pre = _probe_preconditioner(assembly.A, grid.nv)
-    start = np.random.default_rng(PROBE_SEED).standard_normal((n, PROBE_BLOCK))
-    ks, kd = assembly.sector_kernels()
-    report = {"gamma": assembly.gamma, "nv": grid.nv, "preconditioner": pre,
-              "sectors": {}}
+    S = split_blocks(split_sparse(assembly.norms.sigma_form(0.0), nv), nv)
+    Qt = symmetry_basis(nv)[2]
+    report = {"gamma": assembly.gamma, "nv": nv, "sectors": {}}
     lams = []
     # sign: the species fields of a sector vector are (g, sign * g) / sqrt(2)
-    for tag, kern, sign in (("sum", ks, 1.0), ("diff", kd, -1.0)):
-        Y = np.sqrt(grid.wv) * kern.T          # (n, kernel_dim)
-
-        def deflate(X, Y=Y):
-            return X - Y @ (Y.T @ X)
-
-        def a_mat(X, sign=sign, deflate=deflate):
-            Z = deflate(X).T
-            LZ = assembly.apply_A(Z)
-            if sign > 0:                        # sum sector: A + 2K
-                LZ += 2.0 * assembly.apply_K(Z)
-            return -deflate(LZ.T)
-
-        def b_mat(X, Y=Y, deflate=deflate):
-            return deflate(S @ deflate(X)) + Y @ (Y.T @ X)
-
-        with warnings.catch_warnings():
-            # convergence is judged below, on the reported pairs only
-            warnings.filterwarnings("ignore", message="Exited", category=UserWarning)
-            w, X, hist = lobpcg(
-                LinearOperator((n, n), matvec=a_mat, matmat=a_mat, dtype=float),
-                start.copy(),
-                B=LinearOperator((n, n), matvec=b_mat, matmat=b_mat, dtype=float),
-                M=M, Y=Y, tol=PROBE_TOL / 10, maxiter=PROBE_MAXITER, largest=False,
-                retResidualNormsHistory=True)
-        its = len(hist) - 2                     # updates behind the returned block
-        order = np.argsort(w)[:3]
-        w, X = w[order], X[:, order]
-        BX = b_mat(X)
-        scale = np.sqrt(np.sum(X * BX, axis=0))
-        res = np.linalg.norm(a_mat(X / scale) - BX / scale * w, axis=0)
+    for tag, L, kern, sign in zip(("sum", "diff"), blocks, assembly.sector_kernels(),
+                                  (1.0, -1.0)):
+        d = kern.shape[0]
+        Y = split_states(apply_sp(Qt, np.sqrt(grid.wv) * kern).T.ravel(), nv)
+        E, O, M = split_blocks(L, nv)
+        pairs = []
+        for b, (Lb, Sb, Yb) in enumerate(zip((*E, *O, M), (*S[0], *S[1], S[2]),
+                                             (*Y[0], *Y[1], Y[2][:, :d]))):
+            Z = Yb[:, np.linalg.norm(Yb, axis=0) > 0.5]    # the kernel vectors of block b
+            a, s = -Lb, Sb
+            if Z.size:
+                U = np.linalg.qr(Z, mode="complete")[0][:, Z.shape[1]:]
+                a, s = U.T @ (a @ U), U.T @ (s @ U)
+            try:
+                wb, X = eigh(a, s, subset_by_index=[0, 2], driver="gvx")
+            except LinAlgError as e:
+                raise RuntimeError(f"coercivity probe: LAPACK gvx failed on split block {b} "
+                                   f"of the {tag} sector: {e}") from None
+            rb = np.linalg.norm(a @ X - (s @ X) * wb, axis=0)
+            pairs += [np.stack([wb, rb])] * (2 if b == 4 else 1)    # M: (+,-) and (-,+)
+        w, res = np.concatenate(pairs, axis=1)
+        order = np.argsort(w, kind="stable")[:3]
+        w, res = w[order], res[order]
         if not np.all(res <= PROBE_TOL):
-            raise RuntimeError(
-                f"coercivity probe: LOBPCG left B'-residual {res.max():.3e} > "
-                f"{PROBE_TOL:g} in the {tag} sector after {its} iterations")
+            raise RuntimeError(f"coercivity probe: pencil residual {res.max():.3e} > "
+                               f"{PROBE_TOL:g} in the {tag} sector")
         f = np.stack([kern, sign * kern])
         Lf = assembly.apply_L(f)
         kres = np.sqrt(np.sum(Lf ** 2, axis=(0, 2)) / np.sum(f ** 2, axis=(0, 2)))
         report["sectors"][tag] = {
             "min_generalized_eigs": [float(x) for x in w],
-            "kernel_dim": int(kern.shape[0]),
+            "kernel_dim": int(d),
             "kernel_residuals": [float(r) for r in kres],
-            "iterations": its,
             "max_residual": float(res.max()),
         }
         lams.append(float(w[0]))

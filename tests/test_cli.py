@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from vplab import build_grid, cli, collision, maxwellian, make_initial_data
 from vplab.cli import main, config_hash, resolve_config, build_parser, _validate, \
@@ -94,13 +93,14 @@ def test_collision_check_dispatch(tmp_path):
 
 
 def test_collision_check_unconverged_probe_exit1(tmp_path, monkeypatch, capsys):
-    # LOBPCG stopped after 2 iterations: the probe's own residual check fires,
-    # and scipy's warning about the missed tolerance stays silent
-    lobpcg = scipy.sparse.linalg.lobpcg
+    # eigenvalues off by 1e-6 relative: the probe's own residual check fires,
+    # and nothing warns
+    eigh = scipy.linalg.eigh
 
-    def two_iterations(*args, **kwargs):
-        return lobpcg(*args, **dict(kwargs, maxiter=2))
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", two_iterations)
+    def perturbed(*args, **kwargs):
+        w, X = eigh(*args, **kwargs)
+        return w * (1.0 + 1e-6), X
+    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run_cli(["collision-check", "--nv", "8", "--gamma", "0",
@@ -113,19 +113,19 @@ def test_collision_check_unconverged_probe_exit1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o" / "collision_report.json").exists()
 
 
-def test_collision_check_failed_preconditioner_exit1(tmp_path, monkeypatch, capsys):
-    # a split block of -A + shift I that is not positive definite: LAPACK's
-    # LinAlgError (a ValueError) leaves the probe as a RuntimeError
+def test_collision_check_failed_eigensolve_exit1(tmp_path, monkeypatch, capsys):
+    # LAPACK's LinAlgError (a ValueError) on a split block leaves the probe
+    # as a RuntimeError that names the block
     def not_definite(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("2-th leading minor of the array is not "
+        raise scipy.linalg.LinAlgError("the leading minor of order 2 of B is not "
                                        "positive definite")
-    monkeypatch.setattr(scipy.linalg, "cho_factor", not_definite)
+    monkeypatch.setattr(scipy.linalg, "eigh", not_definite)
     rc = run_cli(["collision-check", "--nv", "8", "--gamma", "0",
                   "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "RuntimeError" in err and "split block 0" in err
+    assert "RuntimeError" in err and "split block 0 of the sum sector" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "collision_report.json").exists()
 
