@@ -36,14 +36,14 @@ class ModeOperator:
     With v.y = v1 y, the real form and the field term also commute with the
     v2 and v3 reflections and the swap v2 <-> v3, so each sector is five
     blocks in the basis of `symmetry_basis` (Fassler & Stiefel 1992), held
-    in one flat float64 buffer (`split_blocks`) like every propagator:
-    `Bs`/`Bd` start as a copy of the assembly's `sector_blocks`. In parity
+    in one flat float64 buffer (`split_blocks`) like every propagator: `Bs`/`Bd`
+    start from the assembly's `sector_blocks`, written into `out` if given. In parity
     block (s2, s3), R acts as s2 s3 times the reversal of i1, so the
     transport term lies on each block's i1-reversed anti-diagonal; the field
     term lives in the swap-even (+,+) block of the difference sector alone.
     """
 
-    def __init__(self, y, assembly):
+    def __init__(self, y, assembly, out=None):
         self.asm = assembly
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.size == 1:
@@ -55,7 +55,8 @@ class ModeOperator:
         self.ynorm = float(np.linalg.norm(y))
         grid = assembly.grid
         self.nv = nv = grid.nv
-        self.B = assembly.sector_blocks().copy()
+        self.B = np.empty_like(assembly.sector_blocks()) if out is None else out
+        self.B[...] = assembly.sector_blocks()
         self.Bs, self.Bd = self.B
         vy = grid.v1d * y[0]
         for buf in self.B:
@@ -70,20 +71,24 @@ class ModeOperator:
             split_blocks(self.Bd, nv)[0][0] -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(a, b)
         self._props = {}
 
-    def propagators(self, dt):
+    def propagators(self, dt, out=None):
         """One-step implicit-midpoint real propagators, cached per dt.
 
         A (2, L) float64 buffer, rows (P_sum, P_diff), each the swap-split
         blocks of `split_blocks` (2 L 8 bytes per mode); apply them with
         `split_matvec` to fields mapped by `to_real` and Q^T (`symmetry_basis`).
+        Each block is built in place as P = 2 (I - dt B/2)^{-1} - I, into
+        `out` if given (it may be `self.B`, which is then spent).
         """
         key = float(dt)
-        if key not in self._props:
-            P = np.empty_like(self.B)
+        if out is not None or key not in self._props:
+            P = np.empty_like(self.B) if out is None else out
             for b, p in zip(self.B, P):         # one sector at a time: half the temporaries
                 for B, Q in zip(split_blocks(b, self.nv), split_blocks(p, self.nv)):
-                    I = np.eye(B.shape[-1])
-                    Q[...] = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
+                    np.multiply(B, -0.5 * dt, out=Q)
+                    np.einsum("...ii->...i", Q)[...] += 1.0     # a view of the diagonal
+                    np.multiply(np.linalg.inv(Q), 2.0, out=Q)
+                    np.einsum("...ii->...i", Q)[...] -= 1.0
             self._props[key] = P
         return self._props[key]
 

@@ -192,10 +192,11 @@ class Simulation:
         self.projector = MacroProjector(self.grid, self.maxw)
         check_propagator_budget(self.grid)
         # only the propagators are kept, as one (sector, mode, L) stack of
-        # swap-split blocks; each ModeOperator is freed once built
+        # swap-split blocks; each mode's slice takes its operator, then in place its propagators
         self._props = np.empty((2, self.grid.kx_r.size, split_entries(self.grid.nv)))
         for k, y in enumerate(self.grid.kx_r):
-            self._props[:, k] = ModeOperator([y, 0.0, 0.0], assembly).propagators(self.dt)
+            P = self._props[:, k]
+            ModeOperator([y, 0.0, 0.0], assembly, out=P).propagators(self.dt, out=P)
         smu = self.maxw.sqrt_mu
         self._mass_dir = smu / np.sqrt(np.sum(smu ** 2) * self.grid.wv)
 

@@ -6,10 +6,12 @@ same name in a nested scope shadows it, so a text search would count that
 as a use while this check does not. Names listed in a module's `__all__`
 are re-exports and count as used.
 
-Importing the package and its CLI does not load `scipy.linalg`.
+Importing the package and its CLI does not load `scipy.linalg`, and neither
+do the commands that build mode propagators.
 """
 
 import importlib
+import json
 import subprocess
 import symtable
 import sys
@@ -57,6 +59,25 @@ def test_package_import_leaves_scipy_linalg_unloaded():
     code = ("import sys, vplab, vplab.cli; "
             "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_propagator_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # the propagators are inverted with numpy: scipy.linalg would add 8 MB to
+    # the peak RSS of every run that builds them
+    cfg = tmp_path / "decay.json"
+    cfg.write_text(json.dumps({"grid": {"nv": 8, "nx": 8}, "decay": {
+        "n_y": 4, "t_end": 20.0, "fit_lo": 5.0, "fit_hi": 20.0}}))
+    runs = [["simulate", "--nv", "8", "--nx", "16"], ["decay", "--config", str(cfg)],
+            ["moments-check", "--nv", "8", "--nx", "4"]]
+    code = ("import sys; from vplab.cli import main; "
+            f"rcs = [main(a + ['--out', {str(tmp_path)!r} + '/' + a[0]]) for a in {runs!r}]; "
+            # moments-check at nv 8 runs to its report and then misses its thresholds
+            "assert rcs == [0, 0, 1], rcs; "
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded'")
+    r = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "moments-check" / "moments_report.json").exists()
 
 
 def test_parameter_shadowing_an_import_is_not_a_use():

@@ -7,7 +7,7 @@ from vplab.lineardecay import (ModeOperator, apply_sp, evolve_mode, whole_space_
                                default_mode_data, from_real, sectors, split_blocks,
                                split_matvec, split_sizes, symmetry_basis, to_real)
 from vplab.macroscopic import MacroProjector, null_basis_raw
-from vplab import solver
+from vplab import CollisionAssembly, build_grid, maxwellian, solver
 from vplab.solver import Simulation
 
 from conftest import dense_sectors, folded
@@ -256,6 +256,28 @@ def test_simulation_forms_no_parity_propagator_stack(asm8):
     assert peak <= sim._props.nbytes + 2_000_000
 
 
+@pytest.mark.parametrize("nv, nx", [(8, 16), (12, 4)])
+def test_simulation_builds_each_mode_in_its_propagator_slice(nv, nx, asm8):
+    # each mode's operator is written into its slice of the propagator stack
+    # and inverted there, so beyond the stack the build holds one block's
+    # inverse and its LAPACK copies: 3 m^2 8 B (0.39 MB at nv 8, 4.5 MB at
+    # nv 12); the copy of B and the solve temporaries took 18.5 MB at nv 12
+    if nv == 8:
+        asm = asm8
+    else:
+        g = build_grid(nv=nv, vmax=6.0, nx=nx)
+        asm = CollisionAssembly(g, maxwellian(g), 0.0)
+    asm.sector_blocks()                    # the collision layer's blocks, kept by asm
+    tracemalloc.start()
+    try:
+        sim = Simulation(asm, dt=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = split_sizes(nv)[2]
+    assert peak - sim._props.nbytes <= 3 * m * m * 8
+
+
 def test_mode_operator_rejects_off_axis_frequency(asm8):
     for y in ([0.3, -0.2, 0.7], [1.0, 0.0, 1e-3]):
         with pytest.raises(ValueError, match="off the torus axis") as err:
@@ -428,3 +450,38 @@ def test_split_propagators_match_parity_block_propagators(asm8):
         for _ in range(200):
             ref, x = (Pp @ ref[..., None])[..., 0], split_matvec(P, x)
         assert np.linalg.norm((W.T @ x).reshape(4, -1) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mode_operator_writes_B_into_out(asm8):
+    for y in (0.0, 0.7):
+        buf = np.full_like(ModeOperator([y, 0, 0], asm8).B, np.nan)
+        op = ModeOperator([y, 0, 0], asm8, out=buf)
+        assert op.B is buf
+        assert np.array_equal(buf, ModeOperator([y, 0, 0], asm8).B)
+
+
+def test_propagators_write_every_entry_of_out(asm8):
+    # into a caller's buffer or over B itself, as the simulation builds them,
+    # the same bits as the allocating call
+    dt = 0.05
+    want = ModeOperator([0.7, 0, 0], asm8).propagators(dt)
+    op = ModeOperator([0.7, 0, 0], asm8)
+    buf = np.full_like(op.B, np.nan)
+    assert op.propagators(dt, out=buf) is buf
+    assert np.array_equal(buf, want)
+    assert op.propagators(dt, out=op.B) is op.B
+    assert np.array_equal(op.B, want)
+
+
+@pytest.mark.parametrize("asm_name", ["asm8", "asm10"])         # nv 8, 10
+@pytest.mark.parametrize("y", [0.0, 0.7, 2.0])
+def test_propagators_match_midpoint_solve(asm_name, y, request):
+    # P = 2 (I - h B/2)^{-1} - I is (I - h B/2)^{-1} (I + h B/2), block by block
+    asm = request.getfixturevalue(asm_name)
+    nv, dt = asm.grid.nv, 0.05
+    op = ModeOperator([y, 0, 0], asm)
+    for b, p in zip(op.B, op.propagators(dt)):
+        for B, P in zip(split_blocks(b, nv), split_blocks(p, nv)):
+            I = np.eye(B.shape[-1])
+            want = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
+            assert np.abs(P - want).max() <= 1e-13 * np.abs(want).max()
