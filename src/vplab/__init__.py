@@ -26,7 +26,7 @@ from .macroscopic import (
     MacroState,
     FieldState,
     MacroProjector,
-    project_P,
+    macro_state,
     solve_poisson,
     moment_residuals,
 )
@@ -52,7 +52,7 @@ __all__ = [
     "VelocityWeight", "NormSuite",
     "KernelTable", "CollisionAssembly", "assemble_sigma",
     "coercivity_probe", "GammaOp",
-    "MacroState", "FieldState", "MacroProjector", "project_P",
+    "MacroState", "FieldState", "MacroProjector", "macro_state",
     "solve_poisson", "moment_residuals",
     "ModeOperator", "ModeTrajectory", "evolve_mode", "whole_space_decay",
     "TwoSpeciesField", "PsiWeight", "EnergyReport", "Simulation",

@@ -232,8 +232,9 @@ class CollisionAssembly:
         return sum(apply_sp(self.CT[i], g[..., i, :]) for i in range(3))
 
     def build_K_dense(self):
-        """K as the (4, m, m) diagonal blocks of P K P^T, m = n/4, P the parity
-        fold of `lineardecay.symmetry_basis`.
+        """K as the (+,+), (+,-) and (-,-) diagonal blocks of P K P^T, a (3, m, m)
+        array, m = n/4, P the parity fold of `lineardecay.symmetry_basis`. The
+        (-,+) block, the swap of (+,-), is not built.
 
         No n x n array is formed. Block p is sum_ij Cb_i^T Y_ij Cb_j: Cb_j are
         the sparse blocks of P M^{1/2} C_j P^T (C_2 and C_3 flip the parity of
@@ -245,13 +246,14 @@ class CollisionAssembly:
         flip = (0, 2, 1)            # C_j maps block p = 2 s2 + s3 to p ^ flip[j]
         P = symmetry_basis(nv)[0]
         Cf = ((P @ (sp.diags(self.maxw.sqrt_mu) @ Cj) @ P.T).tocsr() for Cj in self.C)
-        CbT = [[c[(p ^ f) * m:((p ^ f) + 1) * m, p * m:(p + 1) * m].T.tocsr() for p in range(4)]
+        built = (0, 1, 3)           # (+,+), (+,-), (-,-)
+        CbT = [{p: c[(p ^ f) * m:((p ^ f) + 1) * m, p * m:(p + 1) * m].T.tocsr() for p in built}
                for c, f in zip(Cf, flip)]
         k = np.arange(h)
         near, far = np.subtract.outer(k, k) + nv - 1, np.add.outer(k, k) + nv
         d1 = np.subtract.outer(range(nv), range(nv)) + nv - 1
-        K = np.empty((4, m, m))
-        for p in range(4):
+        K = np.empty((3, m, m))
+        for q, p in enumerate(built):
             RT = np.zeros((3, m, m))    # RT_j = (sum_i Cb_i^T Y_ij)^T over the pairs (i, j)
             for (i, j) in PAIRS:
                 c = p ^ flip[j]     # the column parity of Y_ij
@@ -262,7 +264,7 @@ class CollisionAssembly:
                 Y *= self.grid.wv * (1.0 if i == j else 2.0)  # (j, i): transpose, via Kp.T
                 RT[j] += (CbT[i][p] @ Y).T
             Kp = sp.hstack([CbT[j][p] for j in range(3)], format="csr") @ RT.reshape(3 * m, m)
-            K[p] = (Kp + Kp.T) * 0.5
+            K[q] = (Kp + Kp.T) * 0.5
         return K
 
     # -- application helpers -------------------------------------------------
@@ -301,9 +303,9 @@ class CollisionAssembly:
             K = self.build_K_dense()
             B = np.empty((2, split_entries(nv)))
             E, O, M = split_blocks(B[0], nv)
-            for k, p in enumerate((0, 3)):
-                E[k] = We @ (We @ K[p]).T                 # W K W^T, as K is symmetric
-                O[k] = Wo @ (Wo @ K[p]).T
+            for k, Kp in enumerate((K[0], K[2])):       # (+,+) and (-,-)
+                E[k] = We @ (We @ Kp).T                   # W K W^T, as K is symmetric
+                O[k] = Wo @ (Wo @ Kp).T
             M[...] = K[1]
             B[1] = split_sparse(self.A, nv)
             B[0] *= 2.0

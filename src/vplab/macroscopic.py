@@ -15,14 +15,15 @@ import numpy as np
 
 @dataclass
 class MacroState:
-    """Macroscopic coefficients and high-order moments per spatial point."""
-    a_plus: np.ndarray
+    """Macroscopic coefficients and high-order moments per spatial point; the
+    trailing axes `...` follow the moment tables, (nx,) or (snapshots, nx)."""
+    a_plus: np.ndarray       # (...)
     a_minus: np.ndarray
-    b: np.ndarray            # (3, nx)
+    b: np.ndarray            # (3, ...)
     c: np.ndarray
-    theta: np.ndarray        # (2, 3, 3, nx): Theta_jk((I-P)f_s)
-    lam: np.ndarray          # (2, 3, nx):    Lambda_j((I-P)f_s)
-    G: np.ndarray            # (3, nx)
+    theta: np.ndarray        # (2, 3, 3, ...): Theta_jk((I-P)f_s)
+    lam: np.ndarray          # (2, 3, ...):    Lambda_j((I-P)f_s)
+    G: np.ndarray            # (3, ...)
 
 
 @dataclass
@@ -101,23 +102,19 @@ class MacroProjector:
         return (self.zeta @ np.swapaxes(X, -1, -2)) * self.grid.wv
 
 
-def project_P(f, projector):
-    """Split f into (MacroState, Pf, (I-P)f) with a MacroProjector.
+def macro_state(mf, mi):
+    """The MacroState of the moment tables (2, 17, ...) of f and (I-P)f.
 
-    The macroscopic coefficients follow the stated inner products; the split
-    itself uses the orthonormalized basis (idempotent at grid level).
+    The macroscopic coefficients follow the stated inner products; the
+    trailing axes of the tables, (nx,) or (snapshots, nx), carry over.
     """
-    f = np.asarray(f)
-    Pf, IPf = projector.split(f)
-    mf, mi = projector.moments(f), projector.moments(IPf)
-    state = MacroState(
+    return MacroState(
         a_plus=mf[0, MASS], a_minus=mf[1, MASS],
         b=0.5 * (mf[0, MO:MO + 3] + mf[1, MO:MO + 3]),
         c=(mf[0, EN] + mf[1, EN]) / 12.0,
         theta=mi[:, TH:TH + 9].reshape((2, 3, 3) + mi.shape[2:]),
         lam=mi[:, LA:LA + 3],
         G=mi[0, MO:MO + 3] - mi[1, MO:MO + 3])
-    return state, Pf, IPf
 
 
 def solve_poisson(rho, grid):
@@ -154,25 +151,6 @@ def div_E_residual(fs, grid):
     return float(np.linalg.norm(divE - rho0) / denom)
 
 
-def _moment_pack(f, projector, apply_L, forcing):
-    """All per-snapshot ingredients the residual lines need.
-
-    Besides the state and the field, the pack holds the table moments
-    (2, 17, nx) of (I-P)f, g, Lf, h and v_1 d_x (I-P)f.
-    """
-    grid = projector.grid
-    state, Pf, IPf = project_P(f, projector)
-    fs = solve_poisson(state.a_plus - state.a_minus, grid)
-    Lf = apply_L(f)
-    g = forcing(f, fs)
-    dxf = grid.ddx(IPf, axis=-2)
-    transport = -grid.v[0] * dxf     # -v.grad_x (I-P)f, one spatial axis
-    h = transport + Lf
-    mom = projector.moments
-    return {"state": state, "field": fs, "ipf": mom(IPf), "g": mom(g),
-            "L": mom(Lf), "h": mom(h), "trans": mom(grid.v[0] * dxf)}
-
-
 def moment_residuals(snapshots, dt, projector, apply_L, forcing):
     """Discrete residuals of the moment evolution systems along a trajectory.
 
@@ -187,109 +165,91 @@ def moment_residuals(snapshots, dt, projector, apply_L, forcing):
     Returns a list of records {"equation_id", "t", "max_residual",
     "l2_residual"}, one per equation line per interior snapshot, plus the
     continuity check d/dt(a_+ - a_-) + div G.
+
+    Each line is evaluated once for the whole trajectory: the moment tables
+    stack time on axis -2, and d/dt is the centred difference along it.
     """
     if len(snapshots) < 3:
         raise ValueError("moment residuals need at least 3 consecutive snapshots")
-    packs = [_moment_pack(f, projector, apply_L, forcing) for _, f in snapshots]
-    times = [t for t, _ in snapshots]
-    ddx = projector.grid.ddx
-    records = []
+    grid, mom = projector.grid, projector.moments
+    series = []
+    for _, f in snapshots:
+        IPf = projector.split(f)[1]
+        mf = mom(f)
+        fs = solve_poisson(mf[0, MASS] - mf[1, MASS], grid)
+        Lf = apply_L(f)
+        trans = grid.v[0] * grid.ddx(IPf, axis=-2)
+        # tables of f, (I-P)f, g, Lf, h = -v.grad_x (I-P)f + Lf, v_1 d_x (I-P)f; and E.
+        # No phase-space array of the previous snapshot is alive during `forcing`.
+        series.append((mf, mom(IPf), mom(forcing(f, fs)), mom(Lf), mom(-trans + Lf),
+                       mom(trans), fs.E))
+    mf, mi, mg, mL, mh, tr, E = (np.stack(x, axis=-2) for x in zip(*series))
+    st = macro_state(mf, mi)
 
-    def emit(eq, t, r):
-        records.append({
-            "equation_id": eq,
-            "t": float(t),
-            "max_residual": float(np.abs(r).max()),
-            "l2_residual": float(np.sqrt(np.mean(np.abs(r) ** 2))),
-        })
+    def dt_of(x):
+        return (x[..., 2:, :] - x[..., :-2, :]) / (2.0 * dt)
 
-    sgn = (1.0, -1.0)
-    for k in range(1, len(snapshots) - 1):
-        t = times[k]
-        pm, p0, pp = packs[k - 1], packs[k], packs[k + 1]
-        def dt_of(extract):
-            return (extract(pp) - extract(pm)) / (2.0 * dt)
-        st = p0["state"]
-        E1 = p0["field"].E
-        a = (st.a_plus, st.a_minus)
-        ipf, mg, mh, tr = p0["ipf"], p0["g"], p0["h"], p0["trans"]
-        mLg = p0["L"] + mg
-        for s in range(2):
-            tag = "p" if s == 0 else "m"
-            # mass
-            r = dt_of(lambda q, s=s: (q["state"].a_plus, q["state"].a_minus)[s]) \
-                + ddx(st.b[0]) + ddx(ipf[s, MO])
-            emit(f"s17_mass_{tag}", t, r)
-            # momentum
-            for j in range(3):
-                r = dt_of(lambda q, s=s, j=j: q["state"].b[j] + q["ipf"][s, MO + j]) \
-                    + (ddx(a[s] + 2.0 * st.c) if j == 0 else 0.0) \
-                    - sgn[s] * (E1 if j == 0 else 0.0) \
-                    + tr[s, MO + j] - mLg[s, MO + j]
-                emit(f"s17_momentum_{tag}{j+1}", t, r)
-            # energy
-            r = dt_of(lambda q, s=s: q["state"].c + q["ipf"][s, EN] / 6.0) \
-                + ddx(st.b[0]) / 3.0 + tr[s, EN] / 6.0 - mLg[s, EN] / 6.0
-            emit(f"s17_energy_{tag}", t, r)
-            # Theta diagonal
-            for j in range(3):
-                r = dt_of(lambda q, s=s, j=j: q["state"].theta[s, j, j] + 2.0 * q["state"].c) \
-                    + 2.0 * (ddx(st.b[j]) if j == 0 else 0.0) \
-                    - mg[s, TH + 3 * j + j] - mh[s, TH + 3 * j + j]
-                emit(f"s17_theta_{tag}{j+1}{j+1}", t, r)
-            # Theta off-diagonal
-            for j in range(3):
-                for kk in range(j + 1, 3):
-                    r = dt_of(lambda q, s=s, j=j, kk=kk: q["state"].theta[s, j, kk]) \
-                        + (ddx(st.b[kk]) if j == 0 else 0.0) \
-                        + (ddx(st.b[j]) if kk == 0 else 0.0) \
-                        + ddx(ipf[s, MO]) \
-                        - mg[s, TH + 3 * j + kk] - mh[s, TH + 3 * j + kk] \
-                        - mg[s, MASS] - p0["L"][s, MASS]
-                    emit(f"s17_theta_{tag}{j+1}{kk+1}", t, r)
-            # Lambda
-            for j in range(3):
-                r = dt_of(lambda q, s=s, j=j: q["state"].lam[s, j]) \
-                    + (ddx(st.c) if j == 0 else 0.0) \
-                    - mg[s, LA + j] - mh[s, LA + j]
-                emit(f"s17_lambda_{tag}{j+1}", t, r)
+    def ddx(x):
+        return grid.ddx(x[..., 1:-1, :])
 
-        # (19): species means
-        r = dt_of(lambda q: 0.5 * (q["state"].a_plus + q["state"].a_minus)) + ddx(st.b[0])
-        emit("s19_mass", t, r)
-        th_sum = p0["state"].theta[0] + p0["state"].theta[1]
-        g_sum, gh_sum = mg.sum(axis=0), (mg + mh).sum(axis=0)
+    # every term but d/dt is read at the interior snapshots
+    mg, mh, mL, tr, E = (x[..., 1:-1, :] for x in (mg, mh, mL, tr, E))
+    mLg = mL + mg
+    a = (st.a_plus, st.a_minus)
+    R = {}                           # equation id -> residual (interior snapshots, nx)
+    for s, tag in enumerate("pm"):
+        sgn = (1.0, -1.0)[s]
+        R[f"s17_mass_{tag}"] = dt_of(a[s]) + ddx(st.b[0]) + ddx(mi[s, MO])
         for j in range(3):
-            r = dt_of(lambda q, j=j: q["state"].b[j]) \
-                + (ddx(0.5 * (st.a_plus + st.a_minus) + 2.0 * st.c) if j == 0 else 0.0) \
-                + 0.5 * ddx(th_sum[j, 0]) - 0.5 * g_sum[MO + j]
-            emit(f"s19_momentum_{j+1}", t, r)
-        lam_sum = p0["state"].lam[0] + p0["state"].lam[1]
-        r = dt_of(lambda q: q["state"].c) + ddx(st.b[0]) / 3.0 \
-            + (5.0 / 6.0) * ddx(lam_sum[0]) - g_sum[EN] / 12.0
-        emit("s19_energy", t, r)
+            R[f"s17_momentum_{tag}{j+1}"] = dt_of(st.b[j] + mi[s, MO + j]) \
+                + (ddx(a[s] + 2.0 * st.c) if j == 0 else 0.0) \
+                - sgn * (E if j == 0 else 0.0) + tr[s, MO + j] - mLg[s, MO + j]
+        R[f"s17_energy_{tag}"] = dt_of(st.c + mi[s, EN] / 6.0) \
+            + ddx(st.b[0]) / 3.0 + tr[s, EN] / 6.0 - mLg[s, EN] / 6.0
         for j in range(3):
-            for kk in range(j, 3):
-                r = dt_of(lambda q, j=j, kk=kk:
-                          0.5 * (q["state"].theta[0, j, kk] + q["state"].theta[1, j, kk])
-                          + (2.0 * q["state"].c if j == kk else 0.0)) \
-                    + (ddx(st.b[kk]) if j == 0 else 0.0) \
-                    + (ddx(st.b[j]) if kk == 0 else 0.0) \
-                    - 0.5 * gh_sum[TH + 3 * j + kk]
-                emit(f"s19_theta_{j+1}{kk+1}", t, r)
+            R[f"s17_theta_{tag}{j+1}{j+1}"] = dt_of(st.theta[s, j, j] + 2.0 * st.c) \
+                + 2.0 * (ddx(st.b[j]) if j == 0 else 0.0) \
+                - mg[s, TH + 3 * j + j] - mh[s, TH + 3 * j + j]
         for j in range(3):
-            r = 0.5 * dt_of(lambda q, j=j: q["state"].lam[0, j] + q["state"].lam[1, j]) \
-                + (ddx(st.c) if j == 0 else 0.0) - 0.5 * gh_sum[LA + j]
-            emit(f"s19_lambda_{j+1}", t, r)
+            for k in range(j + 1, 3):
+                R[f"s17_theta_{tag}{j+1}{k+1}"] = dt_of(st.theta[s, j, k]) \
+                    + (ddx(st.b[k]) if j == 0 else 0.0) + (ddx(st.b[j]) if k == 0 else 0.0) \
+                    + ddx(mi[s, MO]) - mg[s, TH + 3 * j + k] - mh[s, TH + 3 * j + k] \
+                    - mg[s, MASS] - mL[s, MASS]
+        for j in range(3):
+            R[f"s17_lambda_{tag}{j+1}"] = dt_of(st.lam[s, j]) \
+                + (ddx(st.c) if j == 0 else 0.0) - mg[s, LA + j] - mh[s, LA + j]
 
-        # (21): species differences / field dissipation
-        r = dt_of(lambda q: q["state"].a_plus - q["state"].a_minus) + ddx(st.G[0])
-        emit("s21_continuity", t, r)
-        th_diff = p0["state"].theta[0] - p0["state"].theta[1]
-        for j in range(3):
-            r = dt_of(lambda q, j=j: q["state"].G[j]) \
-                + (ddx(st.a_plus - st.a_minus) if j == 0 else 0.0) \
-                - 2.0 * (E1 if j == 0 else 0.0) \
-                + ddx(th_diff[j, 0]) - (mLg[0, MO + j] - mLg[1, MO + j])
-            emit(f"s21_field_{j+1}", t, r)
-    return records
+    # (19): species means
+    R["s19_mass"] = dt_of(0.5 * (st.a_plus + st.a_minus)) + ddx(st.b[0])
+    th_sum, lam_sum = st.theta[0] + st.theta[1], st.lam[0] + st.lam[1]
+    g_sum, gh_sum = mg.sum(axis=0), (mg + mh).sum(axis=0)
+    for j in range(3):
+        R[f"s19_momentum_{j+1}"] = dt_of(st.b[j]) \
+            + (ddx(0.5 * (st.a_plus + st.a_minus) + 2.0 * st.c) if j == 0 else 0.0) \
+            + 0.5 * ddx(th_sum[j, 0]) - 0.5 * g_sum[MO + j]
+    R["s19_energy"] = dt_of(st.c) + ddx(st.b[0]) / 3.0 \
+        + (5.0 / 6.0) * ddx(lam_sum[0]) - g_sum[EN] / 12.0
+    for j in range(3):
+        for k in range(j, 3):
+            R[f"s19_theta_{j+1}{k+1}"] = \
+                dt_of(0.5 * (st.theta[0, j, k] + st.theta[1, j, k])
+                      + (2.0 * st.c if j == k else 0.0)) \
+                + (ddx(st.b[k]) if j == 0 else 0.0) + (ddx(st.b[j]) if k == 0 else 0.0) \
+                - 0.5 * gh_sum[TH + 3 * j + k]
+    for j in range(3):
+        R[f"s19_lambda_{j+1}"] = 0.5 * dt_of(lam_sum[j]) \
+            + (ddx(st.c) if j == 0 else 0.0) - 0.5 * gh_sum[LA + j]
+
+    # (21): species differences / field dissipation
+    R["s21_continuity"] = dt_of(st.a_plus - st.a_minus) + ddx(st.G[0])
+    th_diff = st.theta[0] - st.theta[1]
+    for j in range(3):
+        R[f"s21_field_{j+1}"] = dt_of(st.G[j]) \
+            + (ddx(st.a_plus - st.a_minus) if j == 0 else 0.0) - 2.0 * (E if j == 0 else 0.0) \
+            + ddx(th_diff[j, 0]) - (mLg[0, MO + j] - mLg[1, MO + j])
+
+    return [{"equation_id": eq, "t": float(t),
+             "max_residual": float(np.abs(r[i]).max()),
+             "l2_residual": float(np.sqrt(np.mean(np.abs(r[i]) ** 2)))}
+            for i, (t, _) in enumerate(snapshots[1:-1]) for eq, r in R.items()]

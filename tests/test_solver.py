@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,7 @@ def test_orthogonality_preserved(sim_env):
     st = TwoSpeciesField(f0, g, mw)
     for _ in range(10):
         sim.step(st)
-    _, Pf, IPf = __import__("vplab.macroscopic", fromlist=["project_P"]) \
-        .project_P(st.f, sim.projector)
+    Pf, IPf = sim.projector.split(st.f)
     inner = abs(np.sum(Pf * IPf) * g.wv * g.dx)
     norm = np.sum(st.f ** 2) * g.wv * g.dx
     assert inner < 1e-10 * norm
@@ -96,6 +97,25 @@ def test_energy_hierarchy_and_weight_monotonicity(sim_env):
     r4 = energy_report(st, asm, 3, 4.0, psi, sim.projector)
     assert r2.Eh_total <= r2.E_total
     assert r2.E_total <= r4.E_total          # w >= 1 monotone in l
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_energy_report_warns_at_the_v1_noise_ceiling(sim_env, K):
+    # the order-K warning reads d_{v1}^K (I-P)f: a checkerboard in v1 reaches
+    # the grid's noise ceiling at the one-sided end rows; one in v3 does not
+    g, mw, asm, sim = sim_env
+    idx = np.indices((g.nv,) * 3).reshape(3, -1)
+
+    def report(axis):
+        f = np.broadcast_to((-1.0) ** idx[axis], (2, g.nx, g.n)).copy()
+        return energy_report(TwoSpeciesField(f, g, mw), asm, K, 3.0, PsiWeight("one"),
+                             sim.projector)
+
+    with pytest.warns(RuntimeWarning, match=f"order-{K} velocity derivatives"):
+        report(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report(2)
 
 
 def test_pure_macroscopic_data_has_zero_fluctuation_summands(sim_env):
