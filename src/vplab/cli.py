@@ -21,7 +21,7 @@ import numpy as np
 from .grid import build_grid, maxwellian
 from .collision import CollisionAssembly, assemble_sigma, coercivity_probe
 from .macroscopic import moment_residuals
-from .lineardecay import (default_y_max, split_blocks, split_states, symmetry_basis,
+from .lineardecay import (apply_sp, default_y_max, split_matvec, symmetry_basis,
                           whole_space_decay)
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
                      energy_report, PsiWeight, energy_inequality_monitor,
@@ -329,17 +329,14 @@ def cmd_collision_check(cfg, out_dir, cfg_h, f_file):
     lam, prob = coercivity_probe(asm)       # raises unless lambda_h > 0
     # the probe and the mode propagators read K through the split blocks of
     # (L_sum - L_diff)/2, the time steps through apply_K: compare apply_K(H)
-    # with Q Kb Q^T H on 4 seeded fields, from the blocks the probe built
+    # with Q Kb Q^T H on 4 seeded fields, from the blocks the probe built; the
+    # fields ride as the real and imaginary parts of 2 complex states
     rng = np.random.default_rng(np.random.Philox(key=cfg["seed"]))
     H = rng.standard_normal((4, g.n)) * mw.sqrt_mu
     Qt = symmetry_basis(g.nv)[2]
     Ls, Ld = asm.sector_blocks()
-    x = (Qt @ H.T).ravel()                  # Q^T H as a raveled (n, 4) stack
-    y = np.empty_like(x)
-    for B, u, v in zip(split_blocks(0.5 * (Ls - Ld), g.nv), split_states(x, g.nv),
-                       split_states(y, g.nv)):
-        np.matmul(B, u, out=v)
-    k_ref = (Qt.T @ y.reshape(g.n, 4)).T
+    z = apply_sp(Qt.T, split_matvec(0.5 * (Ls - Ld), apply_sp(Qt, H[:2] + 1j * H[2:])))
+    k_ref = np.concatenate([z.real, z.imag])
     k_agree = float(np.abs(asm.apply_K(H) - k_ref).max() / np.abs(k_ref).max())
     limits = {"null_residual_max": 5e-3, "sigma_fft_vs_direct": 1e-10,
               "K_fft_vs_blocks": 1e-10}

@@ -334,12 +334,13 @@ def coercivity_probe(assembly):
     `lineardecay.symmetry_basis` (Fassler & Stiefel 1992) the pencil is five
     dense blocks, the M block serving both parity blocks (+,-) and (-,+).
     Each Euclidean-orthonormal sector kernel vector has column norm 1 in one
-    block and roundoff in the others, so a block holds those with norm above
-    1/2 there. A complete QR of them gives an orthonormal basis U of their
-    complement in the block, and LAPACK's gvx solves the reduced pencil
-    a x = lam s x, a = U^T (-L) U and s = U^T S U, for its 3 smallest pairs.
-    The eigenvalues of M count twice, and the 3 smallest of the union are
-    the sector's.
+    block and roundoff in the others, so a block of size m holds those with
+    norm above 1/2 there. Their k Householder reflectors give
+    Q = H_1 ... H_k, whose last m - k columns span their complement in the
+    block: LAPACK's dormqr applies Q^T X Q to copies of -L and S in
+    O(m^2 k), and gvx solves the reduced pencil a x = lam s x, a and s the
+    trailing (m - k) blocks, for its 3 smallest pairs. The eigenvalues of M
+    count twice, and the 3 smallest of the union are the sector's.
 
     Returns lambda_h and a report of the 3 smallest eigenvalues per sector,
     with the kernel residuals and the largest residual |a x - lam s x|
@@ -351,7 +352,8 @@ def coercivity_probe(assembly):
     blocks = assembly.sector_blocks()   # before the import and S: a lower peak RSS
     # imported here, not with the module: it adds 8.1 MB to the RSS of a process
     # that has loaded scipy.sparse (48.7 -> 56.8 MB), and only the probe uses it
-    from scipy.linalg import LinAlgError, eigh
+    from scipy.linalg import LinAlgError, eigh, qr
+    from scipy.linalg.lapack import dormqr
 
     S = split_blocks(split_sparse(assembly.norms.sigma_form(0.0), nv), nv)
     Qt = symmetry_basis(nv)[2]
@@ -368,9 +370,12 @@ def coercivity_probe(assembly):
                                              (*Y[0], *Y[1], Y[2][:, :d]))):
             Z = Yb[:, np.linalg.norm(Yb, axis=0) > 0.5]    # the kernel vectors of block b
             a, s = -Lb, Sb
-            if Z.size:
-                U = np.linalg.qr(Z, mode="complete")[0][:, Z.shape[1]:]
-                a, s = U.T @ (a @ U), U.T @ (s @ U)
+            if k := Z.shape[1]:
+                # Q^T X Q from Z's reflectors, on copies: S and the blocks serve
+                # the other sector, the propagators and the K cross-check too
+                (h, tau), _ = qr(Z, mode="raw")
+                a, s = (dormqr("R", "N", h, tau, dormqr("L", "T", h, tau, B, len(B))[0],
+                               len(B), overwrite_c=1)[0][k:, k:] for B in (a, s))
             try:
                 wb, X = eigh(a, s, subset_by_index=[0, 2], driver="gvx")
             except LinAlgError as e:

@@ -92,12 +92,6 @@ class ModeOperator:
             self._props[key] = P
         return self._props[key]
 
-    def apply(self, u):
-        """B(y) applied to a two-species mode field u (2, n)."""
-        _, _, Qt = symmetry_basis(self.nv)
-        w = apply_sp(Qt, to_real(sectors(u)))
-        return sectors(from_real(apply_sp(Qt.T, split_matvec(self.B, w))))
-
     def mode_energy(self, us, ud, w2l):
         grid = self.asm.grid
         E = float(np.sum(w2l * (np.abs(us) ** 2 + np.abs(ud) ** 2)) * grid.wv)

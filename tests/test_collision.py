@@ -215,7 +215,14 @@ def test_sector_blocks_allocate_less_than_one_dense_matrix():
 
 
 def test_coercivity_probe(asm8):
+    # the probe reflects copies: the sector blocks, which the propagators and
+    # the K cross-check read too, stay byte for byte, and a second call
+    # reports the same (a write into the sigma form, which serves both
+    # sectors, moves the difference sector: the dense-oracle test sees it)
+    blocks = asm8.sector_blocks().copy()
     lam, rep = coercivity_probe(asm8)
+    assert asm8.sector_blocks().tobytes() == blocks.tobytes()
+    assert coercivity_probe(asm8) == (lam, rep)
     assert lam > 0
     assert rep["sectors"]["sum"]["kernel_dim"] == 5
     assert rep["sectors"]["diff"]["kernel_dim"] == 1
@@ -278,7 +285,9 @@ def dense_probe_eigs(asm):
     """Oracle: the 3 smallest eigenvalues of (-L, S) per sector, densely.
 
     A complete QR of the sector kernel gives an orthonormal basis U of its
-    complement, and LAPACK's gvx solves U^T (-L) U x = lam U^T S U x.
+    complement, and LAPACK's gvx solves U^T (-L) U x = lam U^T S U x. The
+    probe forms neither U nor the n x n pencil: it applies the reflectors of
+    each split block's kernel vectors, so this checks that shortcut too.
     """
     S = asm.norms.sigma_form(0.0).toarray()
     ks, kd = asm.sector_kernels()
