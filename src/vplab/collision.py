@@ -19,11 +19,10 @@ restores a physical dissipation rate at the grid scale.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import VelocityWeight, NormSuite
-from .lineardecay import (apply_sp, split_blocks, split_entries, split_sizes, split_sparse,
-                          split_states, symmetry_basis)
+from .grid import NormSuite, VelocityForm, VelocityWeight, along
+from .lineardecay import (fold, fold_factor, split_blocks, split_entries, split_form,
+                          split_parity, split_states, to_split)
 from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -195,30 +194,18 @@ class CollisionAssembly:
         self._kit = _ConvKit(grid, self.kernel)
         self.sigma = assemble_sigma(grid, maxw, self.gamma, kit=self._kit)
 
-        smu = maxw.sqrt_mu
-        Ms = sp.diags(smu)
-        Msi = sp.diags(1.0 / smu)
-        D = grid.dv_ops()
-        self.C = [(Ms @ Dj @ Msi).tocsr() for Dj in D]
-        self.CT = [Cj.T.tocsr() for Cj in self.C]
-        # conjugated difference along the one active axis, for the field term
-        self.Ct_tilde = (Msi @ D[0] @ Ms).tocsr()
-
-        A = None
+        # 1-D factors along one axis: sqrt_mu = s(v1) s(v2) s(v3), so C_j is
+        # c1 = diag(s) d1 diag(1/s) along axis j, and the field term's
+        # conjugated difference diag(1/s) d1 diag(s) acts along v1 alone
+        s = maxw.sqrt_mu_1d
+        self.c1 = s[:, None] * grid.d1 / s
+        self.ct1 = grid.d1 * s / s[:, None]
+        r1 = s[:, None] * grid.d4 / s
+        t = np.empty((3, 3, grid.n))
         for (i, j) in PAIRS:
-            term = self.CT[i] @ sp.diags(self.sigma[pair_of(i, j)]) @ self.C[j]
-            if i != j:
-                term = term + self.CT[j] @ sp.diags(self.sigma[pair_of(i, j)]) @ self.C[i]
-            A = term if A is None else A + term
-        A = (-2.0) * A
+            t[i, j] = t[j, i] = -2.0 * self.sigma[pair_of(i, j)]
         rho = (1.0 + grid.vsq) ** ((gamma + 2.0) / 2.0)
-        pen = None
-        for D4 in grid.dv4_ops():
-            R = (Ms @ D4 @ Msi).tocsr()
-            T = R.T @ sp.diags(rho) @ R
-            pen = T if pen is None else pen + T
-        A = A - STAB * pen
-        self.A = ((A + A.T) * 0.5).tocsr()
+        self.A = VelocityForm([(self.c1, t), (r1, np.eye(3)[..., None] * (-STAB * rho))], 0.0)
 
         self._blocks = None
 
@@ -227,51 +214,49 @@ class CollisionAssembly:
     def apply_K(self, h):
         """K applied to species-sum fields h (..., n) by FFT convolution."""
         smu = self.maxw.sqrt_mu
-        q = smu * np.stack([apply_sp(Cj, h) for Cj in self.C], axis=-2)
+        q = smu * np.stack([along(self.c1, h, j) for j in range(3)], axis=-2)
         g = smu * self._kit.contract(q)          # q_j = M^{1/2} C_j h
-        return sum(apply_sp(self.CT[i], g[..., i, :]) for i in range(3))
+        return sum(along(self.c1.T, g[..., i, :], i) for i in range(3))
 
     def build_K_dense(self):
         """K as the (+,+), (+,-) and (-,-) diagonal blocks of P K P^T, a (3, m, m)
-        array, m = n/4, P the parity fold of `lineardecay.symmetry_basis`. The
-        (-,+) block, the swap of (+,-), is not built.
+        array, m = n/4, P the parity fold of `lineardecay.to_split`. The (-,+)
+        block, the swap of (+,-), is not built.
 
-        No n x n array is formed. Block p is sum_ij Cb_i^T Y_ij Cb_j: Cb_j are
-        the sparse blocks of P M^{1/2} C_j P^T (C_2 and C_3 flip the parity of
-        their own axis), and Y_ij, as Phi^{ij} has a parity in each axis, is a
-        gather along the v1 difference of a table holding, per folded axis,
-        Phi(j - k) + s Phi(j + k + 1), s the column parity.
+        No n x n array is formed. Block p is sum_ij Cb_i^T Y_ij Cb_j: Cb_j =
+        diag(sqrt_mu) times C_j's 1-D factor in block p (`lineardecay.fold_factor`;
+        C_2 and C_3 flip the parity of their own axis), applied along its axis
+        of the folded (nv, h, h) grid, and Y_ij, as Phi^{ij} has a parity in
+        each axis, is a gather along the v1 difference of a table holding, per
+        folded axis, Phi(j - k) + s Phi(j + k + 1), s the column parity.
         """
         nv, h, m = self.grid.nv, self.grid.nv // 2, self.grid.n // 4
-        flip = (0, 2, 1)            # C_j maps block p = 2 s2 + s3 to p ^ flip[j]
-        P = symmetry_basis(nv)[0]
-        Cf = ((P @ (sp.diags(self.maxw.sqrt_mu) @ Cj) @ P.T).tocsr() for Cj in self.C)
-        built = (0, 1, 3)           # (+,+), (+,-), (-,-)
-        CbT = [{p: c[(p ^ f) * m:((p ^ f) + 1) * m, p * m:(p + 1) * m].T.tocsr() for p in built}
-               for c, f in zip(Cf, flip)]
+        smu = 0.5 * fold(self.maxw.sqrt_mu.reshape(nv, nv, nv))[0].reshape(m)
         k = np.arange(h)
         near, far = np.subtract.outer(k, k) + nv - 1, np.add.outer(k, k) + nv
         d1 = np.subtract.outer(range(nv), range(nv)) + nv - 1
         K = np.empty((3, m, m))
-        for q, p in enumerate(built):
+        for Kp, p in zip(K, (0, 1, 3)):            # (+,+), (+,-), (-,-)
+            xs = [fold_factor(self.c1, a, p) for a in range(3)]
             RT = np.zeros((3, m, m))    # RT_j = (sum_i Cb_i^T Y_ij)^T over the pairs (i, j)
             for (i, j) in PAIRS:
-                c = p ^ flip[j]     # the column parity of Y_ij
+                c = xs[j][1]        # the column parity of Y_ij
                 phi = self.kernel.phi[pair_of(i, j)]
                 G = phi[:, near] + (-1.0 if c & 2 else 1.0) * phi[:, far]
                 G = G[..., near] + (-1.0 if c & 1 else 1.0) * G[..., far]   # (2nv-1, h, h, h, h)
                 Y = G[d1].transpose(0, 2, 4, 1, 3, 5).reshape(m, m)
                 Y *= self.grid.wv * (1.0 if i == j else 2.0)  # (j, i): transpose, via Kp.T
-                RT[j] += (CbT[i][p] @ Y).T
-            Kp = sp.hstack([CbT[j][p] for j in range(3)], format="csr") @ RT.reshape(3 * m, m)
-            K[q] = (Kp + Kp.T) * 0.5
+                RT[j] += along(xs[i][0].T, smu * Y.T, i)
+            Kt = sum(along(xs[j][0].T, smu * RT[j].T, j) for j in range(3))     # K_p^T
+            np.add(Kt, Kt.T, out=Kp)
+            Kp *= 0.5
         return K
 
     # -- application helpers -------------------------------------------------
 
     def apply_A(self, g):
         """Diffusion part A applied per species field (..., n)."""
-        return apply_sp(self.A, g)
+        return self.A.apply(g)
 
     def apply_L(self, f):
         """L = (L_+, L_-) applied to a two-species field f (2, ..., n)."""
@@ -290,24 +275,18 @@ class CollisionAssembly:
     def sector_blocks(self):
         """(L_sum, L_diff) = (A + 2K, A) as a (2, L) array of their split blocks.
 
-        The diagonal blocks of Q^T L Q (`lineardecay.symmetry_basis`), laid out
-        as `lineardecay.split_blocks` views them: A's from the sparse Q^T A Q,
-        K's from its parity blocks (`build_K_dense`) split by W. Built on the
-        first call and kept.
+        The diagonal blocks of Q^T L Q (`lineardecay.to_split`), laid out as
+        `lineardecay.split_blocks` views them: A's from its 1-D factors
+        (`lineardecay.split_form`), K's from its parity blocks
+        (`build_K_dense`). Built on the first call and kept.
         """
         if self._blocks is None:
             nv = self.grid.nv
-            s, a, m = split_sizes(nv)
-            W = symmetry_basis(nv)[1]
-            We, Wo = W[:s, :m], W[2 * s:2 * s + a, :m]     # alike on blocks (+,+) and (-,-)
-            K = self.build_K_dense()
+            K = self.build_K_dense()        # before B: a lower peak
             B = np.empty((2, split_entries(nv)))
-            E, O, M = split_blocks(B[0], nv)
-            for k, Kp in enumerate((K[0], K[2])):       # (+,+) and (-,-)
-                E[k] = We @ (We @ Kp).T                   # W K W^T, as K is symmetric
-                O[k] = Wo @ (Wo @ Kp).T
-            M[...] = K[1]
-            B[1] = split_sparse(self.A, nv)
+            split_parity(K, nv, B[0])
+            del K
+            B[1] = split_form(self.A, nv)
             B[0] *= 2.0
             B[0] += B[1]
             self._blocks = B
@@ -329,9 +308,9 @@ def coercivity_probe(assembly):
 
     Works sector by sector (the species sum/difference change of variables
     block-diagonalizes L into A + 2K and A) and split block by split block:
-    -L and the sparse sigma form S at l = 0 both commute with the v2 and v3
+    -L and the sigma form S at l = 0 both commute with the v2 and v3
     reflections and the v2 <-> v3 swap, so in the basis of
-    `lineardecay.symmetry_basis` (Fassler & Stiefel 1992) the pencil is five
+    `lineardecay.to_split` (Fassler & Stiefel 1992) the pencil is five
     dense blocks, the M block serving both parity blocks (+,-) and (-,+).
     Each Euclidean-orthonormal sector kernel vector has column norm 1 in one
     block and roundoff in the others, so a block of size m holds those with
@@ -349,21 +328,20 @@ def coercivity_probe(assembly):
     """
     grid = assembly.grid
     nv = grid.nv
-    blocks = assembly.sector_blocks()   # before the import and S: a lower peak RSS
-    # imported here, not with the module: it adds 8.1 MB to the RSS of a process
-    # that has loaded scipy.sparse (48.7 -> 56.8 MB), and only the probe uses it
+    blocks = assembly.sector_blocks()
+    # imported here, not with the module: only the probe uses scipy, and the
+    # commands that build propagators never load it
     from scipy.linalg import LinAlgError, eigh, qr
     from scipy.linalg.lapack import dormqr
 
-    S = split_blocks(split_sparse(assembly.norms.sigma_form(0.0), nv), nv)
-    Qt = symmetry_basis(nv)[2]
+    S = split_blocks(split_form(assembly.norms.sigma_form(0.0), nv), nv)
     report = {"gamma": assembly.gamma, "nv": nv, "sectors": {}}
     lams = []
     # sign: the species fields of a sector vector are (g, sign * g) / sqrt(2)
     for tag, L, kern, sign in zip(("sum", "diff"), blocks, assembly.sector_kernels(),
                                   (1.0, -1.0)):
         d = kern.shape[0]
-        Y = split_states(apply_sp(Qt, np.sqrt(grid.wv) * kern).T.ravel(), nv)
+        Y = split_states(to_split(np.sqrt(grid.wv) * kern).T.ravel(), nv)
         E, O, M = split_blocks(L, nv)
         pairs = []
         for b, (Lb, Sb, Yb) in enumerate(zip((*E, *O, M), (*S[0], *S[1], S[2]),
@@ -428,8 +406,8 @@ class GammaOp:
         u = asm.maxw.sqrt_mu * hsum
         U = asm._kit.components(u)
         # sqrt_mu d_j f = D_j u + (v_j/2) u
-        du = np.stack([apply_sp(Dj, u) + 0.5 * v[j] * u
-                       for j, Dj in enumerate(asm.grid.dv_ops())], axis=-2)
+        d1 = asm.grid.d1
+        du = np.stack([along(d1, u, j) + 0.5 * v[j] * u for j in range(3)], axis=-2)
         return U, asm._kit.contract(du)
 
     def apply(self, U, W, g):
@@ -438,14 +416,13 @@ class GammaOp:
         g is (..., n), or (2, ..., n) for both species at once.
         """
         asm = self.asm
-        D = asm.grid.dv_ops()
-        dg = np.stack([apply_sp(Dj, g) for Dj in D], axis=-2)
+        dg = np.stack([along(asm.grid.d1, g, j) for j in range(3)], axis=-2)
         out = None
         for i in range(3):
             br = -W[..., i, :] * g
             for j in range(3):
                 br = br + U[..., pair_of(i, j), :] * dg[..., j, :]
-            t = apply_sp(asm.CT[i], br)
+            t = along(asm.c1.T, br, i)
             out = t if out is None else out + t
         return -out
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 
 _SQ2 = np.sqrt(2.0)
@@ -35,7 +34,7 @@ class ModeOperator:
 
     With v.y = v1 y, the real form and the field term also commute with the
     v2 and v3 reflections and the swap v2 <-> v3, so each sector is five
-    blocks in the basis of `symmetry_basis` (Fassler & Stiefel 1992), held
+    blocks in the basis of `to_split` (Fassler & Stiefel 1992), held
     in one flat float64 buffer (`split_blocks`) like every propagator: `Bs`/`Bd`
     start from the assembly's `sector_blocks`, written into `out` if given. In parity
     block (s2, s3), R acts as s2 s3 times the reversal of i1, so the
@@ -67,7 +66,7 @@ class ModeOperator:
                 X[..., rows, rows[::-1]] -= sign * vy[:, None]
         if self.ynorm > 0:
             smu, s = assembly.maxw.sqrt_mu, split_sizes(nv)[0]
-            a, b = apply_sp(symmetry_basis(nv)[2], np.stack([grid.v[0] * y[0] * smu, smu]))[:, :s]
+            a, b = to_split(np.stack([grid.v[0] * y[0] * smu, smu]))[:, :s]
             split_blocks(self.Bd, nv)[0][0] -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(a, b)
         self._props = {}
 
@@ -76,7 +75,7 @@ class ModeOperator:
 
         A (2, L) float64 buffer, rows (P_sum, P_diff), each the swap-split
         blocks of `split_blocks` (2 L 8 bytes per mode); apply them with
-        `split_matvec` to fields mapped by `to_real` and Q^T (`symmetry_basis`).
+        `split_matvec` to fields mapped by `to_real` and `to_split`.
         Each block is built in place as P = 2 (I - dt B/2)^{-1} - I, into
         `out` if given (it may be `self.B`, which is then spent).
         """
@@ -137,47 +136,109 @@ def split_blocks(P, nv):
             P[..., o:].reshape(lead + (m, m)))
 
 
-@functools.cache
-def symmetry_basis(nv):
-    """The parity fold P, the swap split W and the split map Q^T = W P.
+def fold(u):
+    """Parity blocks (..., 4, a, h, h) of arrays u (..., a, nv, nv), h = nv/2.
 
-    Orthogonal n x n CSR matrices, so Q = (Q^T)^T maps back. P maps a field
-    (..., n) to the parity blocks of the v2 and v3 reflections: with
-    h = nv/2, the axis i2 and then the axis i3 each map u to
-    (u[h+j] + u[h-1-j], u[h+j] - u[h-1-j]) / sqrt(2), j < h. Its rows are
-    (s2, s3, i1, j2, j3) in C order, blocks (+,+), (+,-), (-,+), (-,-).
-    W maps those to the parts `split_blocks` names, laid out as
-    `split_states` views them: (x[i1, j2, j3] +/- x[i1, j3, j2]) / sqrt(2)
-    for j2 < j3 and x[i1, j, j] in E and O, and x_{+-}[i1, j2, j3] and
-    x_{-+}[i1, j3, j2] as the two columns of M. Cached per nv: the matrices
-    are shared, and no caller may write into them.
+    The axes -2 and then -1 each map u to (u[h+j] + u[h-1-j], u[h+j] -
+    u[h-1-j]) / sqrt(2), j < h: the v2 and v3 reflections of a velocity
+    field (a = nv), or both sides of a 1-D factor (a = 1). Blocks (+,+),
+    (+,-), (-,+), (-,-); slices only, orthogonal, undone by `unfold`.
     """
-    h, n = nv // 2, nv ** 3
-    s2, s3, i1, j2, j3, r2, r3 = np.indices((2, 2, nv, h, h, 2, 2)).reshape(7, -1)
-    # r2, r3: the entry from the reflected half of that axis
-    cols = (i1 * nv + np.where(r2, h - 1 - j2, h + j2)) * nv + np.where(r3, h - 1 - j3, h + j3)
-    sign = np.where((s2 & r2) ^ (s3 & r3), -0.5, 0.5)
-    P = sp.csr_matrix((sign, cols, np.arange(0, 4 * n + 1, 4)), shape=(n, n))
-    x = np.arange(n).reshape(4, nv, h, h)           # parity-block rows of P
-    xs = x.swapaxes(-1, -2)
+    h = u.shape[-1] // 2
+    hi, lo = slice(h, None), slice(h - 1, None, -1)
+    p, q = u[..., hi, hi] + u[..., lo, hi], u[..., hi, hi] - u[..., lo, hi]
+    r, s = u[..., hi, lo] + u[..., lo, lo], u[..., hi, lo] - u[..., lo, lo]
+    out = np.empty(u.shape[:-3] + (4,) + p.shape[-3:], p.dtype)
+    np.add(p, r, out=out[..., 0, :, :, :])
+    np.subtract(p, r, out=out[..., 1, :, :, :])
+    np.add(q, s, out=out[..., 2, :, :, :])
+    np.subtract(q, s, out=out[..., 3, :, :, :])
+    out *= 0.5
+    return out
+
+
+def unfold(b):
+    """Arrays (..., a, nv, nv) from their parity blocks b (..., 4, a, h, h)."""
+    h = b.shape[-1]
+    hi, lo = slice(h, None), slice(h - 1, None, -1)
+    b0, b1, b2, b3 = (b[..., k, :, :, :] for k in range(4))
+    p, q, r, s = b0 + b1, b0 - b1, b2 + b3, b2 - b3
+    out = np.empty(b.shape[:-4] + b.shape[-3:-2] + (2 * h, 2 * h), b.dtype)
+    np.add(p, r, out=out[..., hi, hi])
+    np.add(q, s, out=out[..., hi, lo])
+    np.subtract(p, r, out=out[..., lo, hi])
+    np.subtract(q, s, out=out[..., lo, lo])
+    out *= 0.5
+    return out
+
+
+@functools.cache
+def _swap_tables(nv):
+    """Gathers of the swap split of a parity block (..., nv, h, h), h = nv/2.
+
+    Forward, on the flattened (j2, j3): the entries (j2, j3) and (j3, j2)
+    of each pair j2 <= j3 and of each pair j2 < j3, and the weights of the
+    swap-even part (1/2 on the diagonal, which is entered twice).
+    Inverse: per (j2, j3), its swap-even and swap-odd entries and weights.
+    """
+    h = nv // 2
     iu, ju = np.triu_indices(h)
     il, jl = np.triu_indices(h, 1)
-    # the diagonal of E is entered twice, 0.5 + 0.5, and summed on conversion
-    e = np.broadcast_to(np.where(iu == ju, 0.5, np.sqrt(0.5)), (2, nv, iu.size)).ravel()
-    o = np.full(2 * nv * il.size, np.sqrt(0.5))
-    rows = np.r_[0:e.size, 0:e.size, e.size:e.size + o.size, e.size:e.size + o.size,
-                 e.size + o.size:n]
-    cols = np.concatenate([c.ravel() for c in (
-        x[::3][..., iu, ju], xs[::3][..., iu, ju], x[::3][..., il, jl], xs[::3][..., il, jl],
-        np.stack([x[1], xs[2]], axis=-1))])
-    W = sp.csr_matrix((np.r_[e, e, o, -o, np.ones(n // 2)], (rows, cols)), shape=(n, n))
-    return P, W, (W @ P).tocsr()
+    ew = np.where(iu == ju, 0.5, np.sqrt(0.5))
+    te, to = np.zeros((h, h), int), np.zeros((h, h), int)
+    te[iu, ju] = te[ju, iu] = np.arange(iu.size)
+    to[il, jl] = to[jl, il] = np.arange(il.size)
+    ce = np.where(np.eye(h, dtype=bool), 1.0, np.sqrt(0.5))
+    co = np.sqrt(0.5) * np.sign(np.arange(h) - np.arange(h)[:, None])     # j2 < j3: +
+    return (iu * h + ju, ju * h + iu, ew, il * h + jl, jl * h + il), (te, ce, to, co)
 
 
-def apply_sp(S, g):
-    """Sparse S (n x n) applied along the last axis of g (..., n)."""
-    flat = g.reshape(-1, g.shape[-1])
-    return (S @ flat.T).T.reshape(g.shape)
+def _swap(b, axis=-1):
+    """Swap-even and swap-odd parts (x[j2, j3] +/- x[j3, j2]) / sqrt(2),
+    j2 < j3, and x[j, j] in the even part, of parity blocks b whose
+    flattened (j2, j3) is axis `axis`: h (h+1)/2 and h (h-1)/2 entries."""
+    h = round(b.shape[axis] ** 0.5)
+    fu, gu, ew, fl, gl = _swap_tables(2 * h)[0]
+    ew = ew.reshape((-1,) + (1,) * (b.ndim - 1 - axis % b.ndim))
+    return (ew * (np.take(b, fu, axis) + np.take(b, gu, axis)),
+            np.sqrt(0.5) * (np.take(b, fl, axis) - np.take(b, gl, axis)))
+
+
+def to_split(u):
+    """Q^T u: fields u (..., n) in the symmetry-adapted basis, laid out as
+    `split_states` views them.
+
+    The parity fold of the v2 and v3 reflections (`fold`, slices), then
+    the swap v2 <-> v3 (gathers): blocks (+,+) and (-,-) go to their
+    swap-even parts in E and swap-odd parts in O, and x_{+-}[i1, j2, j3]
+    and x_{-+}[i1, j3, j2] are the two columns of M. Orthogonal, so
+    `from_split` = Q undoes it.
+    """
+    nv = round(u.shape[-1] ** (1 / 3))
+    lead = u.shape[:-1]
+    b = fold(u.reshape(lead + (nv, nv, nv)))
+    out = np.empty(u.shape, np.result_type(u, float))
+    E, O, M = split_states(out, nv)
+    ev, od = _swap(b[..., ::3, :, :, :].reshape(lead + (2, nv, -1)))
+    E[..., 0] = ev.reshape(E.shape[:-1])
+    O[..., 0] = od.reshape(O.shape[:-1])
+    M[..., 0] = b[..., 1, :, :, :].reshape(M.shape[:-1])
+    M[..., 1] = b[..., 2, :, :, :].swapaxes(-1, -2).reshape(M.shape[:-1])
+    return out
+
+
+def from_split(x):
+    """Q x: fields (..., n) back from the symmetry-adapted basis (`to_split`)."""
+    nv = round(x.shape[-1] ** (1 / 3))
+    h, lead = nv // 2, x.shape[:-1]
+    te, ce, to, co = _swap_tables(nv)[1]
+    E, O, M = split_states(x, nv)
+    b = np.empty(lead + (4, nv, h, h), x.dtype)
+    e, o = E[..., 0].reshape(lead + (2, nv, -1)), O[..., 0].reshape(lead + (2, nv, -1))
+    b[..., ::3, :, :, :] = ce * np.take(e, te, axis=-1) + co * np.take(o, to, axis=-1)
+    b[..., 1, :, :, :] = M[..., 0].reshape(lead + (nv, h, h))
+    b[..., 2, :, :, :] = M[..., 1].reshape(lead + (nv, h, h)).swapaxes(-1, -2)
+    return unfold(b).reshape(x.shape)
 
 
 def split_states(x, nv):
@@ -193,20 +254,89 @@ def split_states(x, nv):
             x[..., o:].reshape(lead + (m, 2 * k)))
 
 
-def split_sparse(S, nv):
-    """The split blocks of Q^T S Q for a sparse S (n x n) that commutes with
-    the symmetry, as one (L,) buffer laid out as `split_blocks` views it;
-    M from the rows of block (+,-), the even ones from 2 (s + a) on."""
-    s, a, _ = split_sizes(nv)
-    cuts = (0, s, 2 * s, 2 * s + a, 2 * (s + a))
-    rows = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])] + [slice(cuts[-1], None, 2)]
-    Qt = symmetry_basis(nv)[2]
-    SQ = (Qt @ S @ Qt.T).tocsr()
-    out = np.empty(split_entries(nv))
+def split_parity(K, nv, out):
+    """Write the split blocks of the parity blocks K -- (+,+), (+,-) and (-,-),
+    m x m each, of a symmetric operator that commutes with the symmetry --
+    into the (L,) buffer out, laid out as `split_blocks` views it. K may be
+    any iterable of the three blocks, so only one need exist at a time."""
     E, O, M = split_blocks(out, nv)
-    for X, r in zip((*E, *O, M), rows):
-        SQ[r, r].toarray(out=X)
+    hh = (nv // 2) ** 2
+    for p, Kp in zip((0, 1, 3), K):
+        if p == 1:
+            M[...] = Kp
+            continue
+        ev, od = _swap(Kp.reshape(nv, hh, nv, hh))      # columns, then rows
+        E[p // 3] = _swap(ev, 1)[0].reshape(E.shape[-2:])
+        O[p // 3] = _swap(od, 1)[1].reshape(O.shape[-2:])
     return out
+
+
+def fold_factor(X, axis, p):
+    """The 1-D factor X along velocity axis `axis` in parity block p: (x, q),
+    x the block of X that maps block p to block q. X is even or odd under
+    v -> -v; on the folded axes v2 and v3 an odd X flips that axis's parity
+    and x is an h x h block of the fold of X; along v1 it is X itself."""
+    if axis == 0:
+        return X, p
+    bit = 2 if axis == 1 else 1
+    F = fold(X[None])[:, 0]                            # (s', s) blocks of X
+    odd = bool(np.abs(F[1:3]).sum() > np.abs(F[::3]).sum())
+    s = int(bool(p & bit))
+    so = s ^ odd
+    return F[2 * so + s], (p & ~bit) | (bit if so else 0)
+
+
+def _einsum_terms(j, k):
+    """einsum subscripts (view of the (nv, h, h, nv, h, h) block, x_j, tau, x_k)
+    of X_j^T diag(tau) X_k between the 1-D factors along axes j and k."""
+    row, col = list("abc"), list("abc")
+    if j == k:
+        col[j] = "d"
+        xj, tau, xk = "r" + row[j], "".join("r" if a == j else row[a] for a in range(3)), "r" + col[j]
+        out = "abcd"
+    else:
+        col[j], col[k] = "d", "e"
+        xj, xk = col[j] + row[j], row[k] + col[k]
+        tau = "".join(col[j] if a == j else row[a] for a in range(3))
+        out = "abcde"
+    return "".join(row + col) + "->" + out, f"{xj},{tau},{xk}->{out}"
+
+
+def split_form(form, nv):
+    """The split blocks of Q^T F Q for a `grid.VelocityForm` F that commutes
+    with the symmetry, as one (L,) buffer laid out as `split_blocks` views it.
+
+    Built fold-first, with no n x n array: in parity block p each 1-D
+    factor is a small block (`fold_factor`) and each table t_jk a diagonal
+    table between two parity blocks (its fold, times 1/2), so block p is
+    sum_jk Xb_j^T diag(tau_jk) Xb_k on the (nv, h, h) grid, and each term
+    fills a diagonal view of the (m, m) block with one einsum of its three
+    small factors.
+    """
+    h = nv // 2
+    m = nv * h * h
+    folds = [(X, 0.5 * fold(t.reshape(3, 3, nv, nv, nv))) for X, t in form.terms]
+
+    def block(p):
+        # T = (diag + sum_j term_jj) / 2 + sum_{j<k} term_jk, and the block is
+        # T + T^T, as term_kj = term_jk^T
+        T = np.zeros((m, m))
+        T6 = T.reshape(nv, h, h, nv, h, h)
+        if np.ndim(form.d):
+            np.einsum("abcabc->abc", T6)[...] += 0.25 * fold(form.d.reshape(nv, nv, nv))[0]
+        for (X, tau), (_, t) in zip(folds, form.terms):
+            xs = [fold_factor(X, a, p) for a in range(3)]
+            for j in range(3):
+                for k in range(j, 3):
+                    if j != k and not t[j, k].any():
+                        continue
+                    (xj, qj), (xk, qk) = xs[j], xs[k]
+                    view, expr = _einsum_terms(j, k)
+                    term = np.einsum(expr, xj, tau[j, k, qj ^ qk], xk)
+                    np.einsum(view, T6)[...] += 0.5 * term if j == k else term
+        return T + T.T
+
+    return split_parity(map(block, (0, 1, 3)), nv, np.empty(split_entries(nv)))
 
 
 def split_matvec(P, x):
@@ -267,8 +397,7 @@ def _sector_samples(P, u, steps, samp):
     if strides >= 2 and samp > 1:
         Q, k = [np.linalg.matrix_power(B, samp) for B in P], 1
     out = np.empty((strides + 1 + (rem > 0), u.shape[-1]), dtype=complex)
-    _, _, Qt = symmetry_basis(nv)
-    out[0] = Qt @ to_real(u)
+    out[0] = to_split(to_real(u))
     samples = split_states(out.view(np.float64), nv)
     spare = split_states(np.empty(2 * u.shape[-1]), nv)
 
@@ -286,7 +415,7 @@ def _sector_samples(P, u, steps, samp):
         advance(Q, j, k)
     if rem:
         advance(P, strides, rem)
-    return from_real(apply_sp(Qt.T, out))
+    return from_real(from_split(out))
 
 
 def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):

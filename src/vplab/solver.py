@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import GammaOp
-from .lineardecay import (ModeOperator, apply_sp, from_real, sectors, split_entries,
-                          split_matvec, split_sizes, symmetry_basis, to_real)
+from .grid import along
+from .lineardecay import (ModeOperator, from_real, from_split, sectors, split_entries,
+                          split_matvec, split_sizes, to_real, to_split)
 from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
 
@@ -209,7 +210,7 @@ class Simulation:
         g = np.zeros_like(f)
         if not self.disable_field_nl:
             dphi = -fs.E                        # d_x phi
-            adv = apply_sp(self.asm.Ct_tilde, f)
+            adv = along(self.asm.ct1, f, 0)
             # one-sided stencils at the box faces leak a small mass moment;
             # the continuum term has none, so project it out per species
             mdir = self._mass_dir
@@ -246,9 +247,8 @@ class Simulation:
         state.f += inc
 
     def _linear_step(self, state):
-        _, _, Qt = symmetry_basis(self.grid.nv)
-        h = apply_sp(Qt, to_real(np.fft.rfft(sectors(state.f), axis=1)))   # (2 sectors, modes, n)
-        h = apply_sp(Qt.T, split_matvec(self._props, h))
+        h = to_split(to_real(np.fft.rfft(sectors(state.f), axis=1)))   # (2 sectors, modes, n)
+        h = from_split(split_matvec(self._props, h))
         state.f = sectors(np.fft.irfft(from_real(h), n=self.grid.nx, axis=1))
 
     def step(self, state):
@@ -313,7 +313,6 @@ def energy_report(state, assembly, K, l, psi, projector):
     norms = assembly.norms
     Pf, IPf = projector.split(f)
     dx_measure = grid.dx
-    D = grid.dv_ops()
 
     summands = {}
     E_tot = Eh_tot = D_tot = 0.0
@@ -347,7 +346,7 @@ def energy_report(state, assembly, K, l, psi, projector):
             continue
         j = next(i for i in range(3) if b[i] > 0)
         parent = tuple(b[i] - (1 if i == j else 0) for i in range(3))
-        dbeta[b] = apply_sp(D[j], dbeta[parent])
+        dbeta[b] = along(grid.d1, dbeta[parent], j)
     if K >= 1:      # d_{v1}^K (I-P)f against the grid's noise ceiling
         ceiling = 0.5 * (2.0 / grid.hv) ** K * (np.abs(IPf).max() + 1e-300)
         if np.abs(dbeta[(K, 0, 0)]).max() > ceiling:

@@ -69,7 +69,6 @@ def test_criterion_02_coercivity():
         ok &= lam > 0
         grid = asm.grid
         proj = MacroProjector(grid, asm.maxw)
-        S = asm.norms.sigma_form(0.0)
         rng = np.random.default_rng(np.random.Philox(key=2))
         worst = np.inf
         for _ in range(100):
@@ -77,7 +76,7 @@ def test_criterion_02_coercivity():
             gvec /= np.sqrt(np.sum(gvec ** 2) * grid.wv)
             lhs = -np.sum(gvec * asm.apply_L(gvec)) * grid.wv
             _, IPg = proj.split(gvec)
-            rhs = sum(np.dot(IPg[s], S @ IPg[s]) for s in range(2)) * grid.wv
+            rhs = asm.norms.sigma_sq_batch(IPg, 0.0).sum()
             margin = lhs - (lam * rhs - 1e-8)
             worst = min(worst, margin)
             ok &= margin >= 0

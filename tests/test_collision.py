@@ -3,17 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe, ModeOperator
 from vplab.collision import GammaOp, KernelTable, pair_of, _ConvKit, PROBE_TOL
-from vplab.lineardecay import (apply_sp, split_blocks, split_entries, split_sparse,
-                               split_states, symmetry_basis)
+from vplab.grid import _diff1d
+from vplab.lineardecay import split_blocks, split_entries, split_form, split_states, to_split
 from vplab.macroscopic import MacroProjector
 
-from conftest import dense_K, dense_sectors, folded, kernel_matrix
+from conftest import (dense_A, dense_K, dense_S, dense_sectors, folded, kernel_matrix,
+                      kron_axis, split_of)
 
 
 def kernel_matrix_at(z, gamma):
@@ -174,7 +174,7 @@ def test_dense_sectors_hold_two_matrices(asm8):
     assert not [a for a in held if a.shape == (n, n)]
     Ls, Ld = B = asm8.sector_blocks()
     assert B.shape == (2, split_entries(nv)) and any(a is B for a in held)
-    want = split_sparse(sp.csr_matrix(dense_K(asm8)), nv)     # Q^T K Q, from the dense K
+    want = split_of(dense_K(asm8))                  # Q^T K Q, from the dense K
     assert np.abs(Ls - Ld - 2.0 * want).max() <= 1e-14 * np.abs(Ls).max()
 
 
@@ -186,6 +186,39 @@ def test_K_blocks_match_dense_oracle(nv, gamma):
     p = np.array([0, 1, 3])                        # (+,+), (+,-), (-,-); (-,+) is their swap
     F = folded(dense_K(asm))[p, :, p, :]           # the diagonal blocks of Q^T K Q
     assert np.abs(asm.build_K_dense() - F).max() <= 1e-14 * np.abs(F).max()
+
+
+@pytest.mark.parametrize("nv", [8, 10])              # nv 10: odd half-width 5
+@pytest.mark.parametrize("gamma", [-3.0, 0.0, 1.0])
+def test_A_and_S_split_blocks_match_dense_oracle(nv, gamma):
+    # A's blocks (the difference sector) and the probe's S blocks, built from
+    # the folded 1-D factors, against Q^T X Q of the np.kron operators
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    asm = CollisionAssembly(g, maxwellian(g), gamma)
+    for got, X in ((asm.sector_blocks()[1], dense_A(asm)),
+                   (split_form(asm.norms.sigma_form(0.0), nv), dense_S(asm.norms, 0.0))):
+        want = split_of(X)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nv", [8, 10])
+@pytest.mark.parametrize("gamma", [-3.0, 0.0, 1.0])
+def test_apply_A_and_sigma_sq_batch_match_dense_oracle(nv, gamma):
+    # the matrix-free form, applied along one axis at a time, against the
+    # np.kron operators, on real and complex stacks
+    g = build_grid(nv=nv, vmax=6.0, nx=4)
+    asm = CollisionAssembly(g, maxwellian(g), gamma)
+    rng = np.random.default_rng(nv)
+    H = rng.standard_normal((2, 3, g.n)) * asm.maxw.sqrt_mu
+    want = H @ dense_A(asm).T
+    assert np.abs(asm.apply_A(H) - want).max() <= 1e-13 * np.abs(want).max()
+    G = H + 1j * rng.standard_normal(H.shape) * asm.maxw.sqrt_mu
+    for l in (0.0, 1.0):
+        S = dense_S(asm.norms, l)
+        want = np.einsum("...i,...i->...", np.conj(G), G @ S.T).real * g.wv
+        got = asm.norms.sigma_sq_batch(G, l)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_L_blocks_symmetric_and_negative_semidefinite(asm8):
@@ -239,7 +272,8 @@ def test_A_commutes_with_the_fold(nv, gamma):
     g = build_grid(nv=nv, vmax=6.0, nx=4)
     asm = CollisionAssembly(g, maxwellian(g), gamma)
     p = np.arange(4)
-    for X in (asm.A.toarray(), asm.norms.sigma_form(0.0).toarray()):
+    I = np.eye(g.n)
+    for X in (asm.apply_A(I), asm.norms.sigma_form(0.0).apply(I)):     # symmetric
         F = folded(X)
         F[p, :, p, :] = 0.0
         assert np.abs(F).max() <= 1e-14 * np.abs(X).max()
@@ -255,7 +289,7 @@ def test_kernel_vectors_lie_in_one_split_block(nv):
     asm = CollisionAssembly(g, maxwellian(g), 0.0)
     for kern in asm.sector_kernels():
         d = kern.shape[0]
-        E, O, M = split_states(apply_sp(symmetry_basis(nv)[2], np.sqrt(g.wv) * kern).T.ravel(), nv)
+        E, O, M = split_states(to_split(np.sqrt(g.wv) * kern).T.ravel(), nv)
         norms = np.array([np.linalg.norm(Y, axis=0) for Y in (*E, *O, M[:, :d], M[:, d:])])
         own = norms > 0.5
         assert np.all(own.sum(axis=0) == 1)
@@ -289,7 +323,7 @@ def dense_probe_eigs(asm):
     probe forms neither U nor the n x n pencil: it applies the reflectors of
     each split block's kernel vectors, so this checks that shortcut too.
     """
-    S = asm.norms.sigma_form(0.0).toarray()
+    S = dense_S(asm.norms, 0.0)
     ks, kd = asm.sector_kernels()
     out = {}
     for tag, L, kern in zip(("sum", "diff"), dense_sectors(asm), (ks, kd)):
@@ -388,7 +422,8 @@ def test_gamma_coefficients_match_direct_sums(asm8):
     U, W = GammaOp(asm8).coefficients(h)
     Y = [kernel_matrix(asm8, k) for k in range(6)]
     u = maxw.sqrt_mu * h
-    du = [(Dj @ u.T).T + 0.5 * grid.v[j] * u for j, Dj in enumerate(grid.dv_ops())]
+    du = [u @ kron_axis(_diff1d(grid.nv, grid.hv), j).T + 0.5 * grid.v[j] * u
+          for j in range(3)]
     U_ref = np.stack([u @ Y[k].T for k in range(6)], axis=-2)
     W_ref = np.stack([sum(du[j] @ Y[pair_of(i, j)].T for j in range(3))
                       for i in range(3)], axis=-2)
@@ -405,13 +440,13 @@ def test_gamma_upper_bound_measured(asm8):
     l = 1.0
     wl = asm8.weight.pow(l)
     br = (1 + grid.vsq) ** (0.0 + 2.0)        # <v>^{2 gamma + 4}, gamma = 0
-    D = grid.dv_ops()
+    D = [kron_axis(_diff1d(grid.nv, grid.hv), j) for j in range(3)]
 
     def h_norms(gf):
         n0 = np.sqrt(np.sum(gf ** 2) * grid.wv)
-        d1 = [apply_sp(Dj, gf) for Dj in D]
+        d1 = [Dj @ gf for Dj in D]
         n1 = np.sqrt(n0 ** 2 + sum(np.sum(d ** 2) for d in d1) * grid.wv)
-        d2sq = sum(np.sum(apply_sp(Dj, d) ** 2) for d in d1 for Dj in D)
+        d2sq = sum(np.sum((Dj @ d) ** 2) for d in d1 for Dj in D)
         n2 = np.sqrt(n1 ** 2 + d2sq * grid.wv)
         return n0, n1, n2
 
@@ -426,7 +461,7 @@ def test_gamma_upper_bound_measured(asm8):
         f0, f1n, f2n = h_norms(f[0] + f[1])
         _, g1w, g2w = h_norms(wl * br * gf)
         g2grad = np.sqrt(sum(
-            np.sum((wl * br * apply_sp(Di, apply_sp(Dj, gf))) ** 2)
+            np.sum((wl * br * (Di @ (Dj @ gf))) ** 2)
             for Di in D for Dj in D) * grid.wv)
         g0w = np.sqrt(np.sum((wl * br * gf) ** 2) * grid.wv)
         rhs = f1n * g1w + f0 * g2grad + f2n * g0w

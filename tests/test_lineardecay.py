@@ -3,21 +3,20 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from vplab.lineardecay import (ModeOperator, apply_sp, evolve_mode, whole_space_decay,
-                               default_mode_data, from_real, sectors, split_blocks,
-                               split_matvec, split_sizes, symmetry_basis, to_real)
+from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
+                               default_mode_data, from_real, from_split, sectors,
+                               split_blocks, split_matvec, split_sizes, to_real, to_split)
 from vplab.macroscopic import MacroProjector, null_basis_raw
 from vplab import CollisionAssembly, build_grid, maxwellian, solver
 from vplab.solver import Simulation
 
-from conftest import dense_sectors, folded
+from conftest import dense_sectors, fold_matrix, folded, split_matrix
 
 
 def apply_B(op, u):
     """B(y) of a ModeOperator applied to a two-species mode field u (2, n)."""
-    Qt = symmetry_basis(op.nv)[2]
-    w = apply_sp(Qt, to_real(sectors(u)))
-    return sectors(from_real(apply_sp(Qt.T, split_matvec(op.B, w))))
+    w = to_split(to_real(sectors(u)))
+    return sectors(from_real(from_split(split_matvec(op.B, w))))
 
 
 def test_sectors_orthogonal_and_self_inverse():
@@ -69,7 +68,7 @@ def energy_metric_symmetric_bound(op):
     """
     grid = op.asm.grid
     s = split_blocks(op.Bs, grid.nv)[0].shape[-1]
-    c = (symmetry_basis(grid.nv)[2] @ op.asm.maxw.sqrt_mu)[:s]     # swap-even (+,+) part
+    c = to_split(op.asm.maxw.sqrt_mu)[:s]     # swap-even (+,+) part
     bounds = []
     for sector, buf in enumerate((op.Bs, op.Bd)):
         E, O, M = split_blocks(buf, grid.nv)
@@ -142,12 +141,11 @@ def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
     steps = int(round(t_end / dt))
     assert (steps // n_samples, steps % samp) == (samp, rem)
     w2l = asm8.weight.pow(0.0) ** 2
-    _, _, Qt = symmetry_basis(asm8.grid.nv)
-    ws = [Qt @ to_real((u0[0] + s * u0[1]) / np.sqrt(2)) for s in (1, -1)]
+    ws = [to_split(to_real((u0[0] + s * u0[1]) / np.sqrt(2))) for s in (1, -1)]
     t, ts, Es, Ds = 0.0, [], [], []
     for k in range(steps + 1):
         if k % samp == 0 or k == steps:
-            us, ud = (from_real(Qt.T @ w) for w in ws)
+            us, ud = (from_real(from_split(w)) for w in ws)
             ts.append(t)
             Es.append(op.mode_energy(us, ud, w2l))
             Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0).sum())
@@ -293,21 +291,22 @@ def test_mode_operator_rejects_off_axis_frequency(asm8):
 
 
 def test_fold_orthogonal_and_unfold_inverts_it():
-    """The parity fold P of `symmetry_basis` is orthogonal, P^T undoes it,
-    and each of its blocks has the reflection parity it is named for."""
+    """`to_split` starts with the parity fold P: its matrix (the map of the
+    identity) is orthogonal, equals P's index-arithmetic oracle up to the swap
+    split, and each parity block has the reflection parity it is named for."""
     rng = np.random.default_rng(4)
     for nv in (8, 10):                                 # nv 10: odd half-width 5
         n, m = nv ** 3, nv ** 3 // 4
-        P = symmetry_basis(nv)[0]
-        G = P.toarray()
+        G = to_split(np.eye(n)).T                      # Q^T
         np.testing.assert_allclose(G @ G.T, np.eye(n), rtol=0, atol=1e-15)
-        assert np.count_nonzero(G, axis=1).max() == 4
+        np.testing.assert_allclose(G, split_matrix(nv).toarray(), rtol=0, atol=1e-15)
         u = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-        w = apply_sp(P, u)
-        np.testing.assert_allclose(apply_sp(P.T, w), u, rtol=0, atol=1e-15 * np.abs(u).max())
+        w = to_split(u)
+        np.testing.assert_allclose(from_split(w), u, rtol=0, atol=1e-15 * np.abs(u).max())
         assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(u), rel=1e-15)
         # the reflection of one axis keeps the blocks even in it and negates
         # the odd ones
+        P = fold_matrix(nv)
         x = u[:, 0].real
         c = x.reshape(3, nv, nv, nv)
         for axis, parity in ((2, np.repeat([1, 1, -1, -1], m)),
@@ -318,29 +317,29 @@ def test_fold_orthogonal_and_unfold_inverts_it():
 
 @pytest.mark.parametrize("nv", [8, 10])                # nv 10: odd half-width 5
 def test_swap_fold_orthogonal_and_swap_unfold_inverts_it(nv):
-    """The swap split W and the split map Q^T = W P are orthogonal, their
-    transposes undo them, Q^T is built once per nv, and W splits block (+,+)
-    into its swap-even and swap-odd parts."""
+    """`to_split` and `from_split` are orthogonal and undo each other, on real
+    and complex stacks, and the swap split keeps the swap-even part of block
+    (+,+) under the swap v2 <-> v3 and negates the swap-odd one."""
     n = nv ** 3
     s, a, _ = split_sizes(nv)
-    P, W, Qt = symmetry_basis(nv)
-    assert symmetry_basis(nv)[2] is Qt                 # built once per nv
-    for G, per_row in ((W, 2), (Qt, 8)):
-        G = G.toarray()
-        np.testing.assert_allclose(G @ G.T, np.eye(n), rtol=0, atol=1e-15)
-        assert np.count_nonzero(G, axis=1).max() == per_row
-    np.testing.assert_array_equal(Qt.toarray(), (W @ P).toarray())
+    G = from_split(np.eye(n))                          # Q^T, the rows of the map back
+    np.testing.assert_allclose(G @ G.T, np.eye(n), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(G, to_split(np.eye(n)).T, rtol=0, atol=1e-15)
     rng = np.random.default_rng(7)
-    w = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-    x = apply_sp(Qt, w)
-    np.testing.assert_allclose(apply_sp(Qt.T, x), w, rtol=0, atol=1e-15 * np.abs(w).max())
-    assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(w), rel=1e-15)
-    # in block (+,+) the swap keeps the swap-even part and negates the odd one
+    for w in (rng.standard_normal((3, 2, n)),
+              rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))):
+        x = to_split(w)
+        assert x.dtype == w.dtype and x.flags.c_contiguous
+        np.testing.assert_allclose(from_split(x), w, rtol=0, atol=1e-15 * np.abs(w).max())
+        assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(w), rel=1e-15)
+    # in block (+,+) of the fold the swap keeps the swap-even part and
+    # negates the odd one
     h = nv // 2
+    P = fold_matrix(nv)
     x = np.zeros((3, 4, nv, h, h))
     x[:, 0] = rng.standard_normal((3, nv, h, h))
     sw = x.swapaxes(-1, -2).reshape(3, n)
-    y, ys = (W @ x.reshape(3, n).T).T, (W @ sw.T).T
+    y, ys = (to_split((P.T @ z.T).T) for z in (x.reshape(3, n), sw))
     np.testing.assert_allclose(ys[:, :s], y[:, :s], rtol=0, atol=1e-15)
     np.testing.assert_allclose(ys[:, 2 * s:2 * s + a], -y[:, 2 * s:2 * s + a], rtol=0, atol=1e-15)
 
@@ -365,8 +364,8 @@ def _parity_blocks(M):
 
 
 def _split_dense(M):
-    """Q^T M Q for the swap-split map Q^T of `symmetry_basis`, as an n x n array."""
-    Qt = symmetry_basis(round(M.shape[0] ** (1 / 3)))[2]
+    """Q^T M Q for the split map Q^T of `to_split`, as an n x n array."""
+    Qt = split_matrix(round(M.shape[0] ** (1 / 3)))
     return (Qt @ (Qt @ M).T).T
 
 
@@ -428,17 +427,16 @@ def test_block_propagators_match_dense_oracle(asm8):
     g, dt, y = asm8.grid, 0.05, 0.7
     op = ModeOperator([y, 0, 0], asm8)
     I = np.eye(g.n)
-    _, _, Qt = symmetry_basis(g.nv)
     u0 = default_mode_data(asm8, "mixed", 1e-3, seed=6)
     for B, P, u in zip(_dense_real_form(asm8, y), op.propagators(dt), sectors(u0)):
         Pd = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
         ref = w = to_real(u)
-        blk = Qt @ w
+        blk = to_split(w)
         for k in range(200):
             ref, blk = Pd @ ref, split_matvec(P, blk)
             if k == 0:
-                assert np.linalg.norm(Qt.T @ blk - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert np.linalg.norm(Qt.T @ blk - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(from_split(blk) - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(from_split(blk) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_split_propagators_match_parity_block_propagators(asm8):
@@ -447,16 +445,16 @@ def test_split_propagators_match_parity_block_propagators(asm8):
     g, dt, y = asm8.grid, 0.05, 0.7
     op = ModeOperator([y, 0, 0], asm8)
     I = np.eye(g.n // 4)
-    Pf, W, _ = symmetry_basis(g.nv)
+    Pf = fold_matrix(g.nv)
     u0 = default_mode_data(asm8, "mixed", 1e-3, seed=8)
     for M, P, u in zip(_dense_real_form(asm8, y), op.propagators(dt), sectors(u0)):
         B = _parity_blocks(M)
         Pp = np.linalg.solve(I - 0.5 * dt * B, I + 0.5 * dt * B)
         ref = (Pf @ to_real(u)).reshape(4, -1)
-        x = W @ ref.ravel()
+        x = to_split(Pf.T @ ref.ravel())
         for _ in range(200):
             ref, x = (Pp @ ref[..., None])[..., 0], split_matvec(P, x)
-        assert np.linalg.norm((W.T @ x).reshape(4, -1) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm((Pf @ from_split(x)).reshape(4, -1) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_mode_operator_writes_B_into_out(asm8):

@@ -5,7 +5,7 @@ import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly
 from vplab import solver
-from vplab.lineardecay import apply_sp
+from vplab.grid import along
 from vplab.macroscopic import div_E_residual
 from vplab.solver import (Simulation, TwoSpeciesField, PsiWeight,
                           make_initial_data, energy_report,
@@ -269,11 +269,9 @@ def test_smoothing_rough_data_derivative_decreases_under_refinement():
         st = TwoSpeciesField(
             make_initial_data(g, mw, "noise", amplitude=1e-3, seed=6), g, mw)
         sim = Simulation(asm, 2.5e-3)
-        D = g.dv_ops()
-
-        def dvnorm(f, asm=asm, g=g, D=D):
-            return float(np.sqrt(sum(np.sum(apply_sp(Dj, f) ** 2)
-                                     for Dj in D) * g.wv * g.dx))
+        def dvnorm(f, g=g):
+            return float(np.sqrt(sum(np.sum(along(g.d1, f, j) ** 2)
+                                     for j in range(3)) * g.wv * g.dx))
 
         start = dvnorm(st.f)
         for _ in range(200):
