@@ -26,7 +26,7 @@ from .lineardecay import (default_y_max, from_split, split_matvec, to_split,
                           whole_space_decay)
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
                      energy_report, PsiWeight, energy_inequality_monitor,
-                     check_propagator_budget)
+                     check_propagator_budget, kept_modes)
 from . import weyl
 
 
@@ -174,6 +174,17 @@ def _read_initial_file(cfg):
     if f.shape != shape or f.dtype.kind not in "fiu" or not np.all(np.isfinite(f)):
         raise ConfigError(f"{what}; {path} holds f of shape {f.shape}, dtype {f.dtype}")
     return f
+
+
+def _check_initial_mode(cfg):
+    """Refuse macroscopic data on an x-mode above the 2/3 rule cutoff, which a
+    `Simulation` would drop."""
+    idc = cfg["initial_data"]
+    K = kept_modes(cfg["grid"]["nx"])
+    if idc["kind"] == "macroscopic" and idc["mode"] >= K:
+        raise ConfigError(f"config key 'initial_data.mode' must be below {K}, the x-modes "
+                          f"the 2/3 rule keeps at grid.nx = {cfg['grid']['nx']}, "
+                          f"got {idc['mode']}")
 
 
 def config_hash(cfg):
@@ -481,6 +492,9 @@ COMMANDS = {
     "symbols-check": cmd_symbols_check,
     "energy-report": cmd_energy_report,
 }
+# The commands that step a `Simulation`: they alone read initial_data.mode,
+# which must lie below the x-modes the 2/3 rule keeps.
+SIMULATION_COMMANDS = ("simulate", "energy-report", "moments-check")
 
 
 def build_parser():
@@ -524,6 +538,8 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         f_file = _read_initial_file(cfg)
+        if args.command in SIMULATION_COMMANDS:
+            _check_initial_mode(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -93,11 +93,15 @@ class TwoSpeciesField:
         return float(np.min(mu + smu * self.f))
 
 
+def kept_modes(nx):
+    """Number K of rfft modes the 2/3 rule keeps on a power-of-two nx, |k| <= 2/3 k_max
+    with k_max = nx / 2 (in units of the fundamental): the first nx // 3 + 1 of `kx_r`."""
+    return nx // 3 + 1
+
+
 def dealias_x(field, grid):
     """Zero spatial modes above the 2/3 rule cutoff (quadratic dealiasing), x on axis -2."""
-    fh = np.fft.rfft(field, axis=-2)
-    mask = np.abs(grid.kx_r) <= (2.0 / 3.0) * np.abs(grid.kx_r).max() + 1e-12
-    fh *= mask[:, None]
+    fh = np.fft.rfft(field, axis=-2)[..., :kept_modes(grid.nx), :]
     return np.fft.irfft(fh, n=grid.nx, axis=-2)
 
 
@@ -112,7 +116,8 @@ def _beta_multi_indices(max_order):
 
 def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
                       asym=0.0, seed=0, data=None):
-    """Initial perturbation fields (charge-neutral in the x mean).
+    """Initial perturbation fields (charge-neutral in the x mean), every kind
+    band-limited by `dealias_x`.
 
     "macroscopic": cosine-modulated macroscopic combination, optionally with
     a species-asymmetric part that drives the field. "noise": counter-based
@@ -133,7 +138,6 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
         for ax in (2, 3, 4):
             raw = 0.5 * raw + 0.25 * (np.roll(raw, 1, axis=ax) + np.roll(raw, -1, axis=ax))
         f = raw.reshape(2, grid.nx, grid.n) * smu[None, None, :]
-        f = dealias_x(f, grid)
         rho = TwoSpeciesField(f, grid, maxw).charge_density()
         # remove the x-mean charge so the torus Poisson problem is solvable
         shift = rho.mean() / (2.0 * np.sum(smu ** 2) * grid.wv) * smu
@@ -143,14 +147,14 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
         f = data
     else:
         raise ValueError(f"unknown initial data kind: {kind!r}")
-    return amplitude * f
+    return dealias_x(amplitude * f, grid)
 
 
 def propagator_bytes(grid):
-    """Bytes of the per-mode propagators of `grid`: per retained Fourier mode,
-    two sectors of swap-split float64 blocks, 2 s^2 + 2 a^2 + m^2 entries each
-    (`lineardecay.split_sizes`)."""
-    return grid.kx_r.size * 2 * split_entries(grid.nv) * 8
+    """Bytes of the per-mode propagators of `grid`: per mode the 2/3 rule keeps
+    (`kept_modes`), two sectors of swap-split float64 blocks, 2 s^2 + 2 a^2 + m^2
+    entries each (`lineardecay.split_sizes`)."""
+    return kept_modes(grid.nx) * 2 * split_entries(grid.nv) * 8
 
 
 def check_propagator_budget(grid):
@@ -164,7 +168,7 @@ def check_propagator_budget(grid):
         s, a, m = split_sizes(grid.nv)
         raise MemoryError(
             f"per-mode propagator storage {need/1e9:.1f} GB "
-            f"({grid.kx_r.size} modes x 2 sectors of swap-split float64 blocks "
+            f"({kept_modes(grid.nx)} kept modes x 2 sectors of swap-split float64 blocks "
             f"2 x {s}^2 + 2 x {a}^2 + {m}^2) "
             f"exceeds the budget of {PROPAGATOR_BUDGET_BYTES/1e9:.1f} GB; "
             "reduce nv or nx"
@@ -176,7 +180,9 @@ class Simulation:
 
     Parameters mirror the run-file scheme block: dt, t_end, snapshot_every
     (steps), disable_gamma / disable_field_nl flags. The linear part always
-    steps with implicit midpoint.
+    steps with implicit midpoint, on the x-modes the 2/3 rule keeps only: a
+    step drops the modes above the cutoff, so every stepped state is
+    band-limited, as the dealiased forcing and `make_initial_data` are.
     """
 
     def __init__(self, assembly, dt, disable_gamma=False, disable_field_nl=False):
@@ -189,10 +195,12 @@ class Simulation:
         self.gamma_op = GammaOp(assembly)
         self.projector = MacroProjector(self.grid, self.maxw)
         check_propagator_budget(self.grid)
-        # only the propagators are kept, as one (sector, mode, L) stack of
-        # swap-split blocks; each mode's slice takes its operator, then in place its propagators
-        self._props = np.empty((2, self.grid.kx_r.size, split_entries(self.grid.nv)))
-        for k, y in enumerate(self.grid.kx_r):
+        # only the propagators of the kept modes are held, as one (sector, mode, L)
+        # stack of swap-split blocks; each mode's slice takes its operator, then in
+        # place its propagators
+        self.kept = kept_modes(self.grid.nx)
+        self._props = np.empty((2, self.kept, split_entries(self.grid.nv)))
+        for k, y in enumerate(self.grid.kx_r[:self.kept]):
             P = self._props[:, k]
             ModeOperator([y, 0.0, 0.0], assembly, out=P).propagators(self.dt, out=P)
         smu = self.maxw.sqrt_mu
@@ -247,8 +255,10 @@ class Simulation:
         state.f += inc
 
     def _linear_step(self, state):
-        h = to_split(to_real(np.fft.rfft(sectors(state.f), axis=1)))   # (2 sectors, modes, n)
+        fh = np.fft.rfft(sectors(state.f), axis=1)[:, :self.kept]
+        h = to_split(to_real(fh))                       # (2 sectors, kept modes, n)
         h = from_split(split_matvec(self._props, h))
+        # irfft zero-pads the modes above the cutoff
         state.f = sectors(np.fft.irfft(from_real(h), n=self.grid.nx, axis=1))
 
     def step(self, state):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vplab import build_grid, cli, collision, maxwellian, make_initial_data
+from vplab import build_grid, cli, collision, maxwellian, make_initial_data, solver
 from vplab.cli import main, config_hash, resolve_config, build_parser, _validate, \
     ConfigError, DEFAULTS
 
@@ -309,7 +309,7 @@ def test_list_value_exit2_naming_key(tmp_path, capsys, block, key):
 
 
 @pytest.mark.parametrize("args, body, message", [
-    (["simulate", "--nv", "16", "--nx", "128"], None, "per-mode propagator storage"),
+    (["simulate", "--nv", "16", "--nx", "256"], None, "per-mode propagator storage"),
     (["simulate"], {"grid": {"nx": 4}, "initial_data": {"amplitude": 50.0},
                     "scheme": {"t_end": 0.1}}, "nonlinear half-step blow-up at t = 0:"),
     # no sample of the largest-y mode in the dissipation-rate window t in [2, t_end/2]
@@ -327,6 +327,8 @@ def test_list_value_exit2_naming_key(tmp_path, capsys, block, key):
     (["moments-check", "--nv", "8", "--nx", "4", "--dt", "0.5"], None, "scheme.dt"),
 ])
 def test_runtime_failure_exit1_one_line(tmp_path, args, body, message):
+    if message == "per-mode propagator storage":      # refused, not run
+        assert solver.propagator_bytes(build_grid(nv=16, nx=256)) > solver.PROPAGATOR_BUDGET_BYTES
     if body is not None:
         (tmp_path / "c.json").write_text(json.dumps(body))
         args = args + ["--config", str(tmp_path / "c.json")]
@@ -375,12 +377,40 @@ def test_inequality_monitor_uses_snapshot_times(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "energy-report", "moments-check"])
 def test_propagator_budget_checked_before_assembly(tmp_path, monkeypatch, capsys,
                                                    command):
+    assert solver.propagator_bytes(build_grid(nv=16, nx=256)) > solver.PROPAGATOR_BUDGET_BYTES
+
     def refuse(*args, **kwargs):
         pytest.fail("CollisionAssembly built for a grid over the propagator budget")
     monkeypatch.setattr("vplab.cli.CollisionAssembly", refuse)
-    assert run_cli([command, "--nv", "16", "--nx", "128",
+    assert run_cli([command, "--nv", "16", "--nx", "256",
                     "--out", str(tmp_path / "o")]) == 1
     assert "per-mode propagator storage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-report", "moments-check"])
+@pytest.mark.parametrize("nx, mode", [(4, 2), (2, 1)])
+def test_initial_mode_above_cutoff_exit2(tmp_path, capsys, command, nx, mode):
+    # the 2/3 rule keeps x-modes 0 and 1 at nx 4, and mode 0 alone at nx 2,
+    # where the default mode 1 is refused: macroscopic data needs nx >= 4
+    (tmp_path / "c.json").write_text(json.dumps({"initial_data": {"mode": mode}}))
+    assert run_cli([command, "--nx", str(nx), "--config", str(tmp_path / "c.json"),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert "'initial_data.mode'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_initial_mode_kept_runs_and_other_commands_unchecked(tmp_path, monkeypatch):
+    (tmp_path / "c.json").write_text(json.dumps({"initial_data": {"mode": 1}}))
+    assert run_cli(["simulate", "--nx", "4", "--t-end", "0.1",
+                    "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 0
+    # commands that step no Simulation do not read initial_data.mode
+    (tmp_path / "c.json").write_text(json.dumps({"initial_data": {"mode": 2}}))
+    others = sorted(set(cli.COMMANDS) - set(cli.SIMULATION_COMMANDS))
+    assert others == ["collision-check", "decay", "symbols-check"]
+    for command in others:
+        monkeypatch.setitem(cli.COMMANDS, command, lambda *args: 0)
+        assert run_cli([command, "--nx", "4", "--config", str(tmp_path / "c.json"),
+                        "--out", str(tmp_path / command)]) == 0
 
 
 def test_initial_data_file_wrong_shape_exit2(tmp_path, capsys):
@@ -413,13 +443,16 @@ def test_initial_data_file_loaded_once(tmp_path, monkeypatch):
     assert loads == [str(tmp_path / "f0.npz")]
 
 
-def test_initial_data_file_energy_report_and_moments(tmp_path):
+def test_initial_data_file_energy_report_and_moments(tmp_path, monkeypatch):
     # both commands read initial_data.path; energy-report writes the
-    # same energy.csv as simulate
-    for nx in (8, 4):
-        g = build_grid(nv=8, nx=nx)
-        np.savez(tmp_path / f"f0_nx{nx}.npz",
-                 f=make_initial_data(g, maxwellian(g), "macroscopic", 1.0, asym=0.25))
+    # same energy.csv as simulate. The file holds the default data before
+    # its dealiasing, which file data then goes through as macroscopic data does
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "dealias_x", lambda f, grid: f)
+        for nx in (8, 4):
+            g = build_grid(nv=8, nx=nx)
+            np.savez(tmp_path / f"f0_nx{nx}.npz",
+                     f=make_initial_data(g, maxwellian(g), "macroscopic", 1.0, asym=0.25))
     run = {"grid": {"nx": 8}, "scheme": {"t_end": 0.5},
            "physics": {"lambda_h": 0.1}}
     (tmp_path / "sim.json").write_text(json.dumps(run))

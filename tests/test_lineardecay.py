@@ -227,12 +227,14 @@ def test_real_form_matches_complex_reference(asm8, y):
 
 
 def test_propagator_budget_boundary(asm8, monkeypatch):
-    # per retained Fourier mode, two sectors of swap-split float64 blocks:
-    # 2 s x s, 2 a x a and one m x m, with h = nv/2
+    # per Fourier mode the 2/3 rule keeps (|k| <= 2/3 k_max), two sectors of
+    # swap-split float64 blocks: 2 s x s, 2 a x a and one m x m, with h = nv/2
     g = asm8.grid
+    kept = int(np.sum(g.kx_r <= 2.0 / 3.0 * g.kx_r.max() + 1e-12))
+    assert kept == 6 < g.kx_r.size                     # nx 16: k = 0..5 of 0..8
     h = g.nv // 2
     s, a, m = g.nv * h * (h + 1) // 2, g.nv * h * (h - 1) // 2, g.nv * h * h
-    need = g.kx_r.size * 2 * (2 * s ** 2 + 2 * a ** 2 + m ** 2) * 8
+    need = kept * 2 * (2 * s ** 2 + 2 * a ** 2 + m ** 2) * 8
     assert need == solver.propagator_bytes(g)
     monkeypatch.setattr(solver, "PROPAGATOR_BUDGET_BYTES", need)
     Simulation(asm8, dt=0.05)
@@ -247,10 +249,10 @@ def test_propagator_bytes_is_the_built_storage(asm8):
 
 
 def test_simulation_forms_no_parity_propagator_stack(asm8):
-    # nv 8, nx 16 (9 modes): the swap-split propagators hold 4.87 MB, and the
-    # build peaked at 6.61 MB, the rest being one mode's operator, its
-    # propagators and one sector's solve temporaries (measured); the
-    # (2, modes, 4, m, m) parity-block stack alone took 9.44 MB
+    # nv 8, nx 16 (6 kept modes of 9): the swap-split propagators hold
+    # 3.24 MB, and the build peaked at 3.53 MB, the rest being one block's
+    # inverse and its solve temporaries (measured); the (2, modes, 4, m, m)
+    # parity-block stack alone took 9.44 MB over all 9 modes
     asm8.sector_blocks()                   # the collision layer's blocks, kept by asm8
     tracemalloc.start()
     try:

@@ -57,23 +57,55 @@ def test_field_follows_reassigned_f(sim_env):
 
 
 def test_cross_module_equivalence_quick(sim_env):
+    # with the nonlinear terms off, each kept x-mode follows its own
+    # evolve_mode trajectory and the modes above the cutoff stay empty
     from vplab.lineardecay import ModeOperator, evolve_mode
     g, mw, asm, _ = sim_env
     sim = Simulation(asm, dt=0.05, disable_gamma=True, disable_field_nl=True)
+    K = solver.kept_modes(g.nx)
     smu = mw.sqrt_mu
     shape = 1e-3 * ((g.vsq - 3) * smu + 0.3 * g.v[0] * smu)
-    f0 = np.stack([np.cos(g.x)[:, None] * shape[None, :],
-                   np.cos(g.x)[:, None] * (0.5 * shape)[None, :]])
-    u0 = np.fft.rfft(f0, axis=1)[:, 1, :]
+    f0 = np.zeros((2, g.nx, g.n))
+    for j, k in enumerate(g.kx_r[:K]):
+        prof = np.cos(k * g.x + 0.3 * j)[:, None] / (1 + j)
+        f0 += np.stack([prof * shape, prof * (0.5 + 0.1 * j) * shape])
+    u0 = np.fft.rfft(f0, axis=1)
     st = TwoSpeciesField(f0.copy(), g, mw)
     for _ in range(40):
         sim.step(st)
-    fh = np.fft.rfft(st.f, axis=1)[:, 1, :]
-    op = ModeOperator([1.0, 0, 0], asm)
-    tr = evolve_mode(op, u0, 0.05, 2.0, n_samples=1)
-    us, ud = tr.final_state
-    u_fin = np.stack([(us + ud) / np.sqrt(2), (us - ud) / np.sqrt(2)])
-    assert np.abs(fh - u_fin).max() < 1e-10 * np.abs(u0).max()
+    fh = np.fft.rfft(st.f, axis=1)
+    assert np.abs(fh[:, K:]).max() < 1e-14 * np.abs(u0).max()
+    for j, k in enumerate(g.kx_r[:K]):
+        tr = evolve_mode(ModeOperator([k, 0, 0], asm), u0[:, j], 0.05, 2.0, n_samples=1)
+        us, ud = tr.final_state
+        u_fin = np.stack([(us + ud) / np.sqrt(2), (us - ud) / np.sqrt(2)])
+        assert np.abs(fh[:, j] - u_fin).max() < 1e-10 * np.abs(u0).max(), j
+
+
+def _above_cutoff(f, g):
+    """Largest rfft mode of f above the 2/3 rule cutoff, relative to the largest."""
+    fh = np.abs(np.fft.rfft(f, axis=-2))
+    return fh[:, solver.kept_modes(g.nx):].max() / fh.max()
+
+
+@pytest.mark.parametrize("kind", ["macroscopic", "noise", "file", None])
+def test_initial_data_and_stepped_states_band_limited(sim_env, kind):
+    # every kind of initial data, and every state a step leaves, even from
+    # data given directly (None) on every x-mode
+    g, mw, asm, sim = sim_env
+    rough = 1e-3 * np.random.default_rng(2).standard_normal((2, g.nx, g.n)) * mw.sqrt_mu
+    rough -= rough.mean(axis=1, keepdims=True)          # no x-mean charge
+    assert _above_cutoff(rough, g) > 0.1
+    if kind is None:
+        f0 = rough
+    else:
+        amplitude = 1.0 if kind == "file" else 1e-3
+        f0 = make_initial_data(g, mw, kind, amplitude=amplitude, asym=0.3, data=rough)
+        assert _above_cutoff(f0, g) <= 1e-14
+    st = TwoSpeciesField(f0, g, mw)
+    for _ in range(5):
+        sim.step(st)
+        assert _above_cutoff(st.f, g) <= 1e-14
 
 
 def test_orthogonality_preserved(sim_env):
@@ -196,6 +228,15 @@ def test_dealias_removes_top_modes(sim_env):
     fh = np.fft.rfft(fd, axis=1)
     cutoff = (2.0 / 3.0) * np.abs(g.kx_r).max()
     assert np.abs(fh[:, np.abs(g.kx_r) > cutoff + 1e-12, :]).max() < 1e-12
+
+
+@pytest.mark.parametrize("nx", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+def test_kept_modes_is_the_two_thirds_rule(nx):
+    # the kept modes are those with |k| <= 2/3 k_max, a prefix of kx_r
+    k = np.abs(build_grid(nv=8, nx=nx).kx_r)
+    kept = k <= (2.0 / 3.0) * k.max() + 1e-12
+    assert solver.kept_modes(nx) == np.count_nonzero(kept)
+    assert kept[:solver.kept_modes(nx)].all()
 
 
 @pytest.mark.parametrize("m", [1, 3])
