@@ -117,17 +117,21 @@ def macro_state(mf, mi):
         G=mi[0, MO:MO + 3] - mi[1, MO:MO + 3])
 
 
-def solve_poisson(rho, grid):
+def solve_poisson(rho, grid, scale=None):
     """Spectral solve of -Lap phi = rho on the torus, zero-mean phi, E = -grad phi.
 
     The zero mode of rho is removed (required for solvability); its size is
     reported in FieldState.mean_rho and a warning is emitted if it exceeds
-    1e-10 relative to the density scale.
+    1e-10 relative to the density scale: `scale` when given, such as the
+    largest species density |n_pm| of rho = n_+ - n_-, else max|rho|. The
+    latter is the mean itself when rho is constant in x, so a caller that
+    knows the species densities passes them.
     """
     rho = np.asarray(rho, dtype=float)
     rh = np.fft.rfft(rho)
     mean_rho = rh[0].real / grid.nx
-    scale = np.abs(rho).max() if np.abs(rho).max() > 0 else 1.0
+    if scale is None:
+        scale = np.abs(rho).max()
     if abs(mean_rho) > 1e-10 * scale:
         warnings.warn(
             f"poisson: removing nonzero charge mean {mean_rho:.3e}", RuntimeWarning
@@ -176,7 +180,7 @@ def moment_residuals(snapshots, dt, projector, apply_L, forcing):
     for _, f in snapshots:
         IPf = projector.split(f)[1]
         mf = mom(f)
-        fs = solve_poisson(mf[0, MASS] - mf[1, MASS], grid)
+        fs = solve_poisson(mf[0, MASS] - mf[1, MASS], grid, np.abs(mf[:, MASS]).max())
         Lf = apply_L(f)
         trans = grid.v[0] * grid.ddx(IPf, axis=-2)
         # tables of f, (I-P)f, g, Lf, h = -v.grad_x (I-P)f + Lf, v_1 d_x (I-P)f; and E.

@@ -12,6 +12,7 @@ high-order instant energy, and the dissipation rate functional, with the
 time weight psi attached per summand order.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -84,8 +85,10 @@ class TwoSpeciesField:
         return np.tensordot(self.f[0] - self.f[1], smu, axes=(-1, 0)) * self.grid.wv
 
     def field(self):
-        """The electrostatic field of the current f, solved afresh on each call."""
-        return solve_poisson(self.charge_density(), self.grid)
+        """The electrostatic field of the current f, solved afresh on each call;
+        its charge mean is judged against the species densities."""
+        n = np.tensordot(self.f, self.maxw.sqrt_mu, axes=(-1, 0)) * self.grid.wv
+        return solve_poisson(self.charge_density(), self.grid, np.abs(n).max())
 
     def min_F(self):
         """Monitored (not enforced) minimum of F = mu + sqrt_mu f."""
@@ -99,10 +102,30 @@ def kept_modes(nx):
     return nx // 3 + 1
 
 
+@functools.cache
+def kept_mode_maps(nx):
+    """Real DFT matrices (A, S, S A) of the K = `kept_modes(nx)` kept modes.
+
+    A (2K - 1, nx) takes nx points to (Re h_0, Re h_1..h_{K-1}, Im h_1..h_{K-1})
+    of the rfft h; S (nx, 2K - 1) takes them back, weighted 1/nx at k = 0 and
+    2/nx above (the Nyquist mode is never kept). So A S = I, and S A is the
+    2/3 rule projector. Each twiddle is read from one table at (k j) mod nx.
+    """
+    K = kept_modes(nx)
+    w = np.exp(-2j * np.pi * np.arange(nx) / nx)[np.outer(np.arange(K), np.arange(nx)) % nx]
+    A = np.concatenate([w.real, w.imag[1:]])
+    c = np.full(K, 2.0 / nx)
+    c[0] = 1.0 / nx
+    S = np.concatenate([w.real * c[:, None], w.imag[1:] * c[1:, None]]).T
+    maps = A, S, S @ A
+    for m in maps:          # shared by every caller
+        m.flags.writeable = False
+    return maps
+
+
 def dealias_x(field, grid):
     """Zero spatial modes above the 2/3 rule cutoff (quadratic dealiasing), x on axis -2."""
-    fh = np.fft.rfft(field, axis=-2)[..., :kept_modes(grid.nx), :]
-    return np.fft.irfft(fh, n=grid.nx, axis=-2)
+    return np.matmul(kept_mode_maps(grid.nx)[2], field)
 
 
 def _beta_multi_indices(max_order):
@@ -209,12 +232,16 @@ class Simulation:
     # -- nonlinear terms ------------------------------------------------------
 
     def forcing(self, f, fs):
-        """Nonlinear forcing g_pm as the stepper discretizes it.
+        """Nonlinear forcing g_pm as the stepper discretizes it, dealiased.
 
         g_pm = +/- dphi . (grad_v - v/2) f_pm + Gamma_pm(f, f), with the
         conjugated difference applied along the active axis; disabled terms
-        are zeroed.
+        are zeroed. f must be band-limited (no x-mode above the 2/3 rule
+        cutoff), as every state, stage and snapshot of a `Simulation` is:
+        Gamma's coefficients, linear in f_+ + f_-, are convolved on its
+        2K - 1 real mode fields (`kept_mode_maps`) and mapped back to x.
         """
+        A, S, P = kept_mode_maps(self.grid.nx)
         g = np.zeros_like(f)
         if not self.disable_field_nl:
             dphi = -fs.E                        # d_x phi
@@ -227,8 +254,11 @@ class Simulation:
             g[0] += dphi[:, None] * adv[0]
             g[1] -= dphi[:, None] * adv[1]
         if not self.disable_gamma:
-            g += self.gamma_op(f, f)
-        return dealias_x(g, self.grid)
+            tabs = self.gamma_op.coefficients(A @ (f[0] + f[1]))
+            U, W = (np.matmul(S, c.reshape(len(A), -1)).reshape((-1,) + c.shape[1:])
+                    for c in tabs)
+            g += self.gamma_op.apply(U, W, f)
+        return np.matmul(P, g)
 
     def _nl_halfstep(self, state, half_dt):
         """Explicit midpoint half-step of the quadratic terms, with two guards.

@@ -5,8 +5,9 @@ import pytest
 
 from vplab import build_grid, maxwellian, CollisionAssembly
 from vplab import solver
+from vplab.collision import GammaOp
 from vplab.grid import along
-from vplab.macroscopic import div_E_residual
+from vplab.macroscopic import div_E_residual, moment_residuals
 from vplab.solver import (Simulation, TwoSpeciesField, PsiWeight,
                           make_initial_data, energy_report,
                           energy_inequality_monitor, dealias_x,
@@ -237,6 +238,88 @@ def test_kept_modes_is_the_two_thirds_rule(nx):
     kept = k <= (2.0 / 3.0) * k.max() + 1e-12
     assert solver.kept_modes(nx) == np.count_nonzero(kept)
     assert kept[:solver.kept_modes(nx)].all()
+
+
+def _forcing_reference(sim, f, fs):
+    """The x-space forcing: field term plus GammaOp(f, f) on all nx points,
+    dealiased by an rfft/irfft pair."""
+    asm, g = sim.asm, sim.grid
+    adv = along(asm.ct1, f, 0)
+    mom = np.tensordot(adv, sim._mass_dir, axes=(-1, 0)) * g.wv
+    adv -= mom[..., None] * sim._mass_dir
+    out = np.stack([-fs.E[:, None] * adv[0], fs.E[:, None] * adv[1]])
+    out += GammaOp(asm)(f, f)
+    fh = np.fft.rfft(out, axis=-2)[..., :solver.kept_modes(g.nx), :]
+    return np.fft.irfft(fh, n=g.nx, axis=-2)
+
+
+@pytest.mark.parametrize("nx", [1, 2, 4, 8, 32])
+def test_forcing_matches_the_x_space_formula(nx):
+    # Gamma's coefficients on the 2K - 1 real mode fields agree with the
+    # x-space formula on band-limited states, a midpoint stage included
+    g = build_grid(nv=8, vmax=6.0, nx=nx, lx=np.pi)
+    mw = maxwellian(g)
+    sim = Simulation(CollisionAssembly(g, mw, 0.0), dt=0.05)
+    A, S, P = solver.kept_mode_maps(nx)
+    K = solver.kept_modes(nx)
+    assert A.shape == S.T.shape == (2 * K - 1, nx)
+    assert np.abs(A @ S - np.eye(2 * K - 1)).max() < 1e-14
+    assert np.abs(P @ P - P).max() < 1e-14
+    rough = 1e-3 * np.random.default_rng(5).standard_normal((2, nx, g.n)) * mw.sqrt_mu
+    rough[1] += (rough[0] - rough[1]).mean(axis=0)     # no x-mean charge
+    mode = min(1, K - 1)                               # mode 0 only at nx 1, 2: no charge
+    states = [make_initial_data(g, mw, "noise", seed=7),
+              make_initial_data(g, mw, "macroscopic", asym=0.3 * mode, mode=mode),
+              make_initial_data(g, mw, "file", amplitude=1.0, data=rough)]
+    st = TwoSpeciesField(states[0], g, mw)
+    states.append(st.f + 0.5 * 0.025 * sim.forcing(st.f, st.field()))
+    for f in states:
+        st = TwoSpeciesField(f, g, mw)
+        fs = st.field()
+        got, want = sim.forcing(f, fs), _forcing_reference(sim, f, fs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if K < nx // 2 + 1:
+            assert _above_cutoff(got, g) <= 1e-14
+
+
+def test_forcing_transform_counts(sim_env, monkeypatch):
+    # no numpy.fft call, and one GammaOp.coefficients call on 2K - 1 fields
+    g, mw, _, sim = sim_env
+    st = TwoSpeciesField(make_initial_data(g, mw, "noise"), g, mw)
+    fs = st.field()
+    calls, fields = [], []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def coefficients(self, hsum, _fn=GammaOp.coefficients):
+        fields.append(hsum.shape)
+        return _fn(self, hsum)
+    monkeypatch.setattr(GammaOp, "coefficients", coefficients)
+    sim.forcing(st.f, fs)
+    assert calls == []
+    assert fields == [(2 * solver.kept_modes(g.nx) - 1, g.n)]
+
+
+@pytest.mark.parametrize("nx", [1, 2])
+def test_poisson_warns_for_real_charge_only(nx):
+    # at nx 1 and 2 only k = 0 is kept, so rho is constant in x: its roundoff
+    # mean is judged against the species densities, not against itself
+    g = build_grid(nv=8, vmax=6.0, nx=nx, lx=np.pi)
+    mw = maxwellian(g)
+    asm = CollisionAssembly(g, mw, 0.0)
+    st = TwoSpeciesField(make_initial_data(g, mw, "noise", seed=3), g, mw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 < abs(st.field().mean_rho) < 1e-18
+        sim = Simulation(asm, dt=0.05)
+        snaps = sim.run(st, 0.1)
+        moment_residuals(snaps, 0.05, sim.projector, asm.apply_L, sim.forcing)
+    st.f[0] += 1e-6 * mw.sqrt_mu                     # a net charge
+    with pytest.warns(RuntimeWarning, match="charge mean"):
+        st.field()
 
 
 @pytest.mark.parametrize("m", [1, 3])
