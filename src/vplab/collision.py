@@ -303,6 +303,41 @@ class CollisionAssembly:
         return np.array(out)
 
 
+def _block_pencil(L, S, C, Z):
+    """The pencil (-L, S) of one split block off span(Z), S^-1 = C^T C.
+
+    With y = C^-T x it is H y = lam y, H = -C L C^T, off span(C Z), which
+    the reflectors Q = H_1 ... H_k of C Z (numpy's raw QR: v_i is 1 at row
+    i, h[i, i + 1:] below) split off by k symmetric rank-2 updates (Golub &
+    Van Loan 5.1). Returns the eigenvalues of Q^T H Q's trailing block and
+    residual(lam) = |P(-L x - lam S x)|, P = I - Z Z^T, at x = C^T Q [0; z]
+    (x^T S x = 1), z after two inverse-iteration solves (one can leave 3.5e-9).
+    """
+    H = -(C @ L @ C.T)
+    h, tau = np.linalg.qr(C @ Z, mode="raw")
+    k = len(tau)
+    vs = [np.concatenate(([1.0], h[i, i + 1:])) for i in range(k)]
+    for i, (t, v) in enumerate(zip(tau, vs)):
+        T = H[i:, i:]
+        w = t * (T @ v)
+        w -= (0.5 * t * (w @ v)) * v
+        T -= np.outer(v, w) + np.outer(w, v)
+    H = H[k:, k:]
+
+    def residual(lam):
+        z, K = np.ones(len(H)), H - lam * np.eye(len(H))
+        for _ in range(2):
+            z = np.linalg.solve(K, z)
+            z /= np.linalg.norm(z)
+        y = np.concatenate((np.zeros(k), z))
+        for i in reversed(range(k)):
+            y[i:] -= (tau[i] * (vs[i] @ y[i:])) * vs[i]
+        x = C.T @ y
+        r = -(L @ x) - lam * (S @ x)
+        return np.linalg.norm(r - Z @ (Z.T @ r))
+    return np.linalg.eigvalsh(H), residual
+
+
 def coercivity_probe(assembly):
     """Smallest generalized eigenvalues of (-L, sigma-form) off the kernel.
 
@@ -314,27 +349,27 @@ def coercivity_probe(assembly):
     dense blocks, the M block serving both parity blocks (+,-) and (-,+).
     Each Euclidean-orthonormal sector kernel vector has column norm 1 in one
     block and roundoff in the others, so a block of size m holds those with
-    norm above 1/2 there. Their k Householder reflectors give
-    Q = H_1 ... H_k, whose last m - k columns span their complement in the
-    block: LAPACK's dormqr applies Q^T X Q to copies of -L and S in
-    O(m^2 k), and gvx solves the reduced pencil a x = lam s x, a and s the
-    trailing (m - k) blocks, for its 3 smallest pairs. The eigenvalues of M
-    count twice, and the 3 smallest of the union are the sector's.
+    norm above 1/2 there. Each block of S is factored once for both sectors,
+    S_b = R R^T, C = R^-1 (Golub & Van Loan 8.7), and `_block_pencil`
+    solves the block off its kernel vectors. The eigenvalues of M count
+    twice, and the 3 smallest of the union are the sector's.
 
     Returns lambda_h and a report of the 3 smallest eigenvalues per sector,
-    with the kernel residuals and the largest residual |a x - lam s x|
-    (x^T s x = 1) of those pairs. Raises RuntimeError if a residual exceeds
-    PROBE_TOL, lambda_h <= 0 or LAPACK fails on a split block.
+    with the kernel residuals and the largest pencil residual of those pairs.
+    Raises RuntimeError if a residual exceeds PROBE_TOL, lambda_h <= 0, a
+    split block of S is not positive definite or LAPACK fails on a block.
     """
     grid = assembly.grid
     nv = grid.nv
     blocks = assembly.sector_blocks()
-    # imported here, not with the module: only the probe uses scipy, and the
-    # commands that build propagators never load it
-    from scipy.linalg import LinAlgError, eigh, qr
-    from scipy.linalg.lapack import dormqr
-
-    S = split_blocks(split_form(assembly.norms.sigma_form(0.0), nv), nv)
+    E, O, M = split_blocks(split_form(assembly.norms.sigma_form(0.0), nv), nv)
+    S, C = (*E, *O, M), []
+    for b, Sb in enumerate(S):
+        try:
+            C.append(np.linalg.inv(np.linalg.cholesky(Sb)))
+        except np.linalg.LinAlgError as e:
+            raise RuntimeError(f"coercivity probe: split block {b} of the sigma form is "
+                               f"not positive definite: {e}") from None
     report = {"gamma": assembly.gamma, "nv": nv, "sectors": {}}
     lams = []
     # sign: the species fields of a sector vector are (g, sign * g) / sqrt(2)
@@ -343,27 +378,23 @@ def coercivity_probe(assembly):
         d = kern.shape[0]
         Y = split_states(to_split(np.sqrt(grid.wv) * kern).T.ravel(), nv)
         E, O, M = split_blocks(L, nv)
-        pairs = []
-        for b, (Lb, Sb, Yb) in enumerate(zip((*E, *O, M), (*S[0], *S[1], S[2]),
-                                             (*Y[0], *Y[1], Y[2][:, :d]))):
-            Z = Yb[:, np.linalg.norm(Yb, axis=0) > 0.5]    # the kernel vectors of block b
-            a, s = -Lb, Sb
-            if k := Z.shape[1]:
-                # Q^T X Q from Z's reflectors, on copies: S and the blocks serve
-                # the other sector, the propagators and the K cross-check too
-                (h, tau), _ = qr(Z, mode="raw")
-                a, s = (dormqr("R", "N", h, tau, dormqr("L", "T", h, tau, B, len(B))[0],
-                               len(B), overwrite_c=1)[0][k:, k:] for B in (a, s))
-            try:
-                wb, X = eigh(a, s, subset_by_index=[0, 2], driver="gvx")
-            except LinAlgError as e:
-                raise RuntimeError(f"coercivity probe: LAPACK gvx failed on split block {b} "
-                                   f"of the {tag} sector: {e}") from None
-            rb = np.linalg.norm(a @ X - (s @ X) * wb, axis=0)
-            pairs += [np.stack([wb, rb])] * (2 if b == 4 else 1)    # M: (+,-) and (-,+)
-        w, res = np.concatenate(pairs, axis=1)
-        order = np.argsort(w, kind="stable")[:3]
-        w, res = w[order], res[order]
+        pairs, residual = [], []
+        try:
+            for b, (Lb, Sb, Cb, Yb) in enumerate(zip((*E, *O, M), S, C,
+                                                     (*Y[0], *Y[1], Y[2][:, :d]))):
+                Z = Yb[:, np.linalg.norm(Yb, axis=0) > 0.5]    # the kernel vectors of block b
+                wb, rb = _block_pencil(Lb, Sb, Cb, Z)
+                residual.append(rb)
+                pairs += [(x, b) for x in wb[:3]] * (2 if b == 4 else 1)  # M: (+,-), (-,+)
+            pairs = sorted(pairs)[:3]
+            res = {}
+            for lam, b in dict.fromkeys(pairs):     # M's pairs come twice
+                res[lam, b] = residual[b](lam)
+        except np.linalg.LinAlgError as e:
+            raise RuntimeError(f"coercivity probe: LAPACK failed on split block {b} "
+                               f"of the {tag} sector: {e}") from None
+        w = np.array([lam for lam, _ in pairs])
+        res = np.array([res[p] for p in pairs])
         if not np.all(res <= PROBE_TOL):
             raise RuntimeError(f"coercivity probe: pencil residual {res.max():.3e} > "
                                f"{PROBE_TOL:g} in the {tag} sector")

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from vplab import build_grid, cli, collision, maxwellian, make_initial_data, solver
+from vplab.grid import NormSuite, VelocityForm
 from vplab.cli import main, config_hash, resolve_config, build_parser, _validate, \
     ConfigError, DEFAULTS
 
@@ -95,12 +95,12 @@ def test_collision_check_dispatch(tmp_path):
 def test_collision_check_unconverged_probe_exit1(tmp_path, monkeypatch, capsys):
     # eigenvalues off by 1e-6 relative: the probe's own residual check fires,
     # and nothing warns
-    eigh = scipy.linalg.eigh
+    block_pencil = collision._block_pencil
 
-    def perturbed(*args, **kwargs):
-        w, X = eigh(*args, **kwargs)
-        return w * (1.0 + 1e-6), X
-    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    def perturbed(*args):
+        w, residual = block_pencil(*args)
+        return w * (1.0 + 1e-6), residual
+    monkeypatch.setattr(collision, "_block_pencil", perturbed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run_cli(["collision-check", "--nv", "8", "--gamma", "0",
@@ -116,10 +116,9 @@ def test_collision_check_unconverged_probe_exit1(tmp_path, monkeypatch, capsys):
 def test_collision_check_failed_eigensolve_exit1(tmp_path, monkeypatch, capsys):
     # LAPACK's LinAlgError (a ValueError) on a split block leaves the probe
     # as a RuntimeError that names the block
-    def not_definite(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("the leading minor of order 2 of B is not "
-                                       "positive definite")
-    monkeypatch.setattr(scipy.linalg, "eigh", not_definite)
+    def failed(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(collision, "_block_pencil", failed)
     rc = run_cli(["collision-check", "--nv", "8", "--gamma", "0",
                   "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -127,6 +126,25 @@ def test_collision_check_failed_eigensolve_exit1(tmp_path, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "RuntimeError" in err and "split block 0 of the sum sector" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "collision_report.json").exists()
+
+
+def test_collision_check_indefinite_sigma_block_exit1(tmp_path, monkeypatch, capsys):
+    # a sigma form whose split blocks are not positive definite (here: its
+    # negative) stops the probe at the Cholesky factor of the first block
+    sigma_form = NormSuite.sigma_form
+
+    def negated(self, l):
+        S = sigma_form(self, l)
+        return VelocityForm([(X, -t) for X, t in S.terms], -S.d)
+    monkeypatch.setattr(NormSuite, "sigma_form", negated)
+    rc = run_cli(["collision-check", "--nv", "8", "--gamma", "0",
+                  "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "RuntimeError" in err and "split block 0 of the sigma form" in err
+    assert "not positive definite" in err and "Traceback" not in err
     assert not (tmp_path / "o" / "collision_report.json").exists()
 
 
@@ -358,6 +376,47 @@ def test_overflowing_weight_exit1_naming_key(tmp_path, args, body, key):
     assert len(lines) == 1 and f"{key} = " in lines[0] and "RuntimeError" in lines[0]
     assert not (tmp_path / "o" / "decay_report.json").exists()
     assert not (tmp_path / "o" / "energy.csv").exists()
+
+
+def test_overflowing_weight_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    # w^l is checked on the velocity box before any propagator is built
+    def refuse(*args, **kwargs):
+        pytest.fail("Simulation built although w^l overflows")
+    monkeypatch.setattr(cli, "Simulation", refuse)
+    assert run_cli(["simulate", "--nx", "4", "--l", "500", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "physics.l = 500" in err[0]
+
+
+def test_overflowing_data_named_not_the_weight(tmp_path, capsys):
+    # w^3 is finite; the squares of 1e200 overflow: the data are named
+    np.savez(tmp_path / "f0.npz", f=np.full((2, 4, 512), 1e200))
+    (tmp_path / "c.json").write_text(json.dumps({"grid": {"nx": 4}, "initial_data": {
+        "kind": "file", "path": str(tmp_path / "f0.npz"), "amplitude": 1.0}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["simulate", "--config", str(tmp_path / "c.json"),
+                      "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "RuntimeError" in err[0]
+    assert "initial_data" in err[0] and "physics.l" not in err[0]
+    assert not (tmp_path / "o" / "energy.csv").exists()
+
+
+def test_missed_threshold_named(tmp_path, capsys):
+    # all-zero data leave every coarse residual at or below 1e-10: no orders,
+    # and the stderr line says so; the report itself is unchanged
+    np.savez(tmp_path / "f0.npz", f=np.zeros((2, 4, 512)))
+    (tmp_path / "c.json").write_text(json.dumps({"grid": {"nx": 4}, "initial_data": {
+        "kind": "file", "path": str(tmp_path / "f0.npz")}}))
+    assert run_cli(["moments-check", "--config", str(tmp_path / "c.json"),
+                    "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("moments-check: acceptance thresholds not met: orders = {}")
+    rep = json.loads((tmp_path / "o" / "moments_report.json").read_text())
+    assert rep["orders"] == {} and rep["passed"] is False
 
 
 def test_inequality_monitor_uses_snapshot_times(tmp_path):

@@ -6,8 +6,8 @@ same name in a nested scope shadows it, so a text search would count that
 as a use while this check does not. Names listed in a module's `__all__`
 are re-exports and count as used.
 
-Importing the package and its CLI does not load scipy, and neither do the
-commands that build mode propagators.
+Importing the package and its CLI does not load scipy, and neither does any
+command: vplab runs on numpy alone.
 """
 
 import importlib
@@ -54,9 +54,8 @@ def test_no_unused_imports_in_package():
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is loaded only where a solve needs it (the coercivity
-    # probe), not by importing the package or the CLI; the velocity
-    # operators are 1-D factors, so no scipy module is loaded at all
+    # the velocity operators are 1-D factors and every solve is numpy's, so
+    # importing the package or the CLI loads no scipy module at all
     code = ("import sys, vplab, vplab.cli; "
             "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules); "
             "assert 'scipy' not in sys.modules, sorted(sys.modules)")
@@ -64,23 +63,26 @@ def test_package_import_leaves_scipy_linalg_unloaded():
 
 
 def test_propagator_commands_leave_scipy_linalg_unloaded(tmp_path):
-    # the propagators are inverted with numpy: scipy.linalg would add 8 MB to
-    # the peak RSS of every run that builds them
+    # the propagators are inverted and the coercivity probe solved with
+    # numpy: scipy.linalg would add 8 MB to the peak RSS of every run that
+    # builds propagators, and 20 MB to collision-check's
     cfg = tmp_path / "decay.json"
     cfg.write_text(json.dumps({"grid": {"nv": 8, "nx": 8}, "decay": {
         "n_y": 4, "t_end": 20.0, "fit_lo": 5.0, "fit_hi": 20.0}}))
     runs = [["simulate", "--nv", "8", "--nx", "16"], ["decay", "--config", str(cfg)],
-            ["moments-check", "--nv", "8", "--nx", "4"]]
+            ["moments-check", "--nv", "8", "--nx", "4"], ["collision-check", "--nv", "8"],
+            ["energy-report", "--nv", "8", "--nx", "8", "--t-end", "0.75"], ["symbols-check"]]
     code = ("import sys; from vplab.cli import main; "
             f"rcs = [main(a + ['--out', {str(tmp_path)!r} + '/' + a[0]]) for a in {runs!r}]; "
             # moments-check at nv 8 runs to its report and then misses its thresholds
-            "assert rcs == [0, 0, 1], rcs; "
+            "assert rcs == [0, 0, 1, 0, 0, 0], rcs; "
             "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded'; "
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
     r = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "moments-check" / "moments_report.json").exists()
+    assert (tmp_path / "energy-report" / "inequality_report.json").exists()
 
 
 def test_parameter_shadowing_an_import_is_not_a_use():
