@@ -21,8 +21,9 @@ restores a physical dissipation rate at the grid scale.
 import numpy as np
 
 from .grid import NormSuite, VelocityForm, VelocityWeight, along
-from .lineardecay import (fold, fold_factor, split_blocks, split_entries, split_form,
-                          split_parity, split_states, to_split)
+from .lineardecay import (fold, fold_factor, from_split, split_blocks, split_entries,
+                          split_form, split_parity, split_quad, split_states, to_real,
+                          to_split)
 from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -30,6 +31,7 @@ PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 STAB = 0.5      # strength of the odd-even stabilization form
 
 PROBE_TOL = 1e-9  # bound on the residual of each reported coercivity pair
+FORM_TOL = 1e-10  # relative bound on a split norm against the velocity grid's
 
 
 def pair_of(i, j):
@@ -208,6 +210,7 @@ class CollisionAssembly:
         self.A = VelocityForm([(self.c1, t), (r1, np.eye(3)[..., None] * (-STAB * rho))], 0.0)
 
         self._blocks = None
+        self._split_norms = {}
 
     # -- K: integral part ---------------------------------------------------
 
@@ -292,6 +295,36 @@ class CollisionAssembly:
             self._blocks = B
         return self._blocks
 
+    def split_norms(self, l):
+        """(d, S): the L2 weight w^{2l} and the sigma form at weight l in the
+        split basis, so that wv sum d x^2 = |w^l u|^2 and wv `split_quad(S, x)`
+        = |u|^2_{sigma,l} for complex split states x viewed as floats, u =
+        T^-1 Q x. d is the diagonal of Q^T diag(w^{2l}) Q (diagonal, as w^{2l}
+        is invariant under the symmetry), twice per entry; S the split blocks
+        of `norms.sigma_form(l)`. Built on the first call per l and checked
+        then on a fixed field against the velocity grid: RuntimeError beyond
+        FORM_TOL.
+        """
+        key = float(l)
+        if key not in self._split_norms:
+            grid = self.grid
+            w2l = self.weight.pow(l) ** 2
+            d = np.repeat(to_split(w2l * from_split(np.ones(grid.n))), 2)
+            S = split_form(self.norms.sigma_form(l), grid.nv)
+            # a chirp, rough in every parity block: numpy.random, loaded here,
+            # would raise collision-check's peak RSS by 2.4 MB at nv 12
+            u = self.maxw.sqrt_mu * np.exp(1j * np.arange(grid.n) ** 2 / 7.0)
+            x = to_split(to_real(u)).view(np.float64)
+            for name, got, ref in (("weight", x @ (d * x), np.sum(w2l * np.abs(u) ** 2)),
+                                   ("sigma form", split_quad(S, x, grid.nv) * grid.wv,
+                                    self.norms.sigma_sq_batch(u, l))):
+                if np.isfinite(ref) and not abs(got - ref) <= FORM_TOL * abs(ref):
+                    raise RuntimeError(f"the split {name} at l = {l:g} differs from the "
+                                       f"velocity-grid norm by {abs(got / ref - 1):.2e} "
+                                       f"relative on a fixed field (tolerance {FORM_TOL:g})")
+            self._split_norms[key] = d, S
+        return self._split_norms[key]
+
     def null_residuals(self):
         """Relative residual |L xi| / |xi| for each raw null vector."""
         out = []
@@ -362,7 +395,7 @@ def coercivity_probe(assembly):
     grid = assembly.grid
     nv = grid.nv
     blocks = assembly.sector_blocks()
-    E, O, M = split_blocks(split_form(assembly.norms.sigma_form(0.0), nv), nv)
+    E, O, M = split_blocks(assembly.split_norms(0.0)[1], nv)
     S, C = (*E, *O, M), []
     for b, Sb in enumerate(S):
         try:

@@ -91,14 +91,6 @@ class ModeOperator:
             self._props[key] = P
         return self._props[key]
 
-    def mode_energy(self, us, ud, w2l):
-        grid = self.asm.grid
-        E = float(np.sum(w2l * (np.abs(us) ** 2 + np.abs(ud) ** 2)) * grid.wv)
-        if self.ynorm > 0:
-            rho = _SQ2 * np.sum(self.asm.maxw.sqrt_mu * ud) * grid.wv
-            E += abs(rho) ** 2 / self.ynorm ** 2
-        return E
-
 
 def sectors(f):
     """(f_+, f_-) -> (f_+ + f_-, f_+ - f_-) / sqrt(2) along axis 0.
@@ -354,6 +346,15 @@ def split_matvec(P, x):
     return out
 
 
+def split_quad(S, x, nv):
+    """sum_b x_b^T S_b x_b per state of real split states x (..., n k), over
+    the blocks S (L,) of `split_form` and every column of `split_states`:
+    Re(u* F u) of u = Q x for complex states viewed as floats (k = 2)."""
+    lead = x.shape[:-1]
+    return sum(np.sum((u * (B @ u)).reshape(lead + (-1,)), axis=-1)
+               for B, u in zip(split_blocks(S, nv), split_states(x, nv)))
+
+
 _TC = 0.5 - 0.5j      # T = (I + R)/2 - i (I - R)/2 = _TC I + conj(_TC) R
 
 
@@ -382,13 +383,16 @@ class ModeTrajectory:
 
 
 def _sector_samples(P, u, steps, samp):
-    """Sector states (samples, n) from u, every samp steps and at the last step.
+    """Split states (samples, 2, n) of both sectors from u (2, n), every samp
+    steps and at the last step.
 
-    P is the sector's (L,) buffer of swap-split block propagators; the state
-    stays split from the first step to the last sample, and every product
-    writes into one preallocated sample stack. A stride is one product with
-    P^samp, built by repeated squaring, when it is taken at least twice,
-    else samp products with P; leftover steps use P.
+    P is the (2, L) buffer of the sectors' swap-split block propagators and
+    u holds the (sum, difference) sector fields. The states stay in the real
+    form (`to_real`) and the split basis (`to_split`) from the first step to
+    the last sample: each block stack advances both sectors with one product,
+    written into one preallocated sample stack. A stride is one product with
+    P^samp, built for both sectors at once by repeated squaring, when it is
+    taken at least twice, else samp products with P; leftover steps use P.
     """
     nv = round(u.shape[-1] ** (1 / 3))
     strides, rem = divmod(steps, samp)
@@ -396,14 +400,14 @@ def _sector_samples(P, u, steps, samp):
     Q, k = P, samp
     if strides >= 2 and samp > 1:
         Q, k = [np.linalg.matrix_power(B, samp) for B in P], 1
-    out = np.empty((strides + 1 + (rem > 0), u.shape[-1]), dtype=complex)
+    out = np.empty((strides + 1 + (rem > 0),) + u.shape, dtype=complex)
     out[0] = to_split(to_real(u))
     samples = split_states(out.view(np.float64), nv)
-    spare = split_states(np.empty(2 * u.shape[-1]), nv)
+    spare = split_states(np.empty_like(out[0].view(np.float64)), nv)
 
     def advance(blocks, j, count):
         # sample j + 1 = blocks^count sample j, alternating with the spare
-        # state so that no product writes into its own input
+        # states so that no product writes into its own input
         src = [X[j] for X in samples]
         for c in range(count, 0, -1):
             dst = [X[j + 1] for X in samples] if c % 2 else spare
@@ -415,28 +419,35 @@ def _sector_samples(P, u, steps, samp):
         advance(Q, j, k)
     if rem:
         advance(P, strides, rem)
-    return from_real(from_split(out))
+    return out
 
 
 def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):
     """Integrate one mode with implicit midpoint; sample functional and dissipation.
 
-    u0 is a two-species complex field (2, n). Emits a warning-grade flag via
-    the returned violation count when the functional increases by more than
-    INCREASE_TOL (relative) between consecutive samples.
+    u0 is a two-species complex field (2, n). The samples stay split
+    (`_sector_samples`) and are read there by the assembly's
+    `split_norms(l)`, the field energy by rho = sqrt(2) wv <Q^T sqrt_mu,
+    x_diff> (T sqrt_mu = sqrt_mu); only the final state is mapped back.
+    Emits a warning-grade flag via the returned violation count when the
+    functional increases by more than INCREASE_TOL (relative) between
+    consecutive samples.
     """
     asm = op.asm
+    grid = asm.grid
     u0 = np.asarray(u0, dtype=complex)
-    Ps, Pd = op.propagators(dt)
-    w2l = asm.weight.pow(l) ** 2
     steps = int(round(t_end / dt))
     samp = max(1, steps // max(n_samples, 1))
-    # one sector at a time, so one stride power is alive at a time
-    us, ud = (_sector_samples(P, u, steps, samp) for P, u in zip((Ps, Pd), sectors(u0)))
+    x = _sector_samples(op.propagators(dt), sectors(u0), steps, samp)
     t = np.concatenate([[0.0], np.cumsum(np.full(steps, dt))])    # t += dt, in order
     ts = t[np.unique(np.r_[0:steps + 1:samp, steps])]
-    Es = np.array([op.mode_energy(a, b, w2l) for a, b in zip(us, ud)])
-    Ds = asm.norms.sigma_sq_batch(np.stack([us, ud], axis=1), l).sum(axis=1)
+    d, S = asm.split_norms(l)
+    xf = x.view(np.float64)
+    Es = ((xf * xf) @ d).sum(axis=1) * grid.wv
+    if op.ynorm > 0:
+        rho = _SQ2 * (x[:, 1] @ to_split(asm.maxw.sqrt_mu)) * grid.wv
+        Es += np.abs(rho) ** 2 / op.ynorm ** 2
+    Ds = split_quad(S, xf, grid.nv).sum(axis=1) * grid.wv
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.diff(Es) / np.where(Es[:-1] > 0, Es[:-1], 1.0)
     max_inc = float(rel.max()) if rel.size else 0.0
@@ -447,10 +458,11 @@ def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):
             f"(y = {op.ynorm:.3g}, max relative increase {max_inc:.2e})",
             RuntimeWarning,
         )
+    us, ud = from_real(from_split(x[-1]))
     return ModeTrajectory(
         y=op.ynorm, l=l, dt=dt, t=ts, energy=Es,
         sigma_diss=Ds, max_rel_increase=max_inc, violations=viol,
-        final_state=(us[-1].copy(), ud[-1].copy()),
+        final_state=(us.copy(), ud.copy()),
     )
 
 

@@ -148,6 +148,27 @@ def test_collision_check_indefinite_sigma_block_exit1(tmp_path, monkeypatch, cap
     assert not (tmp_path / "o" / "collision_report.json").exists()
 
 
+def test_decay_corrupted_split_sigma_form_exit1(tmp_path, monkeypatch, capsys):
+    # split blocks of the sigma form that no longer match the velocity-grid
+    # norm are refused when they are built, before any mode is sampled
+    split_form = collision.split_form
+
+    def corrupted(form, nv):
+        S = split_form(form, nv)
+        return 1.5 * S if np.ndim(form.d) else S     # the sigma form: A has no diagonal
+    monkeypatch.setattr(collision, "split_form", corrupted)
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"decay": {"n_y": 4, "t_end": 20, "fit_lo": 5, "fit_hi": 20}}))
+    rc = run_cli(["decay", "--nv", "8", "--gamma", "0", "--config", str(tmp_path / "c.json"),
+                  "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "RuntimeError" in err and "split sigma form at l = 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "decay_report.json").exists()
+
+
 def test_outputs_independent_of_blas_thread_variables(tmp_path):
     # `import vplab` defaults OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1,
     # so runs with neither variable set write the bytes of runs with both at

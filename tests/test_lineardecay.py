@@ -1,8 +1,11 @@
 import tracemalloc
+import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from vplab import lineardecay
+from vplab.grid import NormSuite
 from vplab.lineardecay import (ModeOperator, evolve_mode, whole_space_decay,
                                default_mode_data, from_real, from_split, sectors,
                                split_blocks, split_matvec, split_sizes, to_real, to_split)
@@ -147,7 +150,9 @@ def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
         if k % samp == 0 or k == steps:
             us, ud = (from_real(from_split(w)) for w in ws)
             ts.append(t)
-            Es.append(op.mode_energy(us, ud, w2l))
+            rho = np.sqrt(2.0) * np.sum(asm8.maxw.sqrt_mu * ud) * asm8.grid.wv
+            Es.append(float(np.sum(w2l * (np.abs(us) ** 2 + np.abs(ud) ** 2)) * asm8.grid.wv)
+                      + abs(rho) ** 2 / op.ynorm ** 2)
             Ds.append(asm8.norms.sigma_sq_batch(np.stack([us, ud]), 0.0).sum())
         if k < steps:
             ws = [split_matvec(P, w) for P, w in zip(op.propagators(dt), ws)]
@@ -161,6 +166,70 @@ def test_strided_sweep_matches_stepping(asm8, t_end, n_samples, samp, rem):
     assert tr.violations == int(np.sum(np.diff(Es) / np.array(Es[:-1]) > 1e-11))
     # the final state is a copy, not a view pinning every sample
     assert all(f.base is None and f.flags.owndata for f in tr.final_state)
+
+
+def velocity_grid_samples(op, u0, dt, steps, samp, l):
+    """Oracle: the sweep's split samples mapped back to the velocity grid, with
+    the functional (the field energy from the species' charge) and the sigma
+    dissipation evaluated there."""
+    asm, wv = op.asm, op.asm.grid.wv
+    x = lineardecay._sector_samples(op.propagators(dt), sectors(u0), steps, samp)
+    u = from_real(from_split(x))                      # (samples, 2, n)
+    E = np.sum(asm.weight.pow(l) ** 2 * np.abs(u) ** 2, axis=(1, 2)) * wv
+    if op.ynorm > 0:
+        rho = np.sqrt(2.0) * np.sum(asm.maxw.sqrt_mu * u[:, 1], axis=-1) * wv
+        E = E + np.abs(rho) ** 2 / op.ynorm ** 2
+    return E, asm.norms.sigma_sq_batch(u, l).sum(axis=1), u[-1]
+
+
+@pytest.mark.parametrize("asm_name", ["asm8", "asm8_soft"])   # gamma 0, -2.5
+@pytest.mark.parametrize("y", [0.0, 0.7])
+@pytest.mark.parametrize("l", [0.0, 1.0])
+def test_split_basis_samples_match_velocity_grid(asm_name, y, l, request):
+    # the functional and the dissipation as split quadratic forms, and the
+    # final state, against the same states on the velocity grid
+    asm = request.getfixturevalue(asm_name)
+    op = ModeOperator([y, 0, 0], asm)
+    u0 = default_mode_data(asm, "mixed", 1e-3, seed=4)
+    dt, t_end, n_samples = 0.05, 10.3, 20                 # samp 10, 6 leftover steps
+    E, D, final = velocity_grid_samples(op, u0, dt, 206, 10, l)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # l = 1: the functional may grow
+        tr = evolve_mode(op, u0, dt, t_end, l, n_samples)
+    assert tr.energy.shape == E.shape == (22,)
+    np.testing.assert_allclose(tr.energy, E, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.sigma_diss, D, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.stack(tr.final_state), final, rtol=0,
+                               atol=1e-12 * np.abs(final).max())
+
+
+@pytest.mark.filterwarnings("ignore:mode functional increased:RuntimeWarning")   # l = 1
+def test_sweep_maps_back_one_state_and_checks_each_split_form_once(monkeypatch):
+    # evolve_mode maps back the final state of both sectors, never a sample
+    # stack, and each (assembly, l) builds and checks its split norms once
+    grid = build_grid(nv=8, nx=4)
+    asm = CollisionAssembly(grid, maxwellian(grid), 0.0)
+    mapped, checked = [], []
+    real_from_split, sigma_sq_batch = lineardecay.from_split, NormSuite.sigma_sq_batch
+
+    def recording_from_split(x):
+        mapped.append(x.shape)
+        return real_from_split(x)
+
+    def counting(self, G, l):
+        checked.append(float(l))
+        return sigma_sq_batch(self, G, l)
+    monkeypatch.setattr(lineardecay, "from_split", recording_from_split)
+    monkeypatch.setattr(NormSuite, "sigma_sq_batch", counting)
+    u0 = default_mode_data(asm, "mixed", 1e-3, seed=1)
+    tr = evolve_mode(ModeOperator([0.7, 0, 0], asm), u0, 0.05, 10.0, n_samples=20)
+    assert mapped == [(2, grid.n)] and tr.t.size == 21
+    kw = dict(m=0, data="mixed", n_y=3, t_end=20.0, fit_window=(5.0, 20.0), n_samples=20)
+    for l in (0.0, 1.0, 0.0, 1.0):
+        mapped.clear()
+        whole_space_decay(asm, l=l, **kw)
+        assert mapped == [(2, grid.n)] * 3
+    assert checked == [0.0, 1.0]
 
 
 def test_sigma_dissipation_samples_positive(asm8):
