@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import build_grid, maxwellian
+from .grid import build_grid, from_split, maxwellian, split_matvec, to_split
 from .collision import CollisionAssembly, assemble_sigma, coercivity_probe
 from .macroscopic import moment_residuals
-from .lineardecay import (default_y_max, from_split, split_matvec, to_split,
-                          whole_space_decay)
+from .lineardecay import default_y_max, whole_space_decay
 from .solver import (Simulation, TwoSpeciesField, make_initial_data,
                      energy_report, PsiWeight, energy_inequality_monitor,
                      check_propagator_budget, kept_modes)
@@ -347,8 +346,7 @@ def cmd_collision_check(cfg, out_dir, cfg_h, f_file):
     mw, asm = _assembly_from(cfg, g)
     res = asm.null_residuals()
     sig_fft = asm.sigma
-    sig_dir = assemble_sigma(g, mw, cfg["physics"]["gamma"], method="direct",
-                             kit=asm._kit)
+    sig_dir = assemble_sigma(g, mw, asm._kit, method="direct")
     sig_agree = float(np.abs(sig_fft - sig_dir).max())
     lam, prob = coercivity_probe(asm)       # raises unless lambda_h > 0
     # the probe and the mode propagators read K through the split blocks of

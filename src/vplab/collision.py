@@ -20,10 +20,9 @@ restores a physical dissipation rate at the grid scale.
 
 import numpy as np
 
-from .grid import NormSuite, VelocityForm, VelocityWeight, along
-from .lineardecay import (fold, fold_factor, from_split, split_blocks, split_entries,
-                          split_form, split_parity, split_quad, split_states, to_real,
-                          to_split)
+from .grid import (NormSuite, VelocityForm, VelocityWeight, along, fold, fold_factor,
+                   from_split, split_blocks, split_entries, split_form, split_parity,
+                   split_quad, split_states, to_real, to_split)
 from .macroscopic import null_basis_raw, orthonormalize
 
 PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -144,16 +143,14 @@ def _check_psd(sigma):
         )
 
 
-def assemble_sigma(grid, maxw, gamma, method="fft", kit=None):
+def assemble_sigma(grid, maxw, kit, method="fft"):
     """Diffusion coefficients sigma^{ij}(v) = int Phi^{ij}(v - v*) mu(v*) dv*.
 
     Returns the (6, n) table in PAIRS order. `method` selects the zero-padded
     FFT path or the direct windowed sum; the two agree to roundoff. `kit` is
-    the convolution kit of the kernel table (built for `gamma` when omitted).
+    the convolution kit of the kernel table.
     Raises if the 3x3 matrix at any node fails positive semidefiniteness.
     """
-    if kit is None:
-        kit = _ConvKit(grid, KernelTable(grid, gamma))
     if method == "fft":
         sigma = kit.components(maxw.mu)
     elif method == "direct":
@@ -194,7 +191,7 @@ class CollisionAssembly:
         self.norms = NormSuite(grid, self.weight)
         self.kernel = KernelTable(grid, gamma)
         self._kit = _ConvKit(grid, self.kernel)
-        self.sigma = assemble_sigma(grid, maxw, self.gamma, kit=self._kit)
+        self.sigma = assemble_sigma(grid, maxw, self._kit)
 
         # 1-D factors along one axis: sqrt_mu = s(v1) s(v2) s(v3), so C_j is
         # c1 = diag(s) d1 diag(1/s) along axis j, and the field term's
@@ -223,11 +220,11 @@ class CollisionAssembly:
 
     def build_K_dense(self):
         """K as the (+,+), (+,-) and (-,-) diagonal blocks of P K P^T, a (3, m, m)
-        array, m = n/4, P the parity fold of `lineardecay.to_split`. The (-,+)
+        array, m = n/4, P the parity fold of `grid.to_split`. The (-,+)
         block, the swap of (+,-), is not built.
 
         No n x n array is formed. Block p is sum_ij Cb_i^T Y_ij Cb_j: Cb_j =
-        diag(sqrt_mu) times C_j's 1-D factor in block p (`lineardecay.fold_factor`;
+        diag(sqrt_mu) times C_j's 1-D factor in block p (`grid.fold_factor`;
         C_2 and C_3 flip the parity of their own axis), applied along its axis
         of the folded (nv, h, h) grid, and Y_ij, as Phi^{ij} has a parity in
         each axis, is a gather along the v1 difference of a table holding, per
@@ -278,9 +275,9 @@ class CollisionAssembly:
     def sector_blocks(self):
         """(L_sum, L_diff) = (A + 2K, A) as a (2, L) array of their split blocks.
 
-        The diagonal blocks of Q^T L Q (`lineardecay.to_split`), laid out as
-        `lineardecay.split_blocks` views them: A's from its 1-D factors
-        (`lineardecay.split_form`), K's from its parity blocks
+        The diagonal blocks of Q^T L Q (`grid.to_split`), laid out as
+        `grid.split_blocks` views them: A's from its 1-D factors
+        (`grid.split_form`), K's from its parity blocks
         (`build_K_dense`). Built on the first call and kept.
         """
         if self._blocks is None:
@@ -378,7 +375,7 @@ def coercivity_probe(assembly):
     block-diagonalizes L into A + 2K and A) and split block by split block:
     -L and the sigma form S at l = 0 both commute with the v2 and v3
     reflections and the v2 <-> v3 swap, so in the basis of
-    `lineardecay.to_split` (Fassler & Stiefel 1992) the pencil is five
+    `grid.to_split` (Fassler & Stiefel 1992) the pencil is five
     dense blocks, the M block serving both parity blocks (+,-) and (-,+).
     Each Euclidean-orthonormal sector kernel vector has column norm 1 in one
     block and roundoff in the others, so a block of size m holds those with

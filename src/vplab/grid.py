@@ -1,4 +1,5 @@
-"""Phase-space grids, Maxwellian tables, velocity weights, and norms.
+"""Phase-space grids, Maxwellian tables, velocity weights, norms, and the
+symmetry-adapted basis of the velocity grid.
 
 The velocity domain is a truncated box [-vmax, vmax]^3 with a uniform
 cell-centered mesh (midpoint quadrature, exactly symmetric under v -> -v).
@@ -6,6 +7,8 @@ The spatial domain is one periodic axis x in [-lx, lx) with spectral
 differentiation. Fields over velocity are stored flattened in C order,
 index k = i1*nv^2 + i2*nv + i3.
 """
+
+import functools
 
 import numpy as np
 
@@ -63,8 +66,7 @@ class VelocityForm:
     X along velocity axis j; t is a (3, 3, n) table symmetric in j, k, and
     d an (n,) table or 0. The collision part A and the sigma form are both
     of this kind: `apply` serves A, `quad` the sigma norms, and
-    `lineardecay.split_form` builds their dense split blocks from the same
-    factors.
+    `split_form` builds their dense split blocks from the same factors.
     """
 
     def __init__(self, terms, d):
@@ -95,6 +97,279 @@ class VelocityForm:
             for j in range(3):
                 out = out + along(X.T, y[..., j, :], j)
         return out
+
+
+# The symmetry-adapted basis. The collision sectors, and with v.y = v1 y the
+# real form of each mode operator and its field term, commute with the v2
+# and v3 reflections and the swap v2 <-> v3, so each sector is five blocks
+# in the basis of `to_split` (Fassler & Stiefel 1992), held in one flat
+# float64 buffer (`split_blocks`) like every propagator.
+
+def split_sizes(nv):
+    """Swap-split sizes (s, a, m): m = nv h^2 rows per parity block, h = nv/2,
+    of which s = nv h (h + 1)/2 are swap-even (j2 <= j3) and a = nv h (h - 1)/2
+    swap-odd (j2 < j3)."""
+    h = nv // 2
+    return nv * h * (h + 1) // 2, nv * h * (h - 1) // 2, nv * h * h
+
+
+def split_entries(nv):
+    """Entries 2 s^2 + 2 a^2 + m^2 of one sector's swap-split blocks."""
+    s, a, m = split_sizes(nv)
+    return 2 * s * s + 2 * a * a + m * m
+
+
+def split_blocks(P, nv):
+    """Views (E, O, M) of swap-split block buffers P (..., L), L = `split_entries`.
+
+    E (..., 2, s, s): the swap-even parts of parity blocks (+,+) and (-,-);
+    O (..., 2, a, a): their swap-odd parts; M (..., m, m): block (+,-),
+    which serves block (-,+) as well.
+    """
+    s, a, m = split_sizes(nv)
+    lead, e, o = P.shape[:-1], 2 * s * s, 2 * (s * s + a * a)
+    return (P[..., :e].reshape(lead + (2, s, s)), P[..., e:o].reshape(lead + (2, a, a)),
+            P[..., o:].reshape(lead + (m, m)))
+
+
+def fold(u):
+    """Parity blocks (..., 4, a, h, h) of arrays u (..., a, nv, nv), h = nv/2.
+
+    The axes -2 and then -1 each map u to (u[h+j] + u[h-1-j], u[h+j] -
+    u[h-1-j]) / sqrt(2), j < h: the v2 and v3 reflections of a velocity
+    field (a = nv), or both sides of a 1-D factor (a = 1). Blocks (+,+),
+    (+,-), (-,+), (-,-); slices only, orthogonal, undone by `unfold`.
+    """
+    h = u.shape[-1] // 2
+    hi, lo = slice(h, None), slice(h - 1, None, -1)
+    p, q = u[..., hi, hi] + u[..., lo, hi], u[..., hi, hi] - u[..., lo, hi]
+    r, s = u[..., hi, lo] + u[..., lo, lo], u[..., hi, lo] - u[..., lo, lo]
+    out = np.empty(u.shape[:-3] + (4,) + p.shape[-3:], p.dtype)
+    np.add(p, r, out=out[..., 0, :, :, :])
+    np.subtract(p, r, out=out[..., 1, :, :, :])
+    np.add(q, s, out=out[..., 2, :, :, :])
+    np.subtract(q, s, out=out[..., 3, :, :, :])
+    out *= 0.5
+    return out
+
+
+def unfold(b):
+    """Arrays (..., a, nv, nv) from their parity blocks b (..., 4, a, h, h)."""
+    h = b.shape[-1]
+    hi, lo = slice(h, None), slice(h - 1, None, -1)
+    b0, b1, b2, b3 = (b[..., k, :, :, :] for k in range(4))
+    p, q, r, s = b0 + b1, b0 - b1, b2 + b3, b2 - b3
+    out = np.empty(b.shape[:-4] + b.shape[-3:-2] + (2 * h, 2 * h), b.dtype)
+    np.add(p, r, out=out[..., hi, hi])
+    np.add(q, s, out=out[..., hi, lo])
+    np.subtract(p, r, out=out[..., lo, hi])
+    np.subtract(q, s, out=out[..., lo, lo])
+    out *= 0.5
+    return out
+
+
+@functools.cache
+def _swap_tables(nv):
+    """Gathers of the swap split of a parity block (..., nv, h, h), h = nv/2.
+
+    Forward, on the flattened (j2, j3): the entries (j2, j3) and (j3, j2)
+    of each pair j2 <= j3 and of each pair j2 < j3, and the weights of the
+    swap-even part (1/2 on the diagonal, which is entered twice).
+    Inverse: per (j2, j3), its swap-even and swap-odd entries and weights.
+    """
+    h = nv // 2
+    iu, ju = np.triu_indices(h)
+    il, jl = np.triu_indices(h, 1)
+    ew = np.where(iu == ju, 0.5, np.sqrt(0.5))
+    te, to = np.zeros((h, h), int), np.zeros((h, h), int)
+    te[iu, ju] = te[ju, iu] = np.arange(iu.size)
+    to[il, jl] = to[jl, il] = np.arange(il.size)
+    ce = np.where(np.eye(h, dtype=bool), 1.0, np.sqrt(0.5))
+    co = np.sqrt(0.5) * np.sign(np.arange(h) - np.arange(h)[:, None])     # j2 < j3: +
+    return (iu * h + ju, ju * h + iu, ew, il * h + jl, jl * h + il), (te, ce, to, co)
+
+
+def _swap(b, axis=-1):
+    """Swap-even and swap-odd parts (x[j2, j3] +/- x[j3, j2]) / sqrt(2),
+    j2 < j3, and x[j, j] in the even part, of parity blocks b whose
+    flattened (j2, j3) is axis `axis`: h (h+1)/2 and h (h-1)/2 entries."""
+    h = round(b.shape[axis] ** 0.5)
+    fu, gu, ew, fl, gl = _swap_tables(2 * h)[0]
+    ew = ew.reshape((-1,) + (1,) * (b.ndim - 1 - axis % b.ndim))
+    return (ew * (np.take(b, fu, axis) + np.take(b, gu, axis)),
+            np.sqrt(0.5) * (np.take(b, fl, axis) - np.take(b, gl, axis)))
+
+
+def to_split(u):
+    """Q^T u: fields u (..., n) in the symmetry-adapted basis, laid out as
+    `split_states` views them.
+
+    The parity fold of the v2 and v3 reflections (`fold`, slices), then
+    the swap v2 <-> v3 (gathers): blocks (+,+) and (-,-) go to their
+    swap-even parts in E and swap-odd parts in O, and x_{+-}[i1, j2, j3]
+    and x_{-+}[i1, j3, j2] are the two columns of M. Orthogonal, so
+    `from_split` = Q undoes it.
+    """
+    nv = round(u.shape[-1] ** (1 / 3))
+    lead = u.shape[:-1]
+    b = fold(u.reshape(lead + (nv, nv, nv)))
+    out = np.empty(u.shape, np.result_type(u, float))
+    E, O, M = split_states(out, nv)
+    ev, od = _swap(b[..., ::3, :, :, :].reshape(lead + (2, nv, -1)))
+    E[..., 0] = ev.reshape(E.shape[:-1])
+    O[..., 0] = od.reshape(O.shape[:-1])
+    M[..., 0] = b[..., 1, :, :, :].reshape(M.shape[:-1])
+    M[..., 1] = b[..., 2, :, :, :].swapaxes(-1, -2).reshape(M.shape[:-1])
+    return out
+
+
+def from_split(x):
+    """Q x: fields (..., n) back from the symmetry-adapted basis (`to_split`)."""
+    nv = round(x.shape[-1] ** (1 / 3))
+    h, lead = nv // 2, x.shape[:-1]
+    te, ce, to, co = _swap_tables(nv)[1]
+    E, O, M = split_states(x, nv)
+    b = np.empty(lead + (4, nv, h, h), x.dtype)
+    e, o = E[..., 0].reshape(lead + (2, nv, -1)), O[..., 0].reshape(lead + (2, nv, -1))
+    b[..., ::3, :, :, :] = ce * np.take(e, te, axis=-1) + co * np.take(o, to, axis=-1)
+    b[..., 1, :, :, :] = M[..., 0].reshape(lead + (nv, h, h))
+    b[..., 2, :, :, :] = M[..., 1].reshape(lead + (nv, h, h)).swapaxes(-1, -2)
+    return unfold(b).reshape(x.shape)
+
+
+def split_states(x, nv):
+    """Views E (..., 2, s, k), O (..., 2, a, k), M (..., m, 2 k) of swap-split
+    states x (..., n k), k reals per entry, which the blocks of `split_blocks`
+    advance with one real product each: k = 2 for the float64 view of complex
+    states, real and imaginary parts as columns; k for a raveled (n, k) stack.
+    """
+    s, a, m = split_sizes(nv)
+    k = x.shape[-1] // (4 * m)
+    lead, e, o = x.shape[:-1], 2 * s * k, 2 * (s + a) * k
+    return (x[..., :e].reshape(lead + (2, s, k)), x[..., e:o].reshape(lead + (2, a, k)),
+            x[..., o:].reshape(lead + (m, 2 * k)))
+
+
+def split_parity(K, nv, out):
+    """Write the split blocks of the parity blocks K -- (+,+), (+,-) and (-,-),
+    m x m each, of a symmetric operator that commutes with the symmetry --
+    into the (L,) buffer out, laid out as `split_blocks` views it. K may be
+    any iterable of the three blocks, so only one need exist at a time."""
+    E, O, M = split_blocks(out, nv)
+    hh = (nv // 2) ** 2
+    for p, Kp in zip((0, 1, 3), K):
+        if p == 1:
+            M[...] = Kp
+            continue
+        ev, od = _swap(Kp.reshape(nv, hh, nv, hh))      # columns, then rows
+        E[p // 3] = _swap(ev, 1)[0].reshape(E.shape[-2:])
+        O[p // 3] = _swap(od, 1)[1].reshape(O.shape[-2:])
+    return out
+
+
+def fold_factor(X, axis, p):
+    """The 1-D factor X along velocity axis `axis` in parity block p: (x, q),
+    x the block of X that maps block p to block q. X is even or odd under
+    v -> -v; on the folded axes v2 and v3 an odd X flips that axis's parity
+    and x is an h x h block of the fold of X; along v1 it is X itself."""
+    if axis == 0:
+        return X, p
+    bit = 2 if axis == 1 else 1
+    F = fold(X[None])[:, 0]                            # (s', s) blocks of X
+    odd = bool(np.abs(F[1:3]).sum() > np.abs(F[::3]).sum())
+    s = int(bool(p & bit))
+    so = s ^ odd
+    return F[2 * so + s], (p & ~bit) | (bit if so else 0)
+
+
+def _einsum_terms(j, k):
+    """einsum subscripts (view of the (nv, h, h, nv, h, h) block, x_j, tau, x_k)
+    of X_j^T diag(tau) X_k between the 1-D factors along axes j and k."""
+    row, col = list("abc"), list("abc")
+    if j == k:
+        col[j] = "d"
+        xj, tau, xk = "r" + row[j], "".join("r" if a == j else row[a] for a in range(3)), "r" + col[j]
+        out = "abcd"
+    else:
+        col[j], col[k] = "d", "e"
+        xj, xk = col[j] + row[j], row[k] + col[k]
+        tau = "".join(col[j] if a == j else row[a] for a in range(3))
+        out = "abcde"
+    return "".join(row + col) + "->" + out, f"{xj},{tau},{xk}->{out}"
+
+
+def split_form(form, nv):
+    """The split blocks of Q^T F Q for a `VelocityForm` F that commutes
+    with the symmetry, as one (L,) buffer laid out as `split_blocks` views it.
+
+    Built fold-first, with no n x n array: in parity block p each 1-D
+    factor is a small block (`fold_factor`) and each table t_jk a diagonal
+    table between two parity blocks (its fold, times 1/2), so block p is
+    sum_jk Xb_j^T diag(tau_jk) Xb_k on the (nv, h, h) grid, and each term
+    fills a diagonal view of the (m, m) block with one einsum of its three
+    small factors.
+    """
+    h = nv // 2
+    m = nv * h * h
+    folds = [(X, 0.5 * fold(t.reshape(3, 3, nv, nv, nv))) for X, t in form.terms]
+
+    def block(p):
+        # T = (diag + sum_j term_jj) / 2 + sum_{j<k} term_jk, and the block is
+        # T + T^T, as term_kj = term_jk^T
+        T = np.zeros((m, m))
+        T6 = T.reshape(nv, h, h, nv, h, h)
+        if np.ndim(form.d):
+            np.einsum("abcabc->abc", T6)[...] += 0.25 * fold(form.d.reshape(nv, nv, nv))[0]
+        for (X, tau), (_, t) in zip(folds, form.terms):
+            xs = [fold_factor(X, a, p) for a in range(3)]
+            for j in range(3):
+                for k in range(j, 3):
+                    if j != k and not t[j, k].any():
+                        continue
+                    (xj, qj), (xk, qk) = xs[j], xs[k]
+                    view, expr = _einsum_terms(j, k)
+                    term = np.einsum(expr, xj, tau[j, k, qj ^ qk], xk)
+                    np.einsum(view, T6)[...] += 0.5 * term if j == k else term
+        return T + T.T
+
+    return split_parity(map(block, (0, 1, 3)), nv, np.empty(split_entries(nv)))
+
+
+def split_matvec(P, x):
+    """Swap-split blocks P (..., L) times complex swap-split states x (..., n).
+
+    One real product per block advances the real and imaginary parts (and
+    both columns of M) without a complex copy of P.
+    """
+    x = np.ascontiguousarray(x)
+    nv = round(x.shape[-1] ** (1 / 3))
+    out = np.empty_like(x)
+    for B, u, v in zip(split_blocks(P, nv), split_states(x.view(np.float64), nv),
+                       split_states(out.view(np.float64), nv)):
+        np.matmul(B, u, out=v)
+    return out
+
+
+def split_quad(S, x, nv):
+    """sum_b x_b^T S_b x_b per state of real split states x (..., n k), over
+    the blocks S (L,) of `split_form` and every column of `split_states`:
+    Re(u* F u) of u = Q x for complex states viewed as floats (k = 2)."""
+    lead = x.shape[:-1]
+    return sum(np.sum((u * (B @ u)).reshape(lead + (-1,)), axis=-1)
+               for B, u in zip(split_blocks(S, nv), split_states(x, nv)))
+
+
+_TC = 0.5 - 0.5j      # T = (I + R)/2 - i (I - R)/2 = _TC I + conj(_TC) R
+
+
+def to_real(u):
+    """T u: a complex field (..., n) in the coordinates of the real form."""
+    return _TC * u + np.conj(_TC) * u[..., ::-1]
+
+
+def from_real(w):
+    """T^{-1} w = T^H w: back from the real-form coordinates."""
+    return np.conj(_TC) * w + _TC * w[..., ::-1]
 
 
 class PhaseGrid:

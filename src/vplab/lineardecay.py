@@ -8,12 +8,13 @@ l = 0 decreases exactly along the flow; implicit-midpoint stepping
 preserves that decrease to roundoff.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import (from_real, from_split, split_blocks, split_quad, split_sizes, split_states,
+                   to_real, to_split)
 
 _SQ2 = np.sqrt(2.0)
 INCREASE_TOL = 1e-11       # functional increase per sample counted as a violation
@@ -22,7 +23,7 @@ INCREASE_TOL = 1e-11       # functional increase per sample counted as a violati
 class ModeOperator:
     """Real swap-split blocks of d/dt u = B(y) u at one spatial frequency.
 
-    y is the frequency on the torus axis: a scalar or a 3-vector (y, 0, 0).
+    y is the scalar frequency on the torus axis, the wave vector (y, 0, 0).
     The Poisson coupling uses phi_hat = |y|^{-2} (sqrt_mu, u_+ - u_-) for
     y != 0 and vanishes at y = 0, where B reduces to L.
 
@@ -30,34 +31,26 @@ class ModeOperator:
     sqrt_mu) in the difference sector. The velocity reversal R: v -> -v
     (`u[::-1]` on the cell-centred grid) commutes with L and anticommutes
     with Y, so the unitary map T = (I + R)/2 - i (I - R)/2 makes
-    T B T^{-1} = L - Y R real. `to_real`/`from_real` apply T and T^{-1}.
+    T B T^{-1} = L - Y R real. `grid.to_real`/`from_real` apply T and T^{-1}.
 
-    With v.y = v1 y, the real form and the field term also commute with the
-    v2 and v3 reflections and the swap v2 <-> v3, so each sector is five
-    blocks in the basis of `to_split` (Fassler & Stiefel 1992), held
-    in one flat float64 buffer (`split_blocks`) like every propagator: `Bs`/`Bd`
-    start from the assembly's `sector_blocks`, written into `out` if given. In parity
-    block (s2, s3), R acts as s2 s3 times the reversal of i1, so the
-    transport term lies on each block's i1-reversed anti-diagonal; the field
-    term lives in the swap-even (+,+) block of the difference sector alone.
+    Each sector is the five blocks of the symmetry-adapted basis of
+    `grid.to_split`: `Bs`/`Bd` start from the assembly's `sector_blocks`,
+    written into `out` if given. In parity block (s2, s3), R acts as s2 s3
+    times the reversal of i1, so the transport term lies on each block's
+    i1-reversed anti-diagonal; the field term lives in the swap-even (+,+)
+    block of the difference sector alone.
     """
 
     def __init__(self, y, assembly, out=None):
         self.asm = assembly
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.size == 1:
-            y = np.array([float(y[0]), 0.0, 0.0])
-        if y[1] != 0 or y[2] != 0:
-            raise ValueError(f"ModeOperator: y = {y.tolist()} is off the torus axis; "
-                             "the parity blocks need y = (y, 0, 0)")
-        self.y = y
-        self.ynorm = float(np.linalg.norm(y))
+        self.y = y = float(y)
+        self.ynorm = abs(y)
         grid = assembly.grid
         self.nv = nv = grid.nv
         self.B = np.empty_like(assembly.sector_blocks()) if out is None else out
         self.B[...] = assembly.sector_blocks()
         self.Bs, self.Bd = self.B
-        vy = grid.v1d * y[0]
+        vy = grid.v1d * y
         for buf in self.B:
             E, O, M = split_blocks(buf, nv)
             # -s2 s3 v1 y on the i1-reversed anti-diagonal, one row of i1 each
@@ -66,7 +59,7 @@ class ModeOperator:
                 X[..., rows, rows[::-1]] -= sign * vy[:, None]
         if self.ynorm > 0:
             smu, s = assembly.maxw.sqrt_mu, split_sizes(nv)[0]
-            a, b = to_split(np.stack([grid.v[0] * y[0] * smu, smu]))[:, :s]
+            a, b = to_split(np.stack([grid.v[0] * y * smu, smu]))[:, :s]
             split_blocks(self.Bd, nv)[0][0] -= (2.0 * grid.wv / self.ynorm ** 2) * np.outer(a, b)
         self._props = {}
 
@@ -101,279 +94,10 @@ def sectors(f):
     return np.stack([f[0] + f[1], f[0] - f[1]]) / _SQ2
 
 
-def split_sizes(nv):
-    """Swap-split sizes (s, a, m): m = nv h^2 rows per parity block, h = nv/2,
-    of which s = nv h (h + 1)/2 are swap-even (j2 <= j3) and a = nv h (h - 1)/2
-    swap-odd (j2 < j3)."""
-    h = nv // 2
-    return nv * h * (h + 1) // 2, nv * h * (h - 1) // 2, nv * h * h
-
-
-def split_entries(nv):
-    """Entries 2 s^2 + 2 a^2 + m^2 of one sector's swap-split blocks."""
-    s, a, m = split_sizes(nv)
-    return 2 * s * s + 2 * a * a + m * m
-
-
-def split_blocks(P, nv):
-    """Views (E, O, M) of swap-split block buffers P (..., L), L = `split_entries`.
-
-    E (..., 2, s, s): the swap-even parts of parity blocks (+,+) and (-,-);
-    O (..., 2, a, a): their swap-odd parts; M (..., m, m): block (+,-),
-    which serves block (-,+) as well.
-    """
-    s, a, m = split_sizes(nv)
-    lead, e, o = P.shape[:-1], 2 * s * s, 2 * (s * s + a * a)
-    return (P[..., :e].reshape(lead + (2, s, s)), P[..., e:o].reshape(lead + (2, a, a)),
-            P[..., o:].reshape(lead + (m, m)))
-
-
-def fold(u):
-    """Parity blocks (..., 4, a, h, h) of arrays u (..., a, nv, nv), h = nv/2.
-
-    The axes -2 and then -1 each map u to (u[h+j] + u[h-1-j], u[h+j] -
-    u[h-1-j]) / sqrt(2), j < h: the v2 and v3 reflections of a velocity
-    field (a = nv), or both sides of a 1-D factor (a = 1). Blocks (+,+),
-    (+,-), (-,+), (-,-); slices only, orthogonal, undone by `unfold`.
-    """
-    h = u.shape[-1] // 2
-    hi, lo = slice(h, None), slice(h - 1, None, -1)
-    p, q = u[..., hi, hi] + u[..., lo, hi], u[..., hi, hi] - u[..., lo, hi]
-    r, s = u[..., hi, lo] + u[..., lo, lo], u[..., hi, lo] - u[..., lo, lo]
-    out = np.empty(u.shape[:-3] + (4,) + p.shape[-3:], p.dtype)
-    np.add(p, r, out=out[..., 0, :, :, :])
-    np.subtract(p, r, out=out[..., 1, :, :, :])
-    np.add(q, s, out=out[..., 2, :, :, :])
-    np.subtract(q, s, out=out[..., 3, :, :, :])
-    out *= 0.5
-    return out
-
-
-def unfold(b):
-    """Arrays (..., a, nv, nv) from their parity blocks b (..., 4, a, h, h)."""
-    h = b.shape[-1]
-    hi, lo = slice(h, None), slice(h - 1, None, -1)
-    b0, b1, b2, b3 = (b[..., k, :, :, :] for k in range(4))
-    p, q, r, s = b0 + b1, b0 - b1, b2 + b3, b2 - b3
-    out = np.empty(b.shape[:-4] + b.shape[-3:-2] + (2 * h, 2 * h), b.dtype)
-    np.add(p, r, out=out[..., hi, hi])
-    np.add(q, s, out=out[..., hi, lo])
-    np.subtract(p, r, out=out[..., lo, hi])
-    np.subtract(q, s, out=out[..., lo, lo])
-    out *= 0.5
-    return out
-
-
-@functools.cache
-def _swap_tables(nv):
-    """Gathers of the swap split of a parity block (..., nv, h, h), h = nv/2.
-
-    Forward, on the flattened (j2, j3): the entries (j2, j3) and (j3, j2)
-    of each pair j2 <= j3 and of each pair j2 < j3, and the weights of the
-    swap-even part (1/2 on the diagonal, which is entered twice).
-    Inverse: per (j2, j3), its swap-even and swap-odd entries and weights.
-    """
-    h = nv // 2
-    iu, ju = np.triu_indices(h)
-    il, jl = np.triu_indices(h, 1)
-    ew = np.where(iu == ju, 0.5, np.sqrt(0.5))
-    te, to = np.zeros((h, h), int), np.zeros((h, h), int)
-    te[iu, ju] = te[ju, iu] = np.arange(iu.size)
-    to[il, jl] = to[jl, il] = np.arange(il.size)
-    ce = np.where(np.eye(h, dtype=bool), 1.0, np.sqrt(0.5))
-    co = np.sqrt(0.5) * np.sign(np.arange(h) - np.arange(h)[:, None])     # j2 < j3: +
-    return (iu * h + ju, ju * h + iu, ew, il * h + jl, jl * h + il), (te, ce, to, co)
-
-
-def _swap(b, axis=-1):
-    """Swap-even and swap-odd parts (x[j2, j3] +/- x[j3, j2]) / sqrt(2),
-    j2 < j3, and x[j, j] in the even part, of parity blocks b whose
-    flattened (j2, j3) is axis `axis`: h (h+1)/2 and h (h-1)/2 entries."""
-    h = round(b.shape[axis] ** 0.5)
-    fu, gu, ew, fl, gl = _swap_tables(2 * h)[0]
-    ew = ew.reshape((-1,) + (1,) * (b.ndim - 1 - axis % b.ndim))
-    return (ew * (np.take(b, fu, axis) + np.take(b, gu, axis)),
-            np.sqrt(0.5) * (np.take(b, fl, axis) - np.take(b, gl, axis)))
-
-
-def to_split(u):
-    """Q^T u: fields u (..., n) in the symmetry-adapted basis, laid out as
-    `split_states` views them.
-
-    The parity fold of the v2 and v3 reflections (`fold`, slices), then
-    the swap v2 <-> v3 (gathers): blocks (+,+) and (-,-) go to their
-    swap-even parts in E and swap-odd parts in O, and x_{+-}[i1, j2, j3]
-    and x_{-+}[i1, j3, j2] are the two columns of M. Orthogonal, so
-    `from_split` = Q undoes it.
-    """
-    nv = round(u.shape[-1] ** (1 / 3))
-    lead = u.shape[:-1]
-    b = fold(u.reshape(lead + (nv, nv, nv)))
-    out = np.empty(u.shape, np.result_type(u, float))
-    E, O, M = split_states(out, nv)
-    ev, od = _swap(b[..., ::3, :, :, :].reshape(lead + (2, nv, -1)))
-    E[..., 0] = ev.reshape(E.shape[:-1])
-    O[..., 0] = od.reshape(O.shape[:-1])
-    M[..., 0] = b[..., 1, :, :, :].reshape(M.shape[:-1])
-    M[..., 1] = b[..., 2, :, :, :].swapaxes(-1, -2).reshape(M.shape[:-1])
-    return out
-
-
-def from_split(x):
-    """Q x: fields (..., n) back from the symmetry-adapted basis (`to_split`)."""
-    nv = round(x.shape[-1] ** (1 / 3))
-    h, lead = nv // 2, x.shape[:-1]
-    te, ce, to, co = _swap_tables(nv)[1]
-    E, O, M = split_states(x, nv)
-    b = np.empty(lead + (4, nv, h, h), x.dtype)
-    e, o = E[..., 0].reshape(lead + (2, nv, -1)), O[..., 0].reshape(lead + (2, nv, -1))
-    b[..., ::3, :, :, :] = ce * np.take(e, te, axis=-1) + co * np.take(o, to, axis=-1)
-    b[..., 1, :, :, :] = M[..., 0].reshape(lead + (nv, h, h))
-    b[..., 2, :, :, :] = M[..., 1].reshape(lead + (nv, h, h)).swapaxes(-1, -2)
-    return unfold(b).reshape(x.shape)
-
-
-def split_states(x, nv):
-    """Views E (..., 2, s, k), O (..., 2, a, k), M (..., m, 2 k) of swap-split
-    states x (..., n k), k reals per entry, which the blocks of `split_blocks`
-    advance with one real product each: k = 2 for the float64 view of complex
-    states, real and imaginary parts as columns; k for a raveled (n, k) stack.
-    """
-    s, a, m = split_sizes(nv)
-    k = x.shape[-1] // (4 * m)
-    lead, e, o = x.shape[:-1], 2 * s * k, 2 * (s + a) * k
-    return (x[..., :e].reshape(lead + (2, s, k)), x[..., e:o].reshape(lead + (2, a, k)),
-            x[..., o:].reshape(lead + (m, 2 * k)))
-
-
-def split_parity(K, nv, out):
-    """Write the split blocks of the parity blocks K -- (+,+), (+,-) and (-,-),
-    m x m each, of a symmetric operator that commutes with the symmetry --
-    into the (L,) buffer out, laid out as `split_blocks` views it. K may be
-    any iterable of the three blocks, so only one need exist at a time."""
-    E, O, M = split_blocks(out, nv)
-    hh = (nv // 2) ** 2
-    for p, Kp in zip((0, 1, 3), K):
-        if p == 1:
-            M[...] = Kp
-            continue
-        ev, od = _swap(Kp.reshape(nv, hh, nv, hh))      # columns, then rows
-        E[p // 3] = _swap(ev, 1)[0].reshape(E.shape[-2:])
-        O[p // 3] = _swap(od, 1)[1].reshape(O.shape[-2:])
-    return out
-
-
-def fold_factor(X, axis, p):
-    """The 1-D factor X along velocity axis `axis` in parity block p: (x, q),
-    x the block of X that maps block p to block q. X is even or odd under
-    v -> -v; on the folded axes v2 and v3 an odd X flips that axis's parity
-    and x is an h x h block of the fold of X; along v1 it is X itself."""
-    if axis == 0:
-        return X, p
-    bit = 2 if axis == 1 else 1
-    F = fold(X[None])[:, 0]                            # (s', s) blocks of X
-    odd = bool(np.abs(F[1:3]).sum() > np.abs(F[::3]).sum())
-    s = int(bool(p & bit))
-    so = s ^ odd
-    return F[2 * so + s], (p & ~bit) | (bit if so else 0)
-
-
-def _einsum_terms(j, k):
-    """einsum subscripts (view of the (nv, h, h, nv, h, h) block, x_j, tau, x_k)
-    of X_j^T diag(tau) X_k between the 1-D factors along axes j and k."""
-    row, col = list("abc"), list("abc")
-    if j == k:
-        col[j] = "d"
-        xj, tau, xk = "r" + row[j], "".join("r" if a == j else row[a] for a in range(3)), "r" + col[j]
-        out = "abcd"
-    else:
-        col[j], col[k] = "d", "e"
-        xj, xk = col[j] + row[j], row[k] + col[k]
-        tau = "".join(col[j] if a == j else row[a] for a in range(3))
-        out = "abcde"
-    return "".join(row + col) + "->" + out, f"{xj},{tau},{xk}->{out}"
-
-
-def split_form(form, nv):
-    """The split blocks of Q^T F Q for a `grid.VelocityForm` F that commutes
-    with the symmetry, as one (L,) buffer laid out as `split_blocks` views it.
-
-    Built fold-first, with no n x n array: in parity block p each 1-D
-    factor is a small block (`fold_factor`) and each table t_jk a diagonal
-    table between two parity blocks (its fold, times 1/2), so block p is
-    sum_jk Xb_j^T diag(tau_jk) Xb_k on the (nv, h, h) grid, and each term
-    fills a diagonal view of the (m, m) block with one einsum of its three
-    small factors.
-    """
-    h = nv // 2
-    m = nv * h * h
-    folds = [(X, 0.5 * fold(t.reshape(3, 3, nv, nv, nv))) for X, t in form.terms]
-
-    def block(p):
-        # T = (diag + sum_j term_jj) / 2 + sum_{j<k} term_jk, and the block is
-        # T + T^T, as term_kj = term_jk^T
-        T = np.zeros((m, m))
-        T6 = T.reshape(nv, h, h, nv, h, h)
-        if np.ndim(form.d):
-            np.einsum("abcabc->abc", T6)[...] += 0.25 * fold(form.d.reshape(nv, nv, nv))[0]
-        for (X, tau), (_, t) in zip(folds, form.terms):
-            xs = [fold_factor(X, a, p) for a in range(3)]
-            for j in range(3):
-                for k in range(j, 3):
-                    if j != k and not t[j, k].any():
-                        continue
-                    (xj, qj), (xk, qk) = xs[j], xs[k]
-                    view, expr = _einsum_terms(j, k)
-                    term = np.einsum(expr, xj, tau[j, k, qj ^ qk], xk)
-                    np.einsum(view, T6)[...] += 0.5 * term if j == k else term
-        return T + T.T
-
-    return split_parity(map(block, (0, 1, 3)), nv, np.empty(split_entries(nv)))
-
-
-def split_matvec(P, x):
-    """Swap-split blocks P (..., L) times complex swap-split states x (..., n).
-
-    One real product per block advances the real and imaginary parts (and
-    both columns of M) without a complex copy of P.
-    """
-    x = np.ascontiguousarray(x)
-    nv = round(x.shape[-1] ** (1 / 3))
-    out = np.empty_like(x)
-    for B, u, v in zip(split_blocks(P, nv), split_states(x.view(np.float64), nv),
-                       split_states(out.view(np.float64), nv)):
-        np.matmul(B, u, out=v)
-    return out
-
-
-def split_quad(S, x, nv):
-    """sum_b x_b^T S_b x_b per state of real split states x (..., n k), over
-    the blocks S (L,) of `split_form` and every column of `split_states`:
-    Re(u* F u) of u = Q x for complex states viewed as floats (k = 2)."""
-    lead = x.shape[:-1]
-    return sum(np.sum((u * (B @ u)).reshape(lead + (-1,)), axis=-1)
-               for B, u in zip(split_blocks(S, nv), split_states(x, nv)))
-
-
-_TC = 0.5 - 0.5j      # T = (I + R)/2 - i (I - R)/2 = _TC I + conj(_TC) R
-
-
-def to_real(u):
-    """T u: a complex field (..., n) in the coordinates of the real form."""
-    return _TC * u + np.conj(_TC) * u[..., ::-1]
-
-
-def from_real(w):
-    """T^{-1} w = T^H w: back from the real-form coordinates."""
-    return np.conj(_TC) * w + _TC * w[..., ::-1]
-
-
 @dataclass
 class ModeTrajectory:
     """Sampled mode evolution: times, functional, sigma-norm dissipation."""
     y: float
-    l: float
-    dt: float
     t: np.ndarray
     energy: np.ndarray
     sigma_diss: np.ndarray
@@ -460,7 +184,7 @@ def evolve_mode(op, u0, dt, t_end, l=0.0, n_samples=80):
         )
     us, ud = from_real(from_split(x[-1]))
     return ModeTrajectory(
-        y=op.ynorm, l=l, dt=dt, t=ts, energy=Es,
+        y=op.ynorm, t=ts, energy=Es,
         sigma_diss=Ds, max_rel_increase=max_inc, violations=viol,
         final_state=(us.copy(), ud.copy()),
     )
@@ -537,10 +261,12 @@ def whole_space_decay(assembly, m=0, l=0.0, l_star=None, data="macroscopic",
     ys = np.geomspace(y_min, y_max, n_y)
     u0 = default_mode_data(assembly, data, 1e-3, seed)
     trajs = []
+    ws = np.empty_like(assembly.sector_blocks())     # each mode's B, then in place its propagators
     with np.errstate(over="ignore", invalid="ignore"):      # refused below instead
         for y in ys:
             dt = 0.05 * min(1.0, 1.0 / y)
-            op = ModeOperator([y, 0, 0], assembly)
+            op = ModeOperator(y, assembly, out=ws)
+            op.propagators(dt, out=ws)                      # evolve_mode's call hits the cache
             trajs.append(evolve_mode(op, u0, dt, t_end, l, n_samples))
     if not all(np.isfinite(tr.energy).all() and np.isfinite(tr.sigma_diss).all()
                for tr in trajs):

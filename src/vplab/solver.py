@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import GammaOp
-from .grid import along
-from .lineardecay import (ModeOperator, from_real, from_split, sectors, split_entries,
-                          split_matvec, split_sizes, to_real, to_split)
+from .grid import (along, from_real, from_split, split_entries, split_matvec, split_sizes,
+                   to_real, to_split)
+from .lineardecay import ModeOperator, sectors
 from .macroscopic import MacroProjector, solve_poisson, div_E_residual
 
 
@@ -176,7 +176,7 @@ def make_initial_data(grid, maxw, kind="macroscopic", amplitude=1e-3, mode=1,
 def propagator_bytes(grid):
     """Bytes of the per-mode propagators of `grid`: per mode the 2/3 rule keeps
     (`kept_modes`), two sectors of swap-split float64 blocks, 2 s^2 + 2 a^2 + m^2
-    entries each (`lineardecay.split_sizes`)."""
+    entries each (`grid.split_sizes`)."""
     return kept_modes(grid.nx) * 2 * split_entries(grid.nv) * 8
 
 
@@ -225,7 +225,7 @@ class Simulation:
         self._props = np.empty((2, self.kept, split_entries(self.grid.nv)))
         for k, y in enumerate(self.grid.kx_r[:self.kept]):
             P = self._props[:, k]
-            ModeOperator([y, 0.0, 0.0], assembly, out=P).propagators(self.dt, out=P)
+            ModeOperator(y, assembly, out=P).propagators(self.dt, out=P)
         smu = self.maxw.sqrt_mu
         self._mass_dir = smu / np.sqrt(np.sum(smu ** 2) * self.grid.wv)
 

@@ -116,7 +116,6 @@ def make_symbol(kind, gamma=-1.0, K0=1.0, delta1=0.5, y=1.0, nv=33, custom=None)
 class QuantizedOperator:
     """Dense realization of op_t(a) on the velocity grid."""
     matrix: np.ndarray
-    t: float
     hermiticity_defect: float
 
 
@@ -144,13 +143,12 @@ def quantize(sym, t=0.5):
     defect = float(np.abs(M - M.conj().T).max())
     if t == 0.5 and np.isrealobj(sym.values):
         M = 0.5 * (M + M.conj().T)
-    return QuantizedOperator(matrix=M, t=t, hermiticity_defect=defect)
+    return QuantizedOperator(matrix=M, hermiticity_defect=defect)
 
 
 def operator_norm_probe(op):
     """Largest singular value, exact: the dense 2-norm (quantize caps nv at 64)."""
-    M = op.matrix if isinstance(op, QuantizedOperator) else np.asarray(op)
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(op.matrix, 2))
 
 
 def bracket_decomposition_check(y, gamma=-1.0, fd_step=None):

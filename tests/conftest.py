@@ -12,8 +12,7 @@ import scipy.sparse as sp
 
 from vplab import build_grid, maxwellian, CollisionAssembly
 from vplab.collision import PAIRS, STAB, pair_of
-from vplab.grid import _diff1d, _diff4_1d
-from vplab.lineardecay import split_blocks, split_entries, split_sizes
+from vplab.grid import _diff1d, _diff4_1d, split_blocks, split_entries, split_sizes
 
 
 def kernel_matrix(asm, k):

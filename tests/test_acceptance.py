@@ -125,7 +125,7 @@ def test_criterion_05_mode_monotonicity(asm8):
     max_inc = 0.0
     for y in ys:
         dt = 0.05 * min(1.0, 1.0 / y)
-        op = ModeOperator([y, 0, 0], asm8)
+        op = ModeOperator(y, asm8)
         tr = evolve_mode(op, u0, dt, 30.0, n_samples=120)
         viol_total += tr.violations
         if y <= 1.0:
@@ -212,7 +212,7 @@ def test_criterion_08_cross_module_equivalence(asm8):
     for _ in range(200):
         sim.step(st)
     fh = np.fft.rfft(st.f, axis=1)[:, 1, :]
-    op = ModeOperator([1.0, 0, 0], asm8)
+    op = ModeOperator(1.0, asm8)
     tr = evolve_mode(op, u0, 0.05, 10.0, n_samples=1)
     us, ud = tr.final_state
     u_fin = np.stack([(us + ud) / np.sqrt(2), (us - ud) / np.sqrt(2)])

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vplab import build_grid, maxwellian, CollisionAssembly, assemble_sigma, \
     coercivity_probe, ModeOperator
 from vplab.collision import GammaOp, KernelTable, pair_of, _ConvKit, PROBE_TOL
-from vplab.grid import _diff1d
-from vplab.lineardecay import split_blocks, split_entries, split_form, split_states, to_split
+from vplab.grid import _diff1d, split_blocks, split_entries, split_form, split_states, to_split
 from vplab.macroscopic import MacroProjector
 
 from conftest import (dense_A, dense_K, dense_S, dense_sectors, folded, kernel_matrix,
@@ -64,7 +63,7 @@ def test_sigma_against_fine_quadrature():
     # sigma^{11} near v = (2,0,0), gamma = 0, vs a refined direct sum
     g = build_grid(nv=16, vmax=6.0, nx=8)
     mw = maxwellian(g)
-    sig = assemble_sigma(g, mw, 0.0)
+    sig = assemble_sigma(g, mw, _ConvKit(g, KernelTable(g, 0.0)))
     node = np.argmin(np.abs(g.v[0] - 2.0) + np.abs(g.v[1]) + np.abs(g.v[2]))
     vstar = g.v[:, node]
     gf = build_grid(nv=64, vmax=6.0, nx=8)
@@ -81,8 +80,9 @@ def test_sigma_fft_vs_direct():
         g = build_grid(nv=nv, vmax=6.0, nx=4)
         mw = maxwellian(g)
         for gamma in (0.0, -2.5):
-            s_fft = assemble_sigma(g, mw, gamma, method="fft")
-            s_dir = assemble_sigma(g, mw, gamma, method="direct")
+            kit = _ConvKit(g, KernelTable(g, gamma))
+            s_fft = assemble_sigma(g, mw, kit, method="fft")
+            s_dir = assemble_sigma(g, mw, kit, method="direct")
             assert np.abs(s_fft - s_dir).max() < 1e-10
 
 
@@ -94,7 +94,7 @@ def test_direct_sigma_allocates_no_pair_table():
     kit = _ConvKit(g, KernelTable(g, 0.0))
     tracemalloc.start()
     try:
-        assemble_sigma(g, mw, 0.0, method="direct", kit=kit)
+        assemble_sigma(g, mw, kit, method="direct")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -168,7 +168,7 @@ def test_K_matrix_free_matches_dense(grid8, maxw8):
 def test_dense_sectors_hold_two_matrices(asm8):
     # once a mode operator is built, (A + 2K, A) are kept as one (2, L) array
     # of split blocks, 2 K apart; no dense n x n matrix is
-    ModeOperator([0.5, 0, 0], asm8)
+    ModeOperator(0.5, asm8)
     nv, n = asm8.grid.nv, asm8.grid.n
     held = [v for v in vars(asm8).values() if isinstance(v, np.ndarray)]
     assert not [a for a in held if a.shape == (n, n)]
@@ -559,8 +559,8 @@ def test_sigma_fft_vs_direct_twiddle_accuracy():
         g = build_grid(nv=nv, vmax=6.0, nx=4)
         mw = maxwellian(g)
         kit = _ConvKit(g, KernelTable(g, 0.0))
-        s_fft = assemble_sigma(g, mw, 0.0, method="fft", kit=kit)
-        s_dir = assemble_sigma(g, mw, 0.0, method="direct", kit=kit)
+        s_fft = assemble_sigma(g, mw, kit, method="fft")
+        s_dir = assemble_sigma(g, mw, kit, method="direct")
         assert np.abs(s_fft - s_dir).max() <= 3e-13
 
 

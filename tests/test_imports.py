@@ -8,8 +8,11 @@ are re-exports and count as used.
 
 Importing the package and its CLI does not load scipy, and neither does any
 command: vplab runs on numpy alone.
+
+The modules form layers, and each imports only the layers below it.
 """
 
+import ast
 import importlib
 import json
 import subprocess
@@ -18,6 +21,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vplab"
+LAYERS = ("grid", "macroscopic", "collision", "lineardecay", "solver", "weyl", "cli")
 
 
 def _outer_uses(table):
@@ -91,3 +95,26 @@ def test_parameter_shadowing_an_import_is_not_a_use():
            "def f(field):\n"
            "    return np.asarray(field)\n")
     assert unused_imports(symtable.symtable(src, "m.py", "exec")) == [("top", "field")]
+
+
+def relative_imports(source):
+    """Modules of the package that `source` imports, at module level or in
+    any function: `from .m import x` names m, `from . import m` names m."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_each_module_imports_only_lower_layers():
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+    imports = {mod: relative_imports((SRC / f"{mod}.py").read_text(encoding="utf-8"))
+               for mod in LAYERS}
+    # nested and package imports count: weyl's function-local
+    # `from .solver import PsiWeight`, cli's `from . import weyl`
+    assert "solver" in imports["weyl"] and "weyl" in imports["cli"]
+    upward = {(mod, dep) for mod, deps in imports.items() for dep in deps
+              if LAYERS.index(dep) >= LAYERS.index(mod)}
+    assert upward == set()

@@ -77,7 +77,7 @@ def test_cross_module_equivalence_quick(sim_env):
     fh = np.fft.rfft(st.f, axis=1)
     assert np.abs(fh[:, K:]).max() < 1e-14 * np.abs(u0).max()
     for j, k in enumerate(g.kx_r[:K]):
-        tr = evolve_mode(ModeOperator([k, 0, 0], asm), u0[:, j], 0.05, 2.0, n_samples=1)
+        tr = evolve_mode(ModeOperator(k, asm), u0[:, j], 0.05, 2.0, n_samples=1)
         us, ud = tr.final_state
         u_fin = np.stack([(us + ud) / np.sqrt(2), (us - ud) / np.sqrt(2)])
         assert np.abs(fh[:, j] - u_fin).max() < 1e-10 * np.abs(u0).max(), j
