@@ -62,12 +62,13 @@ class KernelTable:
             P[znorm == 0] = 0.0
             tabs.append(P)
         self.phi = np.stack(tabs)           # (6, 2nv-1, 2nv-1, 2nv-1)
-        self.side = 2 * nv - 1
 
 
 class _ConvKit:
-    """Zero-padded (2nv)^3 DFT convolution with the six kernel components.
+    """DFT convolution with the six kernel components, 2nv - 1 per axis.
 
+    A kept output a + nv - 1 reads kernel offsets in [0, 2nv - 2], so it
+    never wraps (the valid part of overlap-save, Oppenheim and Schafer).
     Each input field is transformed once; the kernel acts on its spectrum
     through the precomputed component spectra Phi^{ij}-hat (the structure of
     the fast spectral Landau solvers of Pareschi, Russo and Toscani), so the
@@ -81,29 +82,25 @@ class _ConvKit:
     def __init__(self, grid, kernel):
         self.kernel = kernel
         self.nv = nv = grid.nv
-        m = 2 * nv
-        pad = np.zeros((6, m, m, m))
-        s = kernel.side
-        pad[:, :s, :s, :s] = kernel.phi
-        self.khat = np.fft.rfftn(pad, axes=(-3, -2, -1)).transpose(0, 3, 2, 1).copy()
-        # every twiddle from one table, indexed by (j k) mod 2nv: np.exp of the
-        # raw product j k put the FFT sigma up to 4x farther from the direct sum
+        m = 2 * nv - 1
+        self.khat = np.fft.rfftn(kernel.phi, axes=(-3, -2, -1)).transpose(0, 3, 2, 1).copy()
+        # every twiddle from one table, indexed by (j k) mod 2nv - 1: np.exp of
+        # the raw product j k put the FFT sigma up to 4x farther from the direct sum
         w = np.exp(-2j * np.pi * np.arange(m) / m)
         j, k = np.arange(nv), np.arange(m)
         self.F = w[np.outer(j, k) % m]                                  # (nv, m)
-        self.Fint = self.F[:, :nv + 1].copy().view(float)              # cos, -sin
+        self.Fint = self.F[:, :nv].copy().view(float)                  # cos, -sin
         keep = np.outer(k, j + nv - 1) % m
         self.G = w.conj()[keep] / m                                     # (m, nv)
         # the c2r pass: Re(X conj w) = Re X Re w + Im X Im w, weighted 1, 2, ...,
-        # 2, 1 and by wv; irfft ignores Im X at k = 0 and nv
-        c = np.full(nv + 1, 2.0)
-        c[[0, nv]] = 1.0
-        wk = w[keep[:nv + 1]] * (c * grid.wv / m)[:, None]
-        wk.imag[[0, nv]] = 0.0
-        self.Gint = np.stack([wk.real, wk.imag], axis=1).reshape(-1, nv)  # (2(nv+1), nv)
+        # 2 (m is odd: no Nyquist term) and by wv; w = 1 at k = 0
+        c = np.full(nv, 2.0)
+        c[0] = 1.0
+        wk = w[keep[:nv]] * (c * grid.wv / m)[:, None]
+        self.Gint = np.stack([wk.real, wk.imag], axis=1).reshape(-1, nv)  # (2nv, nv)
 
     def _forward(self, g):
-        """Spectra (..., nv+1, 2nv, 2nv) of the zero-padded real fields g (..., nv^3)."""
+        """Spectra (..., nv, 2nv-1, 2nv-1) of the real fields g (..., nv^3)."""
         nv = self.nv
         a = (g.reshape(g.shape[:-1] + (nv, nv, nv)) @ self.Fint).view(complex)
         a = a.swapaxes(-1, -2) @ self.F                  # (..., j1, k3, k2)
@@ -146,7 +143,7 @@ def _check_psd(sigma):
 def assemble_sigma(grid, maxw, kit, method="fft"):
     """Diffusion coefficients sigma^{ij}(v) = int Phi^{ij}(v - v*) mu(v*) dv*.
 
-    Returns the (6, n) table in PAIRS order. `method` selects the zero-padded
+    Returns the (6, n) table in PAIRS order. `method` selects the
     FFT path or the direct windowed sum; the two agree to roundoff. `kit` is
     the convolution kit of the kernel table.
     Raises if the 3x3 matrix at any node fails positive semidefiniteness.

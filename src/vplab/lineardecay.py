@@ -43,7 +43,7 @@ class ModeOperator:
 
     def __init__(self, y, assembly, out=None):
         self.asm = assembly
-        self.y = y = float(y)
+        y = float(y)
         self.ynorm = abs(y)
         grid = assembly.grid
         self.nv = nv = grid.nv

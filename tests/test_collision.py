@@ -33,7 +33,7 @@ def test_kernel_table_even_and_psd(grid8):
     for k in range(6):
         P = kt.phi[k]
         assert np.array_equal(P, P[::-1, ::-1, ::-1])
-    c = kt.side // 2
+    c = grid8.nv - 1
     sample = [(c + 1, c, c), (c + 2, c - 3, c + 1), (0, 0, 0)]
     for idx in sample:
         M = np.empty((3, 3))
@@ -517,21 +517,22 @@ def test_gamma_and_K_transform_counts(asm8, monkeypatch):
 @pytest.mark.parametrize("nv", [8, 10, 12, 16])
 def test_pruned_transforms_match_full_cube(nv):
     # the pruned DFT-matrix passes against numpy's rfftn/irfftn over the full
-    # zero-padded (2nv)^3 cube, to 1e-13 relative (measured <= 2.0e-15); the
+    # (2nv - 1)^3 cube of the kit's own length, and components/contract against
+    # the direct windowed sum of assemble_sigma(method="direct"), which fails
+    # if a kept output wraps; all to 1e-13 relative (measured <= 3.7e-15). The
     # kit's spectra are held in (k3, k2, k1) order
     g = build_grid(nv=nv, vmax=6.0, nx=4)
     kit = _ConvKit(g, KernelTable(g, -1.0))
-    m, s = 2 * nv, slice(nv - 1, 2 * nv - 1)
-    khat = kit.khat.swapaxes(-3, -1)
+    m, s, axes = 2 * nv - 1, slice(nv - 1, 2 * nv - 1), (-3, -2, -1)
+    win = np.lib.stride_tricks.sliding_window_view(kit.kernel.phi, (nv,) * 3, axis=(1, 2, 3))
 
-    def forward(x):
-        pad = np.zeros(x.shape[:-1] + (m, m, m))
-        pad[..., :nv, :nv, :nv] = x.reshape(x.shape[:-1] + (nv, nv, nv))
-        return np.fft.rfftn(pad, axes=(-3, -2, -1))
+    def cube(x):
+        return x.reshape(x.shape[:-1] + (nv, nv, nv))
 
-    def inverse(xh):
-        out = np.fft.irfftn(xh, s=(m, m, m), axes=(-3, -2, -1))[..., s, s, s] * g.wv
-        return out.reshape(xh.shape[:-3] + (g.n,))
+    def direct(x):
+        """All six Phi^{ij} * x, (..., 6, n), as sum_b Phi(a - b + nv - 1) x(b)."""
+        out = np.einsum("kabcdef,...def->...kabc", win, cube(x)[..., ::-1, ::-1, ::-1])
+        return out.reshape(x.shape[:-1] + (6, g.n)) * g.wv
 
     def close(a, ref):
         return np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -539,22 +540,24 @@ def test_pruned_transforms_match_full_cube(nv):
     rng = np.random.default_rng(nv)
     for lead in [(), (3,), (2, 4)]:
         x = rng.standard_normal(lead + (g.n,))
-        xh = forward(x)
+        xh = np.fft.rfftn(cube(x), s=(m,) * 3, axes=axes)
         assert close(kit._forward(x).swapaxes(-3, -1), xh)
-        assert close(kit._inverse(xh.swapaxes(-3, -1)), inverse(xh))
-        assert close(kit.components(x), inverse(khat * xh[..., None, :, :, :]))
-        q = rng.standard_normal(lead + (3, g.n))
-        qh = forward(q)
-        ref = inverse(np.stack([
-            sum(khat[pair_of(i, j)] * qh[..., j, :, :, :] for j in range(3))
-            for i in range(3)], axis=-4))
-        assert close(kit.contract(q), ref)
+        ref = np.fft.irfftn(xh, s=(m,) * 3, axes=axes)[..., s, s, s] * g.wv
+        assert close(kit._inverse(xh.swapaxes(-3, -1)), ref.reshape(x.shape))
+    for lead in [(), (3,)]:
+        x = rng.standard_normal(lead + (g.n,))
+        ref = direct(x)
+        assert close(kit.components(x), ref)
+    # the three fields of lead (3,) are the q_j of one contract
+    assert close(kit.contract(x), np.stack([
+        sum(ref[..., j, pair_of(i, j), :] for j in range(3)) for i in range(3)]))
 
 
 def test_sigma_fft_vs_direct_twiddle_accuracy():
-    # the DFT matrices take their twiddles from one exp(-2 pi i t / 2nv)
-    # table indexed by (j k) mod 2nv: measured <= 1.7e-13 here, where
-    # np.exp of the raw product j k reached 3.4e-13 (nv 12) and 6.5e-13 (nv 16)
+    # the DFT matrices take their twiddles from one exp(-2 pi i t / (2nv - 1))
+    # table indexed by (j k) mod 2nv - 1: measured <= 1.5e-13 here; at the
+    # former length 2nv, np.exp of the raw product j k reached 3.4e-13 (nv 12)
+    # and 6.5e-13 (nv 16)
     for nv in (8, 12, 16):
         g = build_grid(nv=nv, vmax=6.0, nx=4)
         mw = maxwellian(g)
